@@ -4,7 +4,7 @@ Simulates RF feeder links with rain fading and optical inter-satellite
 links over a discrete time horizon, and solves a per-slot max-min rate
 allocation LP with a built-in simplex solver.
 """
-from .allocation import AllocationResult, DegenerateSlotError, solve_allocation
+from .allocation import AllocationResult, solve_allocation
 from .channel import (
     FeederLinkParams,
     IslParams,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationResult",
     "ConstellationSpec",
-    "DegenerateSlotError",
     "FeederLinkParams",
     "GroundStationSpec",
     "IslParams",

@@ -13,6 +13,10 @@ links.  One LP per slot maximizes the minimum rate:
              sum_j v[k,l,j] on each directed ISL   <= 1
              all variables >= 0
 
+An isolated satellite (no feeder link and no usable neighbor) has no
+R_k row, epigraph row or rate column: it would pin t to 0.  It is
+reported at rate 0 and the slot is flagged degenerate.
+
 The min() of the two relay legs is linearized through the shared
 throughput variable r.  A second, lexicographic stage re-solves with
 objective sum_k R_k while pinning t >= t* so spare capacity is not left
@@ -24,7 +28,6 @@ well-conditioned; results are converted back to bit/s on decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,15 +36,6 @@ from .topology import SlotGraph
 
 SCALE_BPS = 1e6
 LEXICO_SLACK = 1e-9
-
-
-class DegenerateSlotError(ValueError):
-    """The slot has an isolated satellite; max-min would be forced to 0."""
-
-    def __init__(self, slot_index: int, isolated):
-        self.slot_index = slot_index
-        self.isolated = tuple(isolated)
-        super().__init__(f"slot {slot_index}: isolated satellites {self.isolated}")
 
 
 @dataclass(frozen=True)
@@ -76,21 +70,20 @@ def enumerate_routes(graph: SlotGraph) -> list[Route]:
 
 
 def build_problem(graph: SlotGraph) -> LpProblem:
-    """Assemble the per-slot max-min LP.
+    """Assemble the per-slot max-min LP over the non-isolated satellites.
 
-    Raises DegenerateSlotError when any satellite is isolated (the
-    epigraph would pin t to 0 and poison the whole slot).
+    Isolated satellites get no rate column, R_k row or epigraph row; they
+    have no feeder edge and no route either, so the LP is the one the
+    served satellites alone would give.
     """
-    if graph.isolated:
-        raise DegenerateSlotError(graph.slot_index, graph.isolated)
-
     k_count = graph.satellite_count
+    served = [k for k in range(k_count) if k not in graph.isolated]
     routes = enumerate_routes(graph)
     fl = graph.fl_capacity_bps / SCALE_BPS
     isl = graph.isl_capacity_bps / SCALE_BPS
 
     tags: list[tuple] = [("t",)]
-    tags += [("rate", k) for k in range(k_count)]
+    tags += [("rate", k) for k in served]
     direct_edges = [(k, j) for k in range(k_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
     tags += [("w_direct", k, j) for k, j in direct_edges]
     for rt in routes:
@@ -103,7 +96,7 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     rhs: list[float] = []
 
     # R_k ties the rate variable to its direct and relayed parts
-    for k in range(k_count):
+    for k in served:
         row = {col[("rate", k)]: 1.0}
         for (s, j) in direct_edges:
             if s == k:
@@ -116,7 +109,7 @@ def build_problem(graph: SlotGraph) -> LpProblem:
         rhs.append(0.0)
 
     # epigraph t <= R_k
-    for k in range(k_count):
+    for k in served:
         rows.append({col[("t",)]: 1.0, col[("rate", k)]: -1.0})
         senses.append(LE)
         rhs.append(0.0)
@@ -221,12 +214,15 @@ def decode(
     t_star: float,
     iterations: int,
 ) -> AllocationResult:
-    """Map LP values back to fractions, per-edge rates and R_k."""
-    k_count = graph.satellite_count
+    """Map LP values back to fractions, per-edge rates and R_k.
+
+    A satellite without a rate column (an isolated one) gets rate 0.
+    """
     values = solution.values
     col = {tag: i for i, tag in enumerate(problem.variable_tags)}
 
-    rates = np.array([values[col[("rate", k)]] for k in range(k_count)]) * SCALE_BPS
+    rate_cols = [col.get(("rate", k)) for k in range(graph.satellite_count)]
+    rates = np.array([0.0 if c is None else values[c] for c in rate_cols]) * SCALE_BPS
     w: dict[tuple[int, int, int], float] = {}
     v: dict[tuple[int, int, int], float] = {}
     fl_rates = np.zeros_like(graph.fl_capacity_bps)
@@ -260,12 +256,16 @@ def decode(
         fl_rates_bps=fl_rates,
         isl_rates_bps=isl_rates,
         iterations=iterations,
+        degenerate=bool(graph.isolated),
     )
 
 
 def solve_allocation(graph: SlotGraph, lexicographic: bool = True) -> AllocationResult:
     """Solve one slot end to end: build, optimize, optionally refine, decode."""
     problem = build_problem(graph)
+    if not problem.rows:
+        # every satellite is isolated: no LP to solve, t* and all rates are 0
+        return decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0)
     stage1 = solve(problem)
     if stage1.status != STATUS_OPTIMAL:
         raise RuntimeError(f"slot {graph.slot_index}: allocation LP {stage1.status}")

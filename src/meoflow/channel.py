@@ -42,10 +42,8 @@ class FeederLinkParams:
     """RF downlink budget inputs (satellite -> ground station).
 
     Defaults describe a 20 GHz, 100 MHz channel with 49.7 dBW EIRP
-    received by a 4.5 m dish at G/T = 7 dB/K.  `system_noise_temp_k` and
-    `gs_antenna_diameter_m` are descriptive; the budget itself is driven
-    by the figure of merit.  `pattern_halfpower_deg` enables an optional
-    parabolic beam roll-off of -12 (phi / phi_3dB)^2 dB when set.
+    received at G/T = 7 dB/K; the receive side enters the budget only
+    through that figure of merit.
     """
 
     carrier_frequency_hz: float = 20e9
@@ -53,15 +51,10 @@ class FeederLinkParams:
     eirp_dbw: float = 49.7
     rx_figure_of_merit_db_k: float = 7.0
     shadowing_loss_db: float = 0.0
-    gs_antenna_diameter_m: float = 4.5
-    system_noise_temp_k: float = 150.0
-    pattern_halfpower_deg: Optional[float] = None
 
     def __post_init__(self):
         if self.carrier_frequency_hz <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("carrier frequency and bandwidth must be > 0")
-        if self.pattern_halfpower_deg is not None and self.pattern_halfpower_deg <= 0:
-            raise ValueError("pattern_halfpower_deg must be > 0 when set")
 
 
 @dataclass(frozen=True)
@@ -220,23 +213,14 @@ def fl_cnr_db(
     params: FeederLinkParams,
     rain: RainModelParams,
     gs_altitude_km: float = 0.0,
-    boresight_offset_deg: float = 0.0,
 ) -> float:
-    """Feeder downlink carrier-to-noise ratio, dB.
-
-    `boresight_offset_deg` feeds the optional parabolic roll-off; with the
-    beam steered at the served station it stays 0 and the term vanishes.
-    """
+    """Feeder downlink carrier-to-noise ratio, dB."""
     loss = fspl_db(distance_km, params.carrier_frequency_hz) + params.shadowing_loss_db
     if rain_rate_mm_h > 0.0:
         loss += rain_attenuation_db(elevation_deg, rain_rate_mm_h, rain, gs_altitude_km)
-    rolloff = 0.0
-    if params.pattern_halfpower_deg is not None:
-        rolloff = 12.0 * (boresight_offset_deg / params.pattern_halfpower_deg) ** 2
     return (
         params.eirp_dbw
         - loss
-        - rolloff
         + params.rx_figure_of_merit_db_k
         - 10.0 * math.log10(BOLTZMANN_J_PER_K)
         - 10.0 * math.log10(params.bandwidth_hz)

@@ -2,8 +2,8 @@
 
 Slots are independent; they are solved sequentially in slot order so reruns
 are bit-identical.  A slot with isolated satellites (no feeder link and no
-usable neighbor) is solved over the reachable subset, the isolated rates are
-reported as zero, and the slot is flagged and excluded from rate statistics.
+usable neighbor) comes back from the allocator flagged degenerate, with the
+isolated rates at zero; it is excluded from rate statistics.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from .allocation import AllocationResult, solve_allocation
 from .geometry import slot_geometry
 from .scenario import Scenario
-from .topology import SlotGraph, build_slot_graph
+from .topology import build_slot_graph
 
 DEFAULT_BIN_WIDTH_BPS = 5e6
 
@@ -45,58 +45,6 @@ class RunResult:
         mask = np.ones(self.slot_count, dtype=bool)
         mask[list(self.degenerate_slots)] = False
         return mask
-
-
-def _reduced_graph(graph: SlotGraph) -> tuple[SlotGraph, list[int]]:
-    kept = [k for k in range(graph.satellite_count) if k not in graph.isolated]
-    index = {k: i for i, k in enumerate(kept)}
-    neighbors = tuple(
-        tuple(index[n] for n in graph.neighbors[k] if n in index) for k in kept
-    )
-    sub = SlotGraph(
-        slot_index=graph.slot_index,
-        fl_capacity_bps=graph.fl_capacity_bps[kept],
-        isl_capacity_bps=graph.isl_capacity_bps[np.ix_(kept, kept)],
-        neighbors=neighbors,
-        serving_gs=tuple(graph.serving_gs[k] for k in kept),
-        reachable_gs=tuple(graph.reachable_gs[k] for k in kept),
-        isolated=(),
-    )
-    return sub, kept
-
-
-def _solve_slot(graph: SlotGraph, lexicographic: bool) -> AllocationResult:
-    if not graph.isolated:
-        return solve_allocation(graph, lexicographic=lexicographic)
-    sub, kept = _reduced_graph(graph)
-    k_count = graph.satellite_count
-    rates = np.zeros(k_count)
-    fl_rates = np.zeros_like(graph.fl_capacity_bps)
-    isl_rates = np.zeros_like(graph.isl_capacity_bps)
-    w: dict[tuple[int, int, int], float] = {}
-    v: dict[tuple[int, int, int], float] = {}
-    t_star = 0.0
-    iterations = 0
-    if kept:
-        res = solve_allocation(sub, lexicographic=lexicographic)
-        rates[kept] = res.rates_bps
-        fl_rates[kept] = res.fl_rates_bps
-        isl_rates[np.ix_(kept, kept)] = res.isl_rates_bps
-        w = {(kept[s], kept[t], j): f for (s, t, j), f in res.w.items()}
-        v = {(kept[s], kept[l], j): f for (s, l, j), f in res.v.items()}
-        t_star = res.t_star_bps
-        iterations = res.iterations
-    return AllocationResult(
-        slot_index=graph.slot_index,
-        t_star_bps=t_star,
-        rates_bps=rates,
-        w=w,
-        v=v,
-        fl_rates_bps=fl_rates,
-        isl_rates_bps=isl_rates,
-        iterations=iterations,
-        degenerate=True,
-    )
 
 
 def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
@@ -132,7 +80,7 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
             policy=scenario.serving_policy,
             isl_enabled=enabled,
         )
-        result = _solve_slot(graph, scenario.lexicographic)
+        result = solve_allocation(graph, lexicographic=scenario.lexicographic)
         if result.degenerate:
             degenerate.append(slot)
         rates[slot] = result.rates_bps

@@ -172,14 +172,6 @@ def elevation_angle(sat_ecef_km: np.ndarray, gs_ecef_km: np.ndarray) -> float:
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
 
-def off_nadir_angle(sat_ecef_km: np.ndarray, gs_ecef_km: np.ndarray) -> float:
-    """Angle at the satellite between nadir and the station direction, degrees."""
-    sat = np.asarray(sat_ecef_km, dtype=float)
-    to_gs = np.asarray(gs_ecef_km, dtype=float) - sat
-    c = float(np.dot(-sat, to_gs) / (np.linalg.norm(sat) * np.linalg.norm(to_gs)))
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
-
-
 @dataclass(frozen=True)
 class SlotGeometry:
     """All pairwise geometry for one time slot.
@@ -189,7 +181,6 @@ class SlotGeometry:
         gs_positions_km: (I, 3) ECEF.
         distances_fl_km: (K, I) slant ranges.
         elevations_deg: (K, I) station-side elevation angles.
-        off_nadir_deg: (K, I) satellite-side pointing angles.
         visible: (K, I) elevation >= per-station mask.
         distances_isl_km: (K, K) inter-satellite ranges, 0 on the diagonal.
     """
@@ -200,7 +191,6 @@ class SlotGeometry:
     gs_positions_km: np.ndarray
     distances_fl_km: np.ndarray
     elevations_deg: np.ndarray
-    off_nadir_deg: np.ndarray
     visible: np.ndarray
     distances_isl_km: np.ndarray
 
@@ -226,11 +216,6 @@ def slot_geometry(
         sin_el = np.einsum("kij,ij->ki", diff, gs) / (dist_fl * gs_norm[None, :])
     elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0))) if i else np.zeros((k, 0))
 
-    sat_norm = np.linalg.norm(sats, axis=1)
-    # cos(off-nadir) = dot(-sat, gs - sat) / (|sat| |gs - sat|) = dot(sat, diff) / (|sat| |diff|)
-    cos_on = np.einsum("kij,kj->ki", diff, sats) / (dist_fl * sat_norm[:, None]) if i else np.zeros((k, 0))
-    off_nadir = np.degrees(np.arccos(np.clip(cos_on, -1.0, 1.0))) if i else np.zeros((k, 0))
-
     masks = np.array([s.min_elevation_deg for s in stations]) if i else np.zeros(0)
     visible = elev >= masks[None, :] if i else np.zeros((k, 0), dtype=bool)
 
@@ -243,7 +228,6 @@ def slot_geometry(
         gs_positions_km=gs,
         distances_fl_km=dist_fl,
         elevations_deg=elev,
-        off_nadir_deg=off_nadir,
         visible=visible,
         distances_isl_km=dist_isl,
     )

@@ -7,6 +7,7 @@ every level so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -49,13 +50,24 @@ def _get(data, key, path, default=_REQUIRED):
     return default
 
 
+def _finite(value, where):
+    """A JSON number as a float; NaN, ±Infinity and out-of-range integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: must be a finite number")
+    return value
+
+
 def _number(data, key, path, default=_REQUIRED, minimum=None, positive=False):
     value = _get(data, key, path, default)
     if value is default and default is not _REQUIRED:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    value = float(value)
+    value = _finite(value, f"{path}.{key}")
     if positive and value <= 0:
         raise ScenarioError(f"{path}.{key}: must be positive")
     if minimum is not None and value < minimum:
@@ -112,12 +124,8 @@ def _params_from_section(data, path, cls):
     _check_keys(data, path, names)
     kwargs = {}
     for name in names:
-        if name not in data:
-            continue
-        value = data[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}.{name}: expected a number")
-        kwargs[name] = float(value)
+        if name in data:
+            kwargs[name] = _finite(data[name], f"{path}.{name}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -206,12 +214,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     phases = _get(csec, "phase_offsets_deg", cpath, default=None)
     if phases is None:
         phases = tuple(i * 360.0 / count for i in range(count))
+    elif not isinstance(phases, list):
+        raise ScenarioError(f"{cpath}.phase_offsets_deg: expected a list of numbers")
     else:
-        if not isinstance(phases, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in phases
-        ):
-            raise ScenarioError(f"{cpath}.phase_offsets_deg: expected a list of numbers")
-        phases = tuple(float(p) for p in phases)
+        phases = tuple(_finite(p, f"{cpath}.phase_offsets_deg[{i}]") for i, p in enumerate(phases))
     try:
         constellation = ConstellationSpec(count, altitude_km, phases, start, inclination)
     except ValueError as exc:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from meoflow.allocation import (
-    DegenerateSlotError,
     Route,
     build_problem,
     enumerate_routes,
@@ -137,11 +136,27 @@ class TestTwoSatRelay:
         assert res.rates_bps[0] == pytest.approx(300e6, abs=1e-3)
         assert not res.v
 
-    def test_degenerate_raises(self):
-        g = make_graph([[300e6], [0.0]], np.zeros((2, 2)))
-        with pytest.raises(DegenerateSlotError) as exc:
-            solve_allocation(g)
-        assert exc.value.isolated == (1,)
+    def test_isolated_satellite_left_out_of_the_lp(self):
+        # no rate column or row for the isolated satellite: the LP is the one
+        # of the served pair alone, t* is their minimum and its rate is 0
+        g = make_graph([[300e6], [200e6], [0.0]], np.zeros((3, 3)))
+        assert g.isolated == (2,)
+        res = solve_allocation(g)
+        assert res.degenerate
+        assert res.rates_bps[2] == 0.0
+        assert res.t_star_bps == pytest.approx(200e6, abs=1e-3)
+        problem = build_problem(g)
+        assert ("rate", 2) not in problem.variable_tags
+        pair = build_problem(make_graph([[300e6], [200e6]], np.zeros((2, 2))))
+        assert problem.rows == pair.rows and list(problem.senses) == list(pair.senses)
+
+    def test_all_isolated_slot_has_no_lp(self):
+        res = solve_allocation(make_graph([[0.0], [0.0]], np.zeros((2, 2))))
+        assert res.degenerate
+        assert res.t_star_bps == 0.0 and res.iterations == 0
+        assert np.array_equal(res.rates_bps, [0.0, 0.0])
+        assert res.w == {} and res.v == {}
+        assert not res.fl_rates_bps.any() and not res.isl_rates_bps.any()
 
 
 class TestRouteEnumeration:

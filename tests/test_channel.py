@@ -125,16 +125,6 @@ class TestFeederLink:
             assert fl_cnr_db(d + 50.0, el, r, fl, rm) < fl_cnr_db(d, el, r, fl, rm)
             assert fl_cnr_db(d, el, r + 0.5, fl, rm) < fl_cnr_db(d, el, r, fl, rm)
 
-    def test_rolloff_off_by_default_and_parabolic_when_on(self):
-        fl = FeederLinkParams()
-        on = FeederLinkParams(pattern_halfpower_deg=0.4)
-        rm = RainModelParams()
-        assert fl_cnr_db(8000.0, 50.0, 0.0, fl, rm, boresight_offset_deg=1.0) == fl_cnr_db(
-            8000.0, 50.0, 0.0, fl, rm
-        )
-        drop = fl_cnr_db(8000.0, 50.0, 0.0, on, rm) - fl_cnr_db(8000.0, 50.0, 0.0, on, rm, boresight_offset_deg=0.4)
-        assert drop == pytest.approx(12.0, abs=1e-9)
-
 
 class TestShannon:
     def test_zero_cnr_zero_capacity(self):

@@ -55,6 +55,10 @@ class TestRunCommand:
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["series"]["degenerate_slots"] == [0, 1, 2, 3]
 
+    def test_seedless_deterministic_degenerate_exits_3(self, tmp_path):
+        # the rerun check also covers slots with isolated satellites
+        assert main(["run", "toy2", "--seedless-deterministic", "--out", str(tmp_path)]) == 3
+
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", "no_such_scenario", "--out", str(tmp_path)]) == 2
         assert "no such scenario" in capsys.readouterr().err

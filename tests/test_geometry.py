@@ -13,7 +13,6 @@ from meoflow.geometry import (
     GroundStationSpec,
     elevation_angle,
     geodetic_to_ecef,
-    off_nadir_angle,
     propagate,
     ring_neighbors,
     slot_geometry,
@@ -128,20 +127,6 @@ class TestElevation:
                 elevation_oracle_deg(psi_deg, EARTH_RADIUS_KM, r), abs=1e-9
             )
 
-    def test_law_of_sines_identity(self):
-        # sin(off_nadir) / sin(90 + el) = |gs| / |sat| for any pair
-        rng = np.random.RandomState(7)
-        for _ in range(300):
-            gs = rng.normal(size=3)
-            gs = gs / np.linalg.norm(gs) * rng.uniform(6356.0, 6378.0)
-            sat = rng.normal(size=3)
-            sat = sat / np.linalg.norm(sat) * rng.uniform(7000.0, 20000.0)
-            el = math.radians(elevation_angle(sat, gs))
-            on = math.radians(off_nadir_angle(sat, gs))
-            lhs = math.sin(on) / math.sin(math.pi / 2 + el)
-            rhs = np.linalg.norm(gs) / np.linalg.norm(sat)
-            assert abs(lhs - rhs) < 1e-9
-
 
 class TestSlotGeometry:
     def stations(self):
@@ -165,7 +150,6 @@ class TestSlotGeometry:
         d = geom.distances_fl_km[0, 0]
         assert d == pytest.approx(8062.0 + EARTH_RADIUS_KM - WGS84_A_KM, abs=1e-6)
         assert geom.elevations_deg[0, 0] == pytest.approx(90.0, abs=1e-9)
-        assert geom.off_nadir_deg[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal_satellite_not_visible(self):
         spec = ConstellationSpec(2, 8062.0, (0.0, 180.0), EPOCH)

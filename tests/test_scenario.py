@@ -1,9 +1,11 @@
 """Scenario parsing: defaults, strictness, path-qualified errors."""
 import json
 from datetime import datetime, timedelta, timezone
+from importlib import resources
 
 import pytest
 
+from meoflow.cli import main
 from meoflow.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 
@@ -66,6 +68,9 @@ class TestStrictness:
             (lambda d: d.update(feeder_link={"power_w": 1}), "feeder_link: unknown key"),
             (lambda d: d.update(policies={"seed": 1}), "policies: unknown key"),
             (lambda d: d["time"].update(end="x"), "time: unknown key"),
+            (lambda d: d.update(feeder_link={"gs_antenna_diameter_m": 4.5}), "unknown key 'gs_antenna_diameter_m'"),
+            (lambda d: d.update(feeder_link={"system_noise_temp_k": 150.0}), "unknown key 'system_noise_temp_k'"),
+            (lambda d: d.update(feeder_link={"pattern_halfpower_deg": 0.4}), "unknown key 'pattern_halfpower_deg'"),
         ],
     )
     def test_unknown_keys_rejected(self, mutate, needle):
@@ -204,9 +209,26 @@ class TestLoading:
             load_scenario(tmp_path / "absent.json")
 
     def test_bundled_scenarios_parse(self):
-        from importlib import resources
-
         for name in ("o3b_clear", "o3b_rain", "toy2", "toy3"):
             ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
             s = parse_scenario(json.loads(ref.read_text()), name=name)
             assert s.slot_count >= 1
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("constellation", "altitude_km", float("nan")),
+            ("time", "slot_s", float("nan")),
+            ("time", "duration_s", float("inf")),
+            ("rain_model", "rain_height_km", float("nan")),
+        ],
+    )
+    def test_non_finite_numbers_exit_2_with_path(self, tmp_path, capsys, section, key, value):
+        # json reads the NaN and Infinity literals that json.dumps writes here
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data[section][key] = value
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"toy3.{section}.{key}: must be a finite number" in capsys.readouterr().err
