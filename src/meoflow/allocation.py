@@ -18,9 +18,10 @@ R_k row, epigraph row or rate column: it would pin t to 0.  It is
 reported at rate 0 and the slot is flagged degenerate.
 
 The min() of the two relay legs is linearized through the shared
-throughput variable r.  A second, lexicographic stage re-solves with
-objective sum_k R_k while pinning t >= t* so spare capacity is not left
-stranded; it is on by default.
+throughput variable r.  A second, lexicographic stage maximizes
+sum_k R_k while pinning t >= t* so spare capacity is not left stranded;
+it is on by default.  It continues from the first stage's optimal
+tableau: the pin row is appended to it and only phase 2 runs.
 
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.
@@ -28,10 +29,21 @@ well-conditioned; results are converted back to bit/s on decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .simplex import EQ, GE, LE, LpProblem, LpSolution, STATUS_OPTIMAL, solve
+from .simplex import (
+    EQ,
+    GE,
+    LE,
+    STATUS_OPTIMAL,
+    LpProblem,
+    LpSolution,
+    SimplexIterationError,
+    reoptimize,
+    solve,
+)
 from .topology import SlotGraph
 
 SCALE_BPS = 1e6
@@ -161,11 +173,15 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     )
 
 
-def lexicographic_refine(problem: LpProblem, t_star: float) -> tuple[LpProblem, LpSolution]:
+def lexicographic_refine(
+    problem: LpProblem, t_star: float, stage1: Optional[LpSolution] = None
+) -> tuple[LpProblem, LpSolution]:
     """Stage 2: maximize total rate holding the max-min value.
 
     Returns the refined problem and its solution.  t_star is in solver
-    units (Mbit/s); the pin allows LEXICO_SLACK of slack.
+    units (Mbit/s); the pin allows LEXICO_SLACK of slack.  The solve
+    continues from `stage1`, the optimal stage-1 solution of `problem`,
+    which is computed here when not given.
     """
     objective = np.zeros(problem.n_variables)
     for idx, tag in enumerate(problem.variable_tags):
@@ -182,7 +198,9 @@ def lexicographic_refine(problem: LpProblem, t_star: float) -> tuple[LpProblem, 
         bounds=list(problem.bounds),
         variable_tags=problem.variable_tags,
     )
-    return refined, solve(refined)
+    if stage1 is None:
+        stage1 = solve(problem)
+    return refined, reoptimize(refined, stage1)
 
 
 @dataclass
@@ -260,23 +278,52 @@ def decode(
     )
 
 
+class AllocationError(RuntimeError):
+    """A slot LP that did not solve to optimality.
+
+    Attributes:
+        slot: slot index of the failing LP.
+        stage: 1 for the max-min LP, 2 for the lexicographic refinement.
+        reason: the solver status or error.
+    """
+
+    def __init__(self, slot: int, stage: int, reason: str):
+        super().__init__(f"slot {slot}, stage {stage}: {reason}")
+        self.slot = slot
+        self.stage = stage
+        self.reason = reason
+
+
+def _require_optimal(graph: SlotGraph, stage: int, solution: LpSolution) -> None:
+    if solution.status != STATUS_OPTIMAL:
+        raise AllocationError(graph.slot_index, stage, f"LP {solution.status}")
+
+
 def solve_allocation(graph: SlotGraph, lexicographic: bool = True) -> AllocationResult:
-    """Solve one slot end to end: build, optimize, optionally refine, decode."""
+    """Solve one slot end to end: build, optimize, optionally refine, decode.
+
+    Raises AllocationError, naming the slot and stage, when either LP
+    ends other than optimal or the solver gives up.
+    """
     problem = build_problem(graph)
     if not problem.rows:
         # every satellite is isolated: no LP to solve, t* and all rates are 0
         return decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0)
-    stage1 = solve(problem)
-    if stage1.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"slot {graph.slot_index}: allocation LP {stage1.status}")
+    try:
+        stage1 = solve(problem)
+    except SimplexIterationError as exc:
+        raise AllocationError(graph.slot_index, 1, str(exc)) from exc
+    _require_optimal(graph, 1, stage1)
     t_star = stage1.objective_value
     iterations = stage1.iteration_count
     chosen = stage1
     active_problem = problem
     if lexicographic:
-        active_problem, stage2 = lexicographic_refine(problem, t_star)
-        if stage2.status != STATUS_OPTIMAL:
-            raise RuntimeError(f"slot {graph.slot_index}: refine LP {stage2.status}")
+        try:
+            active_problem, stage2 = lexicographic_refine(problem, t_star, stage1)
+        except SimplexIterationError as exc:
+            raise AllocationError(graph.slot_index, 2, str(exc)) from exc
+        _require_optimal(graph, 2, stage2)
         iterations += stage2.iteration_count
         chosen = stage2
     return decode(graph, active_problem, chosen, t_star, iterations)

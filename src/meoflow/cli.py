@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 determinism verification failure, 2 malformed or
 missing input, 3 run completed but degenerate slots are present (outputs are
-still written).
+still written), 4 a slot LP failed to solve (nothing is written).
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .allocation import AllocationError
 from .channel import RAIN_CLASS_RATES_MM_H
 from .engine import RunResult, compare, run, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
@@ -24,13 +25,28 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_SOLVER_FAILED = 4
 
 FRACTION_FLOOR = 1e-12
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_BAD_INPUT
+    return code
+
+
+class _SolverFailed(Exception):
+    """A slot LP failed in one arm; the message names slot, arm and stage."""
+
+
+def _run_arm(scenario: Scenario, isl_enabled: bool) -> RunResult:
+    try:
+        return run(scenario, isl_enabled=isl_enabled)
+    except AllocationError as exc:
+        arm = "ISL" if isl_enabled else "no-ISL"
+        raise _SolverFailed(
+            f"solver failed on slot {exc.slot} of the {arm} arm, LP stage {exc.stage}: {exc.reason}"
+        ) from exc
 
 
 def _load_scenario_arg(arg: str) -> Scenario:
@@ -150,14 +166,17 @@ def cmd_run(args) -> int:
         scenario = _load_scenario_arg(args.scenario)
     except ScenarioError as exc:
         return _fail(str(exc))
-    isl_enabled = False if args.no_isl else None
-    result = run(scenario, isl_enabled=isl_enabled)
-    doc = _run_doc(result)
-    if args.seedless_deterministic:
-        repeat = _run_doc(run(scenario, isl_enabled=isl_enabled))
-        if json.dumps(doc) != json.dumps(repeat):
-            print("error: rerun produced different results", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    isl_enabled = scenario.isl_enabled and not args.no_isl
+    try:
+        result = _run_arm(scenario, isl_enabled)
+        doc = _run_doc(result)
+        if args.seedless_deterministic:
+            repeat = _run_doc(_run_arm(scenario, isl_enabled))
+            if json.dumps(doc) != json.dumps(repeat):
+                print("error: rerun produced different results", file=sys.stderr)
+                return EXIT_VERIFY_FAILED
+    except _SolverFailed as exc:
+        return _fail(str(exc), EXIT_SOLVER_FAILED)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_results_csv(out / "results.csv", result)
@@ -176,8 +195,8 @@ def cmd_compare(args) -> int:
         return _fail(str(exc))
 
     def both_arms():
-        baseline = run(scenario, isl_enabled=False)
-        treatment = run(scenario, isl_enabled=True)
+        baseline = _run_arm(scenario, False)
+        treatment = _run_arm(scenario, True)
         report = compare(baseline, treatment)
         doc = {
             "scenario_name": scenario.name,
@@ -198,13 +217,15 @@ def cmd_compare(args) -> int:
 
     try:
         baseline, treatment, doc = both_arms()
+        if args.seedless_deterministic:
+            _, _, repeat = both_arms()
+            if json.dumps(doc) != json.dumps(repeat):
+                print("error: rerun produced different results", file=sys.stderr)
+                return EXIT_VERIFY_FAILED
     except ValueError as exc:
         return _fail(str(exc))
-    if args.seedless_deterministic:
-        _, _, repeat = both_arms()
-        if json.dumps(doc) != json.dumps(repeat):
-            print("error: rerun produced different results", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+    except _SolverFailed as exc:
+        return _fail(str(exc), EXIT_SOLVER_FAILED)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "compare.json", doc)

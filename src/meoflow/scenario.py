@@ -236,16 +236,15 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             epath,
             ["station_id", "latitude_deg", "longitude_deg", "altitude_m", "min_elevation_deg"],
         )
+        values = (
+            _string(entry, "station_id", epath),
+            _number(entry, "latitude_deg", epath),
+            _number(entry, "longitude_deg", epath),
+            _number(entry, "altitude_m", epath, default=0.0),
+            _number(entry, "min_elevation_deg", epath, default=5.0, minimum=0.0),
+        )
         try:
-            stations.append(
-                GroundStationSpec(
-                    _string(entry, "station_id", epath),
-                    _number(entry, "latitude_deg", epath),
-                    _number(entry, "longitude_deg", epath),
-                    _number(entry, "altitude_m", epath, default=0.0),
-                    _number(entry, "min_elevation_deg", epath, default=5.0, minimum=0.0),
-                )
-            )
+            stations.append(GroundStationSpec(*values))
         except ValueError as exc:
             raise ScenarioError(f"{epath}: {exc}") from None
     ids = [s.station_id for s in stations]
@@ -289,10 +288,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             rate = RAIN_CLASS_RATES_MM_H[cls]
         else:
             rate = _number(entry, "rain_rate_mm_h", epath, positive=True)
+        begins, ends = _datetime(entry, "start", epath), _datetime(entry, "end", epath)
         try:
-            events.append(
-                RainEvent(station_id, _datetime(entry, "start", epath), _datetime(entry, "end", epath), rate)
-            )
+            events.append(RainEvent(station_id, begins, ends, rate))
         except ValueError as exc:
             raise ScenarioError(f"{epath}: {exc}") from None
 

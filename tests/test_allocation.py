@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from meoflow.allocation import (
+    LEXICO_SLACK,
     Route,
     build_problem,
     enumerate_routes,
+    lexicographic_refine,
     solve_allocation,
 )
-from meoflow.simplex import EQ, GE, solve
+from meoflow.simplex import EQ, GE, STATUS_OPTIMAL, solve
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, SlotGraph, select_serving_gs
 from meoflow.geometry import ring_neighbors
 
@@ -291,6 +293,29 @@ class TestLexicographic:
             plain = solve_allocation(g, lexicographic=False)
             assert lexi.t_star_bps == pytest.approx(plain.t_star_bps, abs=1e-3)
             assert lexi.rates_bps.sum() >= plain.rates_bps.sum() - 1e-3
+
+
+    def test_warm_stage2_matches_cold_resolve_and_keeps_the_pin(self):
+        # stage 2 continues from stage 1's tableau; solving the refined LP
+        # from scratch must reach the same total, in more pivots, and the
+        # pin t >= t* - LEXICO_SLACK must hold for every served satellite
+        rng = np.random.RandomState(29)
+        warm_pivots = cold_pivots = 0
+        for _ in range(200):
+            g = random_small_graph(rng)
+            problem = build_problem(g)
+            stage1 = solve(problem)
+            t_star = stage1.objective_value
+            refined, warm = lexicographic_refine(problem, t_star, stage1)
+            cold = solve(refined)
+            assert warm.status == cold.status == STATUS_OPTIMAL
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            warm_pivots += warm.iteration_count
+            cold_pivots += cold.iteration_count
+            for k in range(g.satellite_count):
+                if k not in g.isolated:
+                    assert warm.values[problem.column(("rate", k))] >= t_star - LEXICO_SLACK
+        assert warm_pivots < cold_pivots
 
 
 class TestOptimalityCertificate:

@@ -2,9 +2,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from meoflow.cli import main
+from meoflow import allocation
+from meoflow.cli import EXIT_SOLVER_FAILED, main
+from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
 
 
 def read_csv(path):
@@ -113,6 +116,30 @@ class TestCompareCommand:
 
     def test_seedless_deterministic_compare(self, tmp_path):
         assert main(["compare", "toy3", "--seedless-deterministic", "--out", str(tmp_path)]) == 0
+
+
+class TestSolverFailure:
+    def test_run_stage1_failure_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch):
+        def give_up(problem, max_iterations=None):
+            raise SimplexIterationError("simplex exceeded 1 iterations")
+
+        monkeypatch.setattr(allocation, "solve", give_up)
+        assert main(["run", "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED == 4
+        err = capsys.readouterr().err
+        assert "slot 0 of the ISL arm, LP stage 1: simplex exceeded 1 iterations" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_compare_stage2_failure_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch):
+        def unbounded(problem, base, max_iterations=None):
+            return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), 0)
+
+        monkeypatch.setattr(allocation, "reoptimize", unbounded)
+        assert main(["compare", "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        # the no-ISL baseline arm is solved first
+        assert "slot 0 of the no-ISL arm, LP stage 2: LP unbounded" in err
+        assert not (tmp_path / "compare.json").exists()
 
 
 class TestPlotCommand:

@@ -1,5 +1,6 @@
 """Horizon runs, summaries, and arm comparison."""
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ class TestRun:
         res = run(s)
         assert res.degenerate_slots == ()
         assert np.all(res.rates_bps > 0.0)
+
+
+class TestPivotBudget:
+    # Total simplex pivots over the o3b_rain horizon, as recorded in
+    # CHANGES.md when stage 2 began continuing from stage 1's tableau.
+    # Pivots do not depend on the machine; a lost warm start roughly
+    # doubles them (24,054 and 8,928 when stage 2 was solved cold).
+    BUDGET = {True: 11_883, False: 5_184}
+
+    @pytest.mark.parametrize("isl_enabled", [True, False])
+    def test_o3b_rain_pivots_within_budget(self, isl_enabled):
+        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
+        scenario = parse_scenario(json.loads(ref.read_text()), name="o3b_rain")
+        assert run(scenario, isl_enabled=isl_enabled).iterations.sum() <= self.BUDGET[isl_enabled]
 
 
 def manual_result(rates, degenerate=()):

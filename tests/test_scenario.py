@@ -97,6 +97,30 @@ class TestStrictness:
         assert needle in str(exc.value)
 
     @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (
+                lambda d: d["ground_stations"][0].update(latitude_deg=float("nan")),
+                "scenario.ground_stations[0].latitude_deg: must be a finite number",
+            ),
+            (
+                lambda d: d.update(
+                    rain_events=[
+                        {"station_id": "a", "start": "noon", "end": "2026-01-01T01:00:00Z", "rain_class": "heavy"}
+                    ]
+                ),
+                "scenario.rain_events[0].start: not a valid ISO-8601 timestamp",
+            ),
+        ],
+    )
+    def test_entry_errors_name_their_path_once(self, mutate, message):
+        d = base()
+        mutate(d)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(d)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda d: d["constellation"].update(satellite_count="six"),

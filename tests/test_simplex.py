@@ -16,6 +16,7 @@ from meoflow.simplex import (
     LpSolution,
     SimplexIterationError,
     dump_lp_text,
+    reoptimize,
     solve,
 )
 
@@ -180,6 +181,30 @@ class TestRandomOracle:
                 assert s.objective_value == pytest.approx(expected, abs=1e-7)
             else:
                 assert expected == -np.inf
+
+
+class TestReoptimize:
+    def test_appended_row_and_new_objective_match_cold_solve(self):
+        rng = np.random.RandomState(8)
+        for trial in range(40):
+            a = rng.uniform(0.1, 2.0, size=(6, 8))
+            p = box_problem(a, rng.uniform(1.0, 5.0, size=6), rng.uniform(0.5, 2.0, size=8))
+            base = solve(p)
+            extra = {j: float(rng.uniform(-1.0, 1.0)) for j in range(8)}
+            at_base = sum(coef * base.values[j] for j, coef in extra.items())
+            sense, rhs = (LE, at_base + 0.3) if trial % 2 else (GE, at_base - 0.3)
+            q = LpProblem(rng.uniform(-1.0, 2.0, size=8), p.rows + [extra], p.senses + [sense],
+                          np.append(p.rhs, rhs), p.bounds)
+            warm, cold = reoptimize(q, base), solve(q)
+            assert warm.status == cold.status, f"trial {trial}"
+            if cold.status == STATUS_OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+    def test_row_that_cuts_off_the_base_optimum_is_refused(self):
+        p = LpProblem(np.array([1.0]), [{0: 1.0}], [LE], np.array([3.0]), [(0.0, None)])
+        q = LpProblem(np.array([1.0]), p.rows + [{0: 1.0}], [LE, LE], np.array([3.0, 2.0]), p.bounds)
+        with pytest.raises(ValueError, match="cuts off"):
+            reoptimize(q, solve(p))
 
 
 class TestDeterminism:
