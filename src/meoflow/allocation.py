@@ -41,7 +41,6 @@ from .simplex import (
     LpProblem,
     LpSolution,
     SimplexIterationError,
-    reoptimize,
     solve,
 )
 from .topology import SlotGraph
@@ -200,7 +199,7 @@ def lexicographic_refine(
     )
     if stage1 is None:
         stage1 = solve(problem)
-    return refined, reoptimize(refined, stage1)
+    return refined, solve(refined, base=stage1)
 
 
 @dataclass
@@ -321,7 +320,7 @@ def solve_allocation(graph: SlotGraph, lexicographic: bool = True) -> Allocation
     if lexicographic:
         try:
             active_problem, stage2 = lexicographic_refine(problem, t_star, stage1)
-        except SimplexIterationError as exc:
+        except (SimplexIterationError, ValueError) as exc:
             raise AllocationError(graph.slot_index, 2, str(exc)) from exc
         _require_optimal(graph, 2, stage2)
         iterations += stage2.iteration_count

@@ -35,18 +35,20 @@ def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     return code
 
 
-class _SolverFailed(Exception):
-    """A slot LP failed in one arm; the message names slot, arm and stage."""
-
-
 def _run_arm(scenario: Scenario, isl_enabled: bool) -> RunResult:
     try:
         return run(scenario, isl_enabled=isl_enabled)
     except AllocationError as exc:
-        arm = "ISL" if isl_enabled else "no-ISL"
-        raise _SolverFailed(
-            f"solver failed on slot {exc.slot} of the {arm} arm, LP stage {exc.stage}: {exc.reason}"
-        ) from exc
+        exc.arm = "ISL" if isl_enabled else "no-ISL"
+        raise
+
+
+def _solver_failed(exc: AllocationError) -> int:
+    """Report a slot LP failure from `_run_arm`, naming slot, arm and stage."""
+    return _fail(
+        f"solver failed on slot {exc.slot} of the {exc.arm} arm, LP stage {exc.stage}: {exc.reason}",
+        EXIT_SOLVER_FAILED,
+    )
 
 
 def _load_scenario_arg(arg: str) -> Scenario:
@@ -175,8 +177,8 @@ def cmd_run(args) -> int:
             if json.dumps(doc) != json.dumps(repeat):
                 print("error: rerun produced different results", file=sys.stderr)
                 return EXIT_VERIFY_FAILED
-    except _SolverFailed as exc:
-        return _fail(str(exc), EXIT_SOLVER_FAILED)
+    except AllocationError as exc:
+        return _solver_failed(exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_results_csv(out / "results.csv", result)
@@ -224,8 +226,8 @@ def cmd_compare(args) -> int:
                 return EXIT_VERIFY_FAILED
     except ValueError as exc:
         return _fail(str(exc))
-    except _SolverFailed as exc:
-        return _fail(str(exc), EXIT_SOLVER_FAILED)
+    except AllocationError as exc:
+        return _solver_failed(exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "compare.json", doc)

@@ -84,11 +84,11 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    """Result of `solve` or `reoptimize`.
+    """Result of `solve`.
 
     An optimal solution also keeps its final tableau (shifted variables
     and slacks, rhs last, cost row last) and the basic column of each
-    row, so `reoptimize` can continue from it.
+    row, so a later `solve(..., base=...)` can continue from it.
     """
 
     status: str
@@ -99,24 +99,11 @@ class LpSolution:
     basis: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
 
-# From this many tableau entries on, a pivot updates only the rows whose
-# factor is nonzero: gathering them costs a few microseconds, which the
-# smaller update repays on the ~95x200 lp-fractional tableaux (about a
-# third faster per pivot) but not on the 55x98 and smaller ones (up to
-# twice as slow).  A skipped row would only have had the sign of a zero
-# flipped, so both forms give the same pivot sequence and values.
-_SPARSE_PIVOT_MIN_SIZE = 10_000
-
-
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    if tableau.size < _SPARSE_PIVOT_MIN_SIZE:
-        tableau -= factors[:, None] * tableau[row]
-    else:
-        rows = factors.nonzero()[0]
-        tableau[rows] -= factors[rows, None] * tableau[row]
+    tableau -= factors[:, None] * tableau[row]
 
 
 def _run_simplex(tableau, basis, n_cols, max_iterations, iteration_offset=0):
@@ -154,7 +141,7 @@ def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
 
 
 def _optimal(problem: LpProblem, tableau, basis, lo, iterations) -> LpSolution:
-    """Read the basic solution, audit it and keep the tableau for `reoptimize`."""
+    """Read the basic solution, audit it and keep the tableau to continue from."""
     n = problem.n_variables
     y = np.zeros(tableau.shape[1] - 1)
     for i, j in enumerate(basis):
@@ -165,13 +152,22 @@ def _optimal(problem: LpProblem, tableau, basis, lo, iterations) -> LpSolution:
     return LpSolution(STATUS_OPTIMAL, value, x, iterations, tableau, basis)
 
 
-def solve(problem: LpProblem, max_iterations: Optional[int] = None) -> LpSolution:
+def solve(
+    problem: LpProblem, max_iterations: Optional[int] = None, *, base: Optional[LpSolution] = None
+) -> LpSolution:
     """Solve to proven optimality, infeasibility or unboundedness.
 
+    With `base`, the optimal solution of `problem` minus its last row,
+    the solve continues from base's final tableau instead of starting
+    over; see `_continue`.
+
     Raises SimplexIterationError if the pivot cap (default
-    10 * (rows + columns) counting both phases) is exhausted; that always
-    indicates a modelling or numerical pathology, not a valid answer.
+    10 * (tableau rows + variables), counting every phase) is exhausted;
+    that always indicates a modelling or numerical pathology, not a valid
+    answer.
     """
+    if base is not None:
+        return _continue(problem, base, max_iterations)
     n = problem.n_variables
     lo = np.array([b[0] for b in problem.bounds])
 
@@ -277,7 +273,7 @@ def solve(problem: LpProblem, max_iterations: Optional[int] = None) -> LpSolutio
     return _optimal(problem, tableau, basis, lo, iterations)
 
 
-def reoptimize(problem: LpProblem, base: LpSolution, max_iterations: Optional[int] = None) -> LpSolution:
+def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]) -> LpSolution:
     """Solve `problem` by continuing from `base`'s optimal tableau.
 
     `problem` must be the LP that `base` solved with one more `<=` or `>=`
@@ -285,19 +281,18 @@ def reoptimize(problem: LpProblem, base: LpSolution, max_iterations: Optional[in
     eliminated against the basis and its slack enters it; if the base
     optimum satisfies the new row, that basis is feasible and only phase 2
     runs, under the new objective (Chvatal 1983, adding a constraint to a
-    solved LP).  Results are those of `solve`; the pivot cap counts this
-    phase 2 alone.
+    solved LP).  The pivot count and cap cover this phase 2 alone.
     """
     n = problem.n_variables
     if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
-        raise ValueError("reoptimize needs an optimal base solution over the same variables")
+        raise ValueError("the base must be an optimal solution over the same variables")
     row, sense, b = problem.rows[-1], problem.senses[-1], float(problem.rhs[-1])
     if sense == EQ:
         raise ValueError("the appended row must be an inequality")
     lo = np.array([bd[0] for bd in problem.bounds])
     m, width = base.tableau.shape[0] - 1, base.tableau.shape[1] + 1
     if max_iterations is None:
-        max_iterations = 10 * (len(problem.rows) + n)
+        max_iterations = 10 * (m + 1 + n)
 
     # old columns, the new row's slack, rhs; old rows, the new row, cost
     tableau = np.zeros((m + 2, width))

@@ -131,15 +131,34 @@ class TestSolverFailure:
         assert not (tmp_path / "results.csv").exists()
 
     def test_compare_stage2_failure_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch):
-        def unbounded(problem, base, max_iterations=None):
+        cold = allocation.solve
+
+        def unbounded_stage2(problem, max_iterations=None, *, base=None):
+            if base is None:
+                return cold(problem, max_iterations)
             return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), 0)
 
-        monkeypatch.setattr(allocation, "reoptimize", unbounded)
+        monkeypatch.setattr(allocation, "solve", unbounded_stage2)
         assert main(["compare", "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED
         err = capsys.readouterr().err
         # the no-ISL baseline arm is solved first
         assert "slot 0 of the no-ISL arm, LP stage 2: LP unbounded" in err
         assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
+    def test_stage2_value_error_exits_4_not_2(self, tmp_path, capsys, monkeypatch, command, arm):
+        cold = allocation.solve
+
+        def refuse_stage2(problem, max_iterations=None, *, base=None):
+            if base is None:
+                return cold(problem, max_iterations)
+            raise ValueError("the appended row cuts off the base optimum")
+
+        monkeypatch.setattr(allocation, "solve", refuse_stage2)
+        assert main([command, "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        assert f"slot 0 of the {arm} arm, LP stage 2: the appended row cuts off" in err
+        assert "Traceback" not in err
 
 
 class TestPlotCommand:

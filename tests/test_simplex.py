@@ -16,7 +16,6 @@ from meoflow.simplex import (
     LpSolution,
     SimplexIterationError,
     dump_lp_text,
-    reoptimize,
     solve,
 )
 
@@ -183,7 +182,7 @@ class TestRandomOracle:
                 assert expected == -np.inf
 
 
-class TestReoptimize:
+class TestContinueFromBase:
     def test_appended_row_and_new_objective_match_cold_solve(self):
         rng = np.random.RandomState(8)
         for trial in range(40):
@@ -195,7 +194,7 @@ class TestReoptimize:
             sense, rhs = (LE, at_base + 0.3) if trial % 2 else (GE, at_base - 0.3)
             q = LpProblem(rng.uniform(-1.0, 2.0, size=8), p.rows + [extra], p.senses + [sense],
                           np.append(p.rhs, rhs), p.bounds)
-            warm, cold = reoptimize(q, base), solve(q)
+            warm, cold = solve(q, base=base), solve(q)
             assert warm.status == cold.status, f"trial {trial}"
             if cold.status == STATUS_OPTIMAL:
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
@@ -204,7 +203,7 @@ class TestReoptimize:
         p = LpProblem(np.array([1.0]), [{0: 1.0}], [LE], np.array([3.0]), [(0.0, None)])
         q = LpProblem(np.array([1.0]), p.rows + [{0: 1.0}], [LE, LE], np.array([3.0, 2.0]), p.bounds)
         with pytest.raises(ValueError, match="cuts off"):
-            reoptimize(q, solve(p))
+            solve(q, base=solve(p))
 
 
 class TestDeterminism:
