@@ -186,14 +186,11 @@ def lexicographic_refine(
     for idx, tag in enumerate(problem.variable_tags):
         if tag[0] == "rate":
             objective[idx] = 1.0
-    rows = [dict(r) for r in problem.rows] + [{problem.column(("t",)): 1.0}]
-    senses = list(problem.senses) + [GE]
-    rhs = np.append(problem.rhs, t_star - LEXICO_SLACK)
     refined = LpProblem(
         objective=objective,
-        rows=rows,
-        senses=senses,
-        rhs=rhs,
+        rows=problem.rows + [{problem.column(("t",)): 1.0}],
+        senses=problem.senses + [GE],
+        rhs=np.append(problem.rhs, t_star - LEXICO_SLACK),
         bounds=list(problem.bounds),
         variable_tags=problem.variable_tags,
     )

@@ -202,6 +202,12 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     slots = duration_s / slot_s
     if abs(slots - round(slots)) > 1e-9:
         raise ScenarioError(f"{tpath}.slot_s: must divide duration_s evenly")
+    try:
+        start + timedelta(seconds=duration_s)
+    except OverflowError:
+        raise ScenarioError(
+            f"{tpath}.duration_s: start + duration_s is past the last representable time"
+        ) from None
 
     cpath = f"{name}.constellation"
     csec = _mapping(_get(root, "constellation", name), cpath)

@@ -9,10 +9,23 @@ which is fine at the few-hundred-variable sizes produced per time slot.
 Problems are stated as `maximize c.x` over sparse rows with senses
 <=, =, >= and per-variable bounds [lo, hi]; internally everything is
 shifted and slacked into standard equality form with nonnegative
-variables before the tableau runs.
+variables before the tableau runs.  Each solve builds the problem's
+dense constraint matrix once: it fills the tableau and audits the answer.
+
+The tableau is condensed (a dictionary, in Chvatal's *Linear
+Programming*, 1983): rows are the basic variables plus the cost row,
+columns the nonbasic variables plus the rhs, because a basic column is
+a unit vector that every pivot would rewrite unchanged.  `basis[i]` is
+the variable of row i and `nonbasic[c]` the variable of column c.  A
+pivot hands the entering column's slot to the leaving variable; every
+stored entry goes through the same floating-point operations as in the
+full tableau (up to the sign of a zero), so both walk the same pivots to
+the same values.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +39,8 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 
 LE, EQ, GE = "<=", "=", ">="
+_SLACK_SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
+_AUDIT_OP = {LE: "<=", GE: ">=", EQ: "=="}
 
 
 class SimplexIterationError(RuntimeError):
@@ -62,11 +77,11 @@ class LpProblem:
             raise ValueError("bounds length must match objective length")
         if len(self.rows) != len(self.senses) or len(self.rows) != self.rhs.shape[0]:
             raise ValueError("rows, senses and rhs must have equal lengths")
-        for s in self.senses:
-            if s not in (LE, EQ, GE):
-                raise ValueError(f"unknown sense {s!r}")
+        if not set(self.senses) <= _SLACK_SIGN.keys():
+            unknown = next(s for s in self.senses if s not in _SLACK_SIGN)
+            raise ValueError(f"unknown sense {unknown!r}")
         for lo, hi in self.bounds:
-            if not np.isfinite(lo):
+            if not math.isfinite(lo):
                 raise ValueError("lower bounds must be finite")
             if hi is not None and hi < lo:
                 raise ValueError("upper bound below lower bound")
@@ -86,9 +101,10 @@ class LpProblem:
 class LpSolution:
     """Result of `solve`.
 
-    An optimal solution also keeps its final tableau (shifted variables
-    and slacks, rhs last, cost row last) and the basic column of each
-    row, so a later `solve(..., base=...)` can continue from it.
+    An optimal solution also keeps what a later `solve(..., base=...)`
+    continues from: the final condensed tableau, the variable of each of
+    its rows (`basis`) and columns (`nonbasic`), and the problem's dense
+    constraint matrix.
     """
 
     status: str
@@ -96,60 +112,120 @@ class LpSolution:
     values: np.ndarray
     iteration_count: int
     tableau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    basis: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    basis: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+
+def _dense(rows: list[dict[int, float]], n: int) -> np.ndarray:
+    """The rows as a dense (rows, n) matrix."""
+    matrix = np.zeros((len(rows), n))
+    lengths = [len(row) for row in rows]
+    count = sum(lengths)
+    chain = itertools.chain.from_iterable
+    cols = np.fromiter(chain(rows), dtype=np.intp, count=count)
+    coefs = np.fromiter(chain(row.values() for row in rows), dtype=float, count=count)
+    matrix[np.repeat(np.arange(len(rows)), lengths), cols] = coefs
+    return matrix
+
+
+def _slack_signs(senses: Sequence[str]) -> np.ndarray:
+    """The slack coefficient of each row: +1 for <=, -1 for >=, 0 for =."""
+    return np.array([_SLACK_SIGN[s] for s in senses])
+
+
+def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds as arrays, +inf where there is no upper bound."""
+    lo = np.array([lo for lo, _ in bounds], dtype=float)
+    hi = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    return lo, hi
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    """Pivot the condensed tableau on (row, col).
+
+    The entering column's slot takes the leaving variable's column, which
+    is a unit vector before the update, so each stored entry goes through
+    the same operations as in the full tableau.  (A zero of the full
+    tableau may be -0.0 where this one holds +0.0; they compare equal.)
+    """
+    pivot = tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    tableau[row] /= pivot
     tableau -= factors[:, None] * tableau[row]
 
 
-def _run_simplex(tableau, basis, n_cols, max_iterations, iteration_offset=0):
+def _run_simplex(tableau, basis, nonbasic, max_iterations, iteration_offset=0):
     """Minimize the cost row in place.  Returns (status, iterations)."""
     m = tableau.shape[0] - 1
+    cost, rhs = tableau[-1, :-1], tableau[:m, -1]
     it = iteration_offset
     while True:
         if it >= max_iterations:
             raise SimplexIterationError(f"simplex exceeded {max_iterations} iterations")
-        improving = tableau[-1, :n_cols] < -PIVOT_EPS
-        entering = int(np.argmax(improving))  # Bland: first improving column
-        if not improving[entering]:
+        improving = (cost < -PIVOT_EPS).nonzero()[0]
+        if not improving.size:
             return STATUS_OPTIMAL, it
+        # Bland: the improving column of the smallest variable index
+        entering = int(improving[nonbasic[improving].argmin()])
         col = tableau[:m, entering]
         rows = (col > PIVOT_EPS).nonzero()[0]
         if not rows.size:
             return STATUS_UNBOUNDED, it
-        ratios = tableau[rows, -1] / col[rows]
+        ratios = rhs[rows] / col[rows]
         best = ratios.min()
         # Bland tie-break: among minimal ratios leave the smallest basis index
         tied = rows[ratios <= best + PIVOT_EPS * max(1.0, abs(best))]
-        leaving = int(min(tied, key=basis.__getitem__))
+        leaving = int(tied[basis[tied].argmin()])
         _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
+        basis[leaving], nonbasic[entering] = nonbasic[entering], basis[leaving]
         it += 1
 
 
-def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+def _price(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, cost: np.ndarray) -> None:
     """Write `cost` into the cost row, priced out over the basis."""
-    tableau[-1, :-1] = cost
+    tableau[-1, :-1] = cost[nonbasic]
     tableau[-1, -1] = 0.0
-    for i, j in enumerate(basis):
-        if cost[j] != 0.0:
-            tableau[-1] -= cost[j] * tableau[i]
+    for i in cost[basis].nonzero()[0]:
+        tableau[-1] -= cost[basis[i]] * tableau[i]
 
 
-def _optimal(problem: LpProblem, tableau, basis, lo, iterations) -> LpSolution:
+def _drop_artificials(tableau, basis, nonbasic, first_art):
+    """Drive zero-level artificials out of the basis after phase 1.
+
+    A row whose artificial cannot leave is a redundant constraint and is
+    dropped; then the artificial columns go.
+    """
+    drop = []
+    for i in (basis >= first_art).nonzero()[0]:
+        nonzero = np.abs(tableau[i, :-1]) > PIVOT_EPS
+        candidates = (nonzero & (nonbasic < first_art)).nonzero()[0]
+        if candidates.size:
+            col = int(candidates[nonbasic[candidates].argmin()])
+            _pivot(tableau, i, col)
+            basis[i], nonbasic[col] = nonbasic[col], basis[i]
+        else:
+            drop.append(i)
+    kept = nonbasic < first_art
+    # compress keeps C order; tableau[:, mask] would be Fortran-ordered
+    # and make every later row update of phase 2 strided
+    tableau = tableau.compress(np.append(kept, True), axis=1)
+    if drop:
+        tableau, basis = np.delete(tableau, drop, axis=0), np.delete(basis, drop)
+    return tableau, basis, nonbasic[kept]
+
+
+def _optimal(problem: LpProblem, tableau, basis, nonbasic, matrix, lo, hi, iterations) -> LpSolution:
     """Read the basic solution, audit it and keep the tableau to continue from."""
-    n = problem.n_variables
-    y = np.zeros(tableau.shape[1] - 1)
-    for i, j in enumerate(basis):
-        y[j] = tableau[i, -1]
-    x = lo + y[:n]
+    y = np.zeros(basis.shape[0] + nonbasic.shape[0])
+    y[basis] = tableau[:-1, -1]
+    x = lo + y[: problem.n_variables]
     value = float(problem.objective @ x)
-    _check_residuals(problem, x)
-    return LpSolution(STATUS_OPTIMAL, value, x, iterations, tableau, basis)
+    _check_residuals(problem, matrix, lo, hi, x)
+    return LpSolution(STATUS_OPTIMAL, value, x, iterations, tableau, basis, nonbasic, matrix)
 
 
 def solve(
@@ -169,108 +245,63 @@ def solve(
     if base is not None:
         return _continue(problem, base, max_iterations)
     n = problem.n_variables
-    lo = np.array([b[0] for b in problem.bounds])
+    matrix = _dense(problem.rows, n)
+    lo, hi = _bound_arrays(problem.bounds)
 
-    # shift x = lo + y, append rows for finite upper bounds
-    rows: list[dict[int, float]] = [dict(r) for r in problem.rows]
-    senses = list(problem.senses)
+    # shift x = lo + y (row by row in dict order, as a product with the
+    # matrix would round differently); one row x_j <= hi - lo per finite hi
     rhs = problem.rhs.copy()
-    for i, row in enumerate(rows):
-        rhs[i] -= sum(coef * lo[j] for j, coef in row.items())
-    for j, (l, h) in enumerate(problem.bounds):
-        if h is not None:
-            rows.append({j: 1.0})
-            senses.append(LE)
-            rhs = np.append(rhs, h - l)
-
-    m = len(rows)
+    if np.count_nonzero(lo):
+        for i, row in enumerate(problem.rows):
+            rhs[i] -= sum(coef * lo[j] for j, coef in row.items())
+    upper = (hi < np.inf).nonzero()[0]
+    sign = np.concatenate([_slack_signs(problem.senses), np.ones(upper.size)])
+    b = np.concatenate([rhs, hi[upper] - lo[upper]])
+    m0, m = matrix.shape[0], b.shape[0]
     if max_iterations is None:
         max_iterations = 10 * (m + n)
 
-    # equality form: one slack/surplus column per inequality
-    n_slack = sum(1 for s in senses if s != EQ)
-    total = n + n_slack
-    a = np.zeros((m, total))
-    b = rhs.copy()
-    si = n
-    slack_of_row = [-1] * m
-    for i, row in enumerate(rows):
-        for j, coef in row.items():
-            a[i, j] = coef
-        if senses[i] == LE:
-            a[i, si] = 1.0
-            slack_of_row[i] = si
-            si += 1
-        elif senses[i] == GE:
-            a[i, si] = -1.0
-            slack_of_row[i] = si
-            si += 1
-    # normalize rhs >= 0
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] *= -1.0
+    # equality form: one slack/surplus variable per inequality, rhs >= 0;
+    # the slacks left at +1 start basic, artificials take the other rows
+    has_slack = sign != 0.0
+    flip = b < 0.0
+    starts_basic = has_slack & ((sign > 0.0) != flip)
+    total = n + np.count_nonzero(has_slack)
+    slack = n - 1 + has_slack.cumsum()
+    art_rows = ~starts_basic
+    basis = np.where(starts_basic, slack, total - 1 + art_rows.cumsum())
+    column_rows = (has_slack & art_rows).nonzero()[0]
+    nonbasic = np.concatenate([np.arange(n), slack[column_rows]])
 
-    # starting basis: surviving +1 slacks, artificials elsewhere
-    basis = [-1] * m
-    for i in range(m):
-        s = slack_of_row[i]
-        if s >= 0 and a[i, s] == 1.0:
-            basis[i] = s
-    art_rows = [i for i in range(m) if basis[i] < 0]
-    art_cols = list(range(total, total + len(art_rows)))
-    if art_rows:
-        a = np.hstack([a, np.zeros((m, len(art_rows)))])
-        for i, j in zip(art_rows, art_cols):
-            a[i, j] = 1.0
-            basis[i] = j
+    tableau = np.zeros((m + 1, nonbasic.shape[0] + 1))
+    tableau[:m0, :n] = matrix
+    tableau[np.arange(m0, m), upper] = 1.0
+    tableau[column_rows, n + np.arange(column_rows.size)] = sign[column_rows]
+    tableau[:m, -1] = b
+    tableau[flip.nonzero()[0]] *= -1.0
 
     iterations = 0
-    if art_cols:
+    n_total = m + nonbasic.shape[0]
+    if n_total > total:
         # phase 1: minimize the sum of artificials
-        tableau = np.zeros((m + 1, a.shape[1] + 1))
-        tableau[:m, :-1] = a
-        tableau[:m, -1] = b
-        cost = np.zeros(a.shape[1])
-        cost[art_cols] = 1.0
-        _price(tableau, basis, cost)
-        status, iterations = _run_simplex(tableau, basis, a.shape[1], max_iterations)
+        cost = np.zeros(n_total)
+        cost[total:] = 1.0
+        _price(tableau, basis, nonbasic, cost)
+        status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
         if status != STATUS_OPTIMAL:
             raise SimplexIterationError("phase 1 ended abnormally")
         if -tableau[-1, -1] > FEAS_TOL:
             return LpSolution(STATUS_INFEASIBLE, float("nan"), np.full(n, np.nan), iterations)
-        # drive leftover zero-level artificials out of the basis
-        first_art = min(art_cols)
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= first_art:
-                row = tableau[i, :first_art]
-                candidates = np.where(np.abs(row) > PIVOT_EPS)[0]
-                if candidates.size:
-                    _pivot(tableau, i, int(candidates[0]))
-                    basis[i] = int(candidates[0])
-                else:
-                    drop_rows.append(i)  # redundant constraint
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tableau = tableau[keep + [m], :]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        a = tableau[:m, :first_art]
-        b = tableau[:m, -1].copy()
-        total = first_art
+        tableau, basis, nonbasic = _drop_artificials(tableau, basis, nonbasic, total)
 
     # phase 2: minimize -objective over the shifted variables
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :total] = a[:, :total]
-    tableau[:m, -1] = b
     cost = np.zeros(total)
     cost[:n] = -problem.objective
-    _price(tableau, basis, cost)
-    status, iterations = _run_simplex(tableau, basis, total, max_iterations, iterations)
+    _price(tableau, basis, nonbasic, cost)
+    status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations, iterations)
     if status == STATUS_UNBOUNDED:
         return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(n, np.nan), iterations)
-    return _optimal(problem, tableau, basis, lo, iterations)
+    return _optimal(problem, tableau, basis, nonbasic, matrix, lo, hi, iterations)
 
 
 def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]) -> LpSolution:
@@ -289,54 +320,61 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     row, sense, b = problem.rows[-1], problem.senses[-1], float(problem.rhs[-1])
     if sense == EQ:
         raise ValueError("the appended row must be an inequality")
-    lo = np.array([bd[0] for bd in problem.bounds])
-    m, width = base.tableau.shape[0] - 1, base.tableau.shape[1] + 1
+    lo, hi = _bound_arrays(problem.bounds)
+    if np.count_nonzero(lo):
+        for j, coef in row.items():
+            b -= coef * lo[j]
+    m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
+    n_total = m + width  # the base's variables and the new row's slack
     if max_iterations is None:
         max_iterations = 10 * (m + 1 + n)
 
-    # old columns, the new row's slack, rhs; old rows, the new row, cost
+    # the new row over every variable, then over the nonbasic ones and rhs
+    coefs = np.zeros(n_total)
+    coefs[list(row)] = list(row.values())
     tableau = np.zeros((m + 2, width))
-    tableau[:m, :-2] = base.tableau[:m, :-1]
-    tableau[:m, -1] = base.tableau[:m, -1]
+    tableau[:m] = base.tableau[:m]
     new = tableau[m]
-    for j, coef in row.items():
-        new[j] = coef
-        b -= coef * lo[j]
-    new[-2] = 1.0 if sense == LE else -1.0
+    new[:-1] = coefs[base.nonbasic]
     new[-1] = b
-    for i, j in enumerate(base.basis):
-        if new[j] != 0.0:
-            new -= new[j] * tableau[i]
-    new /= new[-2]
+    for i in coefs[base.basis].nonzero()[0]:
+        new -= coefs[base.basis[i]] * tableau[i]
+    new /= 1.0 if sense == LE else -1.0
     if new[-1] < -FEAS_TOL * max(1.0, abs(b)):
         raise ValueError("the appended row cuts off the base optimum")
     new[-1] = max(new[-1], 0.0)
-    basis = list(base.basis) + [width - 2]
+    basis = np.append(base.basis, n_total - 1)
+    nonbasic = base.nonbasic.copy()
+    matrix = np.vstack([base.matrix, coefs[:n]])
 
-    cost = np.zeros(width - 1)
+    cost = np.zeros(n_total)
     cost[:n] = -problem.objective
-    _price(tableau, basis, cost)
-    status, iterations = _run_simplex(tableau, basis, width - 1, max_iterations)
+    _price(tableau, basis, nonbasic, cost)
+    status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
     if status == STATUS_UNBOUNDED:
         return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(n, np.nan), iterations)
-    return _optimal(problem, tableau, basis, lo, iterations)
+    return _optimal(problem, tableau, basis, nonbasic, matrix, lo, hi, iterations)
 
 
-def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:
-    """Defensive post-solve feasibility audit (absolute tolerance)."""
-    scale = max(1.0, float(np.max(np.abs(problem.rhs))) if problem.rhs.size else 1.0)
+def _check_residuals(problem: LpProblem, matrix: np.ndarray, lo, hi, x: np.ndarray) -> None:
+    """Defensive post-solve feasibility audit (absolute tolerance).
+
+    `matrix` is the problem's dense constraint matrix, `lo` and `hi` its
+    bounds as arrays (`_bound_arrays`).
+    """
+    rhs = problem.rhs
+    scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
     tol = FEAS_TOL * scale
-    for row, sense, b in zip(problem.rows, problem.senses, problem.rhs):
-        v = sum(coef * x[j] for j, coef in row.items())
-        if sense == LE and v > b + tol:
-            raise SimplexIterationError(f"residual violation: {v} <= {b}")
-        if sense == GE and v < b - tol:
-            raise SimplexIterationError(f"residual violation: {v} >= {b}")
-        if sense == EQ and abs(v - b) > tol:
-            raise SimplexIterationError(f"residual violation: {v} == {b}")
-    for j, (l, h) in enumerate(problem.bounds):
-        if x[j] < l - tol or (h is not None and x[j] > h + tol):
-            raise SimplexIterationError(f"bound violation on column {j}")
+    v = matrix @ x
+    sign = _slack_signs(problem.senses)
+    bad = (((v > rhs + tol) & (sign >= 0.0)) | ((v < rhs - tol) & (sign <= 0.0))).nonzero()[0]
+    if bad.size:
+        i = bad[0]
+        op = _AUDIT_OP[problem.senses[i]]
+        raise SimplexIterationError(f"residual violation: {v[i]} {op} {rhs[i]}")
+    bad = ((x < lo - tol) | (x > hi + tol)).nonzero()[0]
+    if bad.size:
+        raise SimplexIterationError(f"bound violation on column {bad[0]}")
 
 
 def dump_lp_text(problem: LpProblem, name: str = "problem") -> str:

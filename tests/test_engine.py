@@ -1,4 +1,5 @@
 """Horizon runs, summaries, and arm comparison."""
+import dataclasses
 import json
 from importlib import resources
 
@@ -7,7 +8,7 @@ import pytest
 
 from meoflow.engine import RunResult, compare, run, summarize
 from meoflow.scenario import parse_scenario
-from meoflow.topology import build_slot_graph
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
 from meoflow.geometry import slot_geometry
 
 
@@ -185,6 +186,24 @@ class TestPivotBudget:
         ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
         scenario = parse_scenario(json.loads(ref.read_text()), name="o3b_rain")
         assert run(scenario, isl_enabled=isl_enabled).iterations.sum() <= self.BUDGET[isl_enabled]
+
+    # Exact totals: every change to the pivot loop must walk the same
+    # pivot sequence (Bland's rule fixes it), so these stay put unless
+    # the LPs or the pivoting rule change on purpose.
+    @pytest.mark.parametrize(
+        "policy,isl_enabled,total",
+        [
+            (POLICY_BEST_CAPACITY, True, 11_883),
+            (POLICY_BEST_CAPACITY, False, 5_184),
+            (POLICY_LP_FRACTIONAL, True, 24_189),
+        ],
+    )
+    def test_o3b_rain_pivot_totals_exact(self, policy, isl_enabled, total):
+        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
+        scenario = dataclasses.replace(
+            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+        )
+        assert run(scenario, isl_enabled=isl_enabled).iterations.sum() == total
 
 
 def manual_result(rates, degenerate=()):

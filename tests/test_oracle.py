@@ -1,4 +1,4 @@
-"""Both LP stages of every o3b_rain slot against an independent solver (HiGHS).
+"""Both LP stages of every o3b_rain slot, in both arms, against an independent solver (HiGHS).
 
 The oracle LPs are built from the `LpProblem` rows only, so they share the
 model with the built-in simplex but none of its arithmetic: stage 1 is the
@@ -21,8 +21,11 @@ from meoflow.simplex import EQ, GE, LE, LpProblem  # noqa: E402
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL  # noqa: E402
 
 
-def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
-    """max objective . x over the problem's rows and bounds, solved by HiGHS."""
+def highs(problem: LpProblem, objective: np.ndarray):
+    """max objective . x over the problem's rows and bounds, as HiGHS solves it.
+
+    Returns scipy's OptimizeResult, whose `fun` is the minimized -objective.
+    """
     n = problem.n_variables
     dense = np.zeros((len(problem.rows), n))
     for i, row in enumerate(problem.rows):
@@ -32,7 +35,7 @@ def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
     sign = np.where(senses == GE, -1.0, 1.0)
     ub = senses != EQ
     assert set(problem.senses) <= {LE, GE, EQ}
-    res = optimize.linprog(
+    return optimize.linprog(
         -objective,
         A_ub=(dense * sign[:, None])[ub],
         b_ub=(problem.rhs * sign)[ub],
@@ -41,12 +44,25 @@ def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
         bounds=problem.bounds,
         method="highs",
     )
+
+
+def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
+    res = highs(problem, objective)
     assert res.status == 0, res.message
     return -res.fun
 
 
 @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
 def test_both_stages_match_highs_on_every_o3b_rain_slot(policy, monkeypatch):
+    check_both_stages_against_highs(policy, True, monkeypatch)
+
+
+@pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
+def test_both_stages_match_highs_on_every_o3b_rain_no_isl_slot(policy, monkeypatch):
+    check_both_stages_against_highs(policy, False, monkeypatch)
+
+
+def check_both_stages_against_highs(policy, isl_enabled, monkeypatch):
     ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
     scenario = dataclasses.replace(
         parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
@@ -59,7 +75,7 @@ def test_both_stages_match_highs_on_every_o3b_rain_slot(policy, monkeypatch):
         return solve_allocation(graph, lexicographic)
 
     monkeypatch.setattr(engine, "solve_allocation", keep_graph)
-    result = engine.run(scenario, isl_enabled=True)
+    result = engine.run(scenario, isl_enabled=isl_enabled)
     assert scenario.lexicographic and len(graphs) == result.slot_count
 
     for slot, graph in enumerate(graphs):

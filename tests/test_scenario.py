@@ -256,3 +256,13 @@ class TestLoading:
         p.write_text(json.dumps(data))
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
         assert f"toy3.{section}.{key}: must be a finite number" in capsys.readouterr().err
+
+    def test_horizon_past_the_last_representable_time_exits_2_with_path(self, tmp_path, capsys):
+        # finite and evenly divided, but start + duration_s overflows datetime
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data["time"].update(duration_s=1e300, slot_s=1e299)
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "toy3.time.duration_s: start + duration_s is past" in capsys.readouterr().err

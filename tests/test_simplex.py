@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from meoflow import simplex
 from meoflow.simplex import (
     EQ,
     GE,
@@ -204,6 +205,35 @@ class TestContinueFromBase:
         q = LpProblem(np.array([1.0]), p.rows + [{0: 1.0}], [LE, LE], np.array([3.0, 2.0]), p.bounds)
         with pytest.raises(ValueError, match="cuts off"):
             solve(q, base=solve(p))
+
+
+class TestResidualAudit:
+    # The audit that closes every optimal solve never fires on a correct
+    # solver, so it is driven here with points just inside and just
+    # outside each kind of row and bound (tol = FEAS_TOL * max |rhs| = 2e-8).
+    @pytest.mark.parametrize(
+        "sense,x,error",
+        [
+            (LE, [1.0, 1.0 + 1e-9], None),
+            (LE, [1.0, 1.0 + 1e-6], r"residual violation: .* <= 2\.0"),
+            (GE, [1.0, 1.0 - 1e-9], None),
+            (GE, [1.0, 1.0 - 1e-6], r"residual violation: .* >= 2\.0"),
+            (EQ, [1.0, 1.0 + 1e-6], r"residual violation: .* == 2\.0"),
+            (EQ, [1.0, 1.0 - 1e-6], r"residual violation: .* == 2\.0"),
+            (EQ, [2.0 + 1e-9, -1e-9], None),
+            (EQ, [3.0 + 1e-6, -1.0 - 1e-6], "bound violation on column 0"),
+            (EQ, [2.0 + 1e-6, -1e-6], "bound violation on column 1"),
+        ],
+    )
+    def test_rows_and_bounds_within_tolerance(self, sense, x, error):
+        p = LpProblem(np.zeros(2), [{0: 1.0, 1: 1.0}], [sense], np.array([2.0]), [(0.0, 3.0), (0.0, None)])
+        lo, hi = simplex._bound_arrays(p.bounds)
+        audit = lambda: simplex._check_residuals(p, simplex._dense(p.rows, 2), lo, hi, np.array(x))
+        if error is None:
+            audit()
+        else:
+            with pytest.raises(SimplexIterationError, match=error):
+                audit()
 
 
 class TestDeterminism:
