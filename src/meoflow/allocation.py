@@ -97,10 +97,24 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     tags += [("rate", k) for k in served]
     direct_edges = [(k, j) for k in range(k_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
     tags += [("w_direct", k, j) for k, j in direct_edges]
+    first_route = len(tags)
     for rt in routes:
         tags += [("v", rt.source, rt.relay, rt.gs), ("w_relay", rt.source, rt.relay, rt.gs), ("r", rt.source, rt.relay, rt.gs)]
     col = {tag: idx for idx, tag in enumerate(tags)}
     n = len(tags)
+
+    # the routes' columns, grouped once by the rows they enter, in route order
+    direct_js: dict[int, list[int]] = {}
+    for k, j in direct_edges:
+        direct_js.setdefault(k, []).append(j)
+    r_by_source: dict[int, list[int]] = {}
+    w_by_feeder: dict[tuple[int, int], list[int]] = {}
+    v_by_isl: dict[tuple[int, int], list[int]] = {}
+    for i, rt in enumerate(routes):
+        v_col = first_route + 3 * i  # then w_relay, then r, as tagged above
+        v_by_isl.setdefault((rt.source, rt.relay), []).append(v_col)
+        w_by_feeder.setdefault((rt.relay, rt.gs), []).append(v_col + 1)
+        r_by_source.setdefault(rt.source, []).append(v_col + 2)
 
     rows: list[dict[int, float]] = []
     senses: list[str] = []
@@ -109,12 +123,10 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     # R_k ties the rate variable to its direct and relayed parts
     for k in served:
         row = {col[("rate", k)]: 1.0}
-        for (s, j) in direct_edges:
-            if s == k:
-                row[col[("w_direct", s, j)]] = -fl[s, j]
-        for rt in routes:
-            if rt.source == k:
-                row[col[("r", rt.source, rt.relay, rt.gs)]] = -1.0
+        for j in direct_js.get(k, ()):
+            row[col[("w_direct", k, j)]] = -fl[k, j]
+        for r_col in r_by_source.get(k, ()):
+            row[r_col] = -1.0
         rows.append(row)
         senses.append(EQ)
         rhs.append(0.0)
@@ -126,37 +138,32 @@ def build_problem(graph: SlotGraph) -> LpProblem:
         rhs.append(0.0)
 
     # per-route leg capacities
-    for rt in routes:
-        r_col = col[("r", rt.source, rt.relay, rt.gs)]
-        rows.append({r_col: 1.0, col[("v", rt.source, rt.relay, rt.gs)]: -isl[rt.source, rt.relay]})
+    for i, rt in enumerate(routes):
+        v_col = first_route + 3 * i
+        rows.append({v_col + 2: 1.0, v_col: -isl[rt.source, rt.relay]})
         senses.append(LE)
         rhs.append(0.0)
-        rows.append({r_col: 1.0, col[("w_relay", rt.source, rt.relay, rt.gs)]: -fl[rt.relay, rt.gs]})
+        rows.append({v_col + 2: 1.0, v_col + 1: -fl[rt.relay, rt.gs]})
         senses.append(LE)
         rhs.append(0.0)
 
     # feeder-edge packing: owner's share plus every relayed share <= 1
     for (s, j) in direct_edges:
         row = {col[("w_direct", s, j)]: 1.0}
-        for rt in routes:
-            if rt.relay == s and rt.gs == j:
-                row[col[("w_relay", rt.source, rt.relay, rt.gs)]] = 1.0
+        for w_col in w_by_feeder.get((s, j), ()):
+            row[w_col] = 1.0
         rows.append(row)
         senses.append(LE)
         rhs.append(1.0)
     # a feeder edge used only by relays still packs to <= 1
-    relay_only = {(rt.relay, rt.gs) for rt in routes} - set(direct_edges)
-    for (s, j) in sorted(relay_only):
-        row = {col[("w_relay", rt.source, rt.relay, rt.gs)]: 1.0 for rt in routes if rt.relay == s and rt.gs == j}
-        rows.append(row)
+    for edge in sorted(w_by_feeder.keys() - set(direct_edges)):
+        rows.append(dict.fromkeys(w_by_feeder[edge], 1.0))
         senses.append(LE)
         rhs.append(1.0)
 
     # directed-ISL packing: total fraction over all commodities <= 1
-    isl_edges = sorted({(rt.source, rt.relay) for rt in routes})
-    for (s, l) in isl_edges:
-        row = {col[("v", rt.source, rt.relay, rt.gs)]: 1.0 for rt in routes if rt.source == s and rt.relay == l}
-        rows.append(row)
+    for link in sorted(v_by_isl):
+        rows.append(dict.fromkeys(v_by_isl[link], 1.0))
         senses.append(LE)
         rhs.append(1.0)
 
@@ -288,6 +295,11 @@ class AllocationError(RuntimeError):
         self.slot = slot
         self.stage = stage
         self.reason = reason
+
+    def __reduce__(self):
+        # a worker process sends it to the parent; the default rebuilds it
+        # from the formatted message alone, which __init__ does not accept
+        return type(self), (self.slot, self.stage, self.reason), self.__dict__
 
 
 def _require_optimal(graph: SlotGraph, stage: int, solution: LpSolution) -> None:

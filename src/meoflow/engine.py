@@ -1,12 +1,19 @@
 """Horizon orchestration: per-slot solves, summaries, arm comparison.
 
-Slots are independent; they are solved sequentially in slot order so reruns
-are bit-identical.  A slot with isolated satellites (no feeder link and no
-usable neighbor) comes back from the allocator flagged degenerate, with the
-isolated rates at zero; it is excluded from rate statistics.
+Slots are independent: each depends only on the scenario, its index and
+the arm.  `run` splits the horizon into one contiguous slot range per core
+this process may run on (`os.sched_getaffinity`, which `taskset` limits).
+The calling process solves the first range and forked worker processes
+solve the others; the results are put back in slot order.  Every slot runs
+the same deterministic code in whichever process solves it, so the results
+are bit-identical to a single-process run, and reruns are bit-identical.
+A slot with isolated satellites (no feeder link and no usable neighbor)
+comes back from the allocator flagged degenerate, with the isolated rates
+at zero; it is excluded from rate statistics.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +59,7 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
 
     isl_enabled overrides the scenario policy; the baseline arm of a
     comparison is the same scenario with ISL capacities forced to zero.
+    Raises the AllocationError of the first slot that fails to solve.
     """
     enabled = scenario.isl_enabled if isl_enabled is None else bool(isl_enabled)
     n = scenario.slot_count
@@ -64,34 +72,18 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
     serving = []
     allocations = []
     degenerate = []
-    altitudes = scenario.gs_altitudes_km()
-    stations = list(scenario.stations)
-    for slot in range(n):
-        geometry = slot_geometry(
-            scenario.constellation, stations, scenario.slot_midpoint_s(slot), slot_index=slot
-        )
-        graph = build_slot_graph(
-            geometry,
-            scenario.feeder_link,
-            scenario.isl,
-            scenario.rain_model,
-            rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
-            gs_altitudes_km=altitudes,
-            policy=scenario.serving_policy,
-            isl_enabled=enabled,
-        )
-        result = solve_allocation(graph, lexicographic=scenario.lexicographic)
+    for slot, (result, fl_capacity, isl_capacity, serving_gs) in enumerate(_solve_horizon(scenario, enabled)):
         if result.degenerate:
             degenerate.append(slot)
         rates[slot] = result.rates_bps
         t_star[slot] = result.t_star_bps
         for (src, tx, j), frac in result.w.items():
             if src == tx:
-                direct[slot, src] += frac * graph.fl_capacity_bps[tx, j]
+                direct[slot, src] += frac * fl_capacity[tx, j]
         for (src, relay, _), frac in result.v.items():
-            relayed[slot, src] += frac * graph.isl_capacity_bps[src, relay]
+            relayed[slot, src] += frac * isl_capacity[src, relay]
         iterations[slot] = result.iterations
-        serving.append(graph.serving_gs)
+        serving.append(serving_gs)
         allocations.append(result)
     return RunResult(
         scenario=scenario,
@@ -105,6 +97,89 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
         degenerate_slots=tuple(degenerate),
         iterations=iterations,
     )
+
+
+def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[tuple]:
+    """Solve the given slots in order.
+
+    Returns, per slot, the allocation and what `run` reads of the slot's
+    graph: (allocation, fl_capacity_bps, isl_capacity_bps, serving_gs).
+    """
+    altitudes = scenario.gs_altitudes_km()
+    stations = list(scenario.stations)
+    solved = []
+    for slot in slots:
+        geometry = slot_geometry(
+            scenario.constellation, stations, scenario.slot_midpoint_s(slot), slot_index=slot
+        )
+        graph = build_slot_graph(
+            geometry,
+            scenario.feeder_link,
+            scenario.isl,
+            scenario.rain_model,
+            rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
+            gs_altitudes_km=altitudes,
+            policy=scenario.serving_policy,
+            isl_enabled=isl_enabled,
+        )
+        result = solve_allocation(graph, lexicographic=scenario.lexicographic)
+        solved.append((result, graph.fl_capacity_bps, graph.isl_capacity_bps, graph.serving_gs))
+    return solved
+
+
+def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[tuple]:
+    """`_solve_slots` over the whole horizon, one contiguous range per process.
+
+    This process solves the first range while forked workers solve the
+    others, each sending its outcome back over its own pipe.  A worker that
+    dies without sending shows up here as end-of-file, never as a wait.
+    Fork, not spawn: a worker starts with the parsed scenario and the
+    imported modules, where spawn would import numpy and meoflow again.
+    """
+    n = scenario.slot_count
+    # one process per core this one may run on, at most one per slot
+    workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    if workers <= 1:
+        return _solve_slots(scenario, isl_enabled, range(n))
+    import multiprocessing  # here, not at the top: importing it costs every run's start-up
+
+    context = multiprocessing.get_context("fork")
+    ranges = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+    forked = []
+    try:
+        for slots in ranges[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_slots, args=(sender, scenario, isl_enabled, slots), daemon=True)
+            worker.start()
+            sender.close()
+            forked.append((worker, receiver, slots))
+        solved = _solve_slots(scenario, isl_enabled, ranges[0])
+        for worker, receiver, slots in forked:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"worker for slots {slots[0]}-{slots[-1]} exited with code {worker.exitcode} and no result"
+                ) from None
+            if not ok:
+                raise payload
+            solved += payload
+    finally:
+        for worker, receiver, _ in forked:
+            receiver.close()
+            worker.terminate()
+            worker.join()
+    return solved
+
+
+def _send_slots(sender, scenario: Scenario, isl_enabled: bool, slots: range) -> None:
+    """Worker process body: solve `slots` and send (ok, result or exception)."""
+    try:
+        outcome = (True, _solve_slots(scenario, isl_enabled, slots))
+    except Exception as exc:  # raised again in the parent, e.g. an AllocationError
+        outcome = (False, exc)
+    sender.send(outcome)
 
 
 def _series_stats(values: np.ndarray) -> dict:

@@ -27,6 +27,11 @@ class ScenarioError(ValueError):
     """Malformed scenario content; message carries the offending path."""
 
 
+# The most slots one horizon may have: about 347 days of 5-minute slots.  A
+# run keeps every slot's allocation in memory, about 9 KB per slot for the
+# bundled 6-satellite, 8-gateway scenarios, so about 1 GB at the limit.
+MAX_SLOT_COUNT = 100_000
+
 _REQUIRED = object()
 
 
@@ -200,6 +205,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     duration_s = _number(tsec, "duration_s", tpath, positive=True)
     slot_s = _number(tsec, "slot_s", tpath, positive=True)
     slots = duration_s / slot_s
+    if slots > MAX_SLOT_COUNT + 0.5:  # slot_count rounds; also ahead of round(inf)
+        raise ScenarioError(
+            f"{tpath}.duration_s: {slots:.6g} slots (duration_s / slot_s), more than the limit of {MAX_SLOT_COUNT}"
+        )
     if abs(slots - round(slots)) > 1e-9:
         raise ScenarioError(f"{tpath}.slot_s: must divide duration_s evenly")
     try:

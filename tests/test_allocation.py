@@ -7,18 +7,26 @@ has at most one usable feeder edge (the best-capacity policy guarantees that)
 and every directed inter-satellite edge carries at most one relay route, so a
 route's share of the relay's feeder edge is the single free variable per route.
 """
+import json
+import pickle
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from meoflow import engine
 from meoflow.allocation import (
     LEXICO_SLACK,
+    SCALE_BPS,
+    AllocationError,
     Route,
     build_problem,
     enumerate_routes,
     lexicographic_refine,
     solve_allocation,
 )
-from meoflow.simplex import EQ, GE, STATUS_OPTIMAL, solve
+from meoflow.scenario import parse_scenario
+from meoflow.simplex import EQ, GE, LE, STATUS_OPTIMAL, solve
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, SlotGraph, select_serving_gs
 from meoflow.geometry import ring_neighbors
 
@@ -177,6 +185,67 @@ class TestRouteEnumeration:
         assert enumerate_routes(g) == [Route(0, 1, 1)]
 
 
+def route_scan_problem(graph):
+    """build_problem's columns and rows, each row made by one scan over all
+    routes: the reference for its grouped build, down to each row's key order."""
+    fl = graph.fl_capacity_bps / SCALE_BPS
+    isl = graph.isl_capacity_bps / SCALE_BPS
+    routes = [(rt.source, rt.relay, rt.gs) for rt in enumerate_routes(graph)]
+    served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
+    direct = [(k, j) for k in range(graph.satellite_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
+    tags = [("t",)] + [("rate", k) for k in served] + [("w_direct", k, j) for k, j in direct]
+    tags += [(name, *rt) for rt in routes for name in ("v", "w_relay", "r")]
+    col = {tag: i for i, tag in enumerate(tags)}
+    rows = []
+    for k in served:
+        row = {col[("rate", k)]: 1.0}
+        row.update({col[("w_direct", s, j)]: -fl[s, j] for s, j in direct if s == k})
+        row.update({col[("r", *rt)]: -1.0 for rt in routes if rt[0] == k})
+        rows.append(row)
+    rows += [{col[("t",)]: 1.0, col[("rate", k)]: -1.0} for k in served]
+    for s, l, j in routes:
+        rows.append({col[("r", s, l, j)]: 1.0, col[("v", s, l, j)]: -isl[s, l]})
+        rows.append({col[("r", s, l, j)]: 1.0, col[("w_relay", s, l, j)]: -fl[l, j]})
+    capacity_rows = len(rows)
+    for s, j in direct:
+        rows.append({col[("w_direct", s, j)]: 1.0, **{col[("w_relay", *rt)]: 1.0 for rt in routes if rt[1:] == (s, j)}})
+    for edge in sorted({rt[1:] for rt in routes} - set(direct)):
+        rows.append({col[("w_relay", *rt)]: 1.0 for rt in routes if rt[1:] == edge})
+    for link in sorted({rt[:2] for rt in routes}):
+        rows.append({col[("v", *rt)]: 1.0 for rt in routes if rt[:2] == link})
+    senses = [EQ] * len(served) + [LE] * (len(rows) - len(served))
+    rhs = [0.0] * capacity_rows + [1.0] * (len(rows) - capacity_rows)
+    return tuple(tags), rows, senses, rhs
+
+
+def assert_built_as_route_scan(graph):
+    problem = build_problem(graph)
+    tags, rows, senses, rhs = route_scan_problem(graph)
+    assert problem.variable_tags == tags
+    assert [list(row.items()) for row in problem.rows] == [list(row.items()) for row in rows]
+    assert problem.senses == senses and problem.rhs.tolist() == rhs
+
+
+class TestBuildProblem:
+    def test_random_graphs_match_route_scan(self):
+        rng = np.random.RandomState(5)
+        for _ in range(400):
+            assert_built_as_route_scan(random_small_graph(rng))
+
+    @pytest.mark.parametrize("isl_enabled", [True, False])
+    def test_o3b_rain_lp_fractional_slots_match_route_scan(self, monkeypatch, isl_enabled):
+        # lp-fractional gives the most routes and feeder edges per slot
+        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
+        data = json.loads(ref.read_text())
+        data["policies"]["serving_gs"] = POLICY_LP_FRACTIONAL
+        graphs = []
+        monkeypatch.setattr(engine, "solve_allocation", lambda graph, lexicographic: graphs.append(graph))
+        engine._solve_slots(parse_scenario(data, name="o3b_rain"), isl_enabled, range(288))
+        for graph in graphs:
+            assert_built_as_route_scan(graph)
+        assert len(graphs) == 288
+
+
 class TestGridOracle:
     def test_randomized_instances(self):
         rng = np.random.RandomState(42)
@@ -330,6 +399,15 @@ class TestOptimalityCertificate:
         problem.rhs = np.append(np.asarray(problem.rhs, dtype=float), bumped)
         sol = solve(problem)
         assert sol.status == "infeasible"
+
+
+class TestAllocationError:
+    def test_pickles_with_slot_stage_and_reason(self):
+        # worker processes send it to the parent
+        exc = AllocationError(17, 2, "LP unbounded")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is AllocationError
+        assert (back.slot, back.stage, back.reason, str(back)) == (17, 2, "LP unbounded", str(exc))
 
 
 class TestDeterminism:

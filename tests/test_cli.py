@@ -1,6 +1,9 @@
 """End-to-end command line behavior on the bundled toy scenarios."""
 import csv
 import json
+import os
+import signal
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -159,6 +162,54 @@ class TestSolverFailure:
         err = capsys.readouterr().err
         assert f"slot 0 of the {arm} arm, LP stage 2: the appended row cuts off" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture()
+def deadline():
+    """Fail the test, instead of hanging the suite, after 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestSolverFailureInWorker:
+    """A slot LP failing in a forked worker reports like one failing here."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
+    def test_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch, deadline, command, arm, stage):
+        # four toy3 slots on two cores: this process solves 0-1, a worker 2-3
+        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data["time"]["duration_s"] = 1200
+        scenario = tmp_path / "toy3.json"
+        scenario.write_text(json.dumps(data))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        build_problem, solve = allocation.build_problem, allocation.solve
+        slot = {}
+
+        def note_slot(graph):
+            slot["index"] = graph.slot_index
+            return build_problem(graph)
+
+        def fail_on_slot_3(problem, max_iterations=None, *, base=None):
+            if slot["index"] == 3 and (base is None) == (stage == 1):
+                raise SimplexIterationError("simplex exceeded 1 iterations")
+            return solve(problem, max_iterations, base=base)
+
+        monkeypatch.setattr(allocation, "build_problem", note_slot)
+        monkeypatch.setattr(allocation, "solve", fail_on_slot_3)
+        out = tmp_path / "out"
+        assert main([command, str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        assert f"error: solver failed on slot 3 of the {arm} arm, LP stage {stage}: simplex exceeded 1 iterations" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPlotCommand:

@@ -1,11 +1,17 @@
 """Horizon runs, summaries, and arm comparison."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meoflow
+from meoflow import engine
 from meoflow.engine import RunResult, compare, run, summarize
 from meoflow.scenario import parse_scenario
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
@@ -314,3 +320,83 @@ class TestCompare:
         rep = compare(run(s, isl_enabled=False), run(s, isl_enabled=True))
         assert rep["min_rate_improvement_pct"] >= -1e-6
         assert rep["baseline_min_bps"] > 0
+
+
+def bundled(name):
+    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
+    return parse_scenario(json.loads(ref.read_text()), name=name)
+
+
+class TestWorkerProcesses:
+    """run splits the horizon into one slot range per core and forks a
+    worker for every range but the first; the result must be bit for bit
+    the one a single process gives."""
+
+    @staticmethod
+    def run_on(cores, monkeypatch, scenario, isl_enabled=None):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        return run(scenario, isl_enabled=isl_enabled)
+
+    @staticmethod
+    def assert_identical(a, b):
+        for field in ("rates_bps", "t_star_bps", "direct_bps", "relayed_bps", "iterations"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert a.degenerate_slots == b.degenerate_slots
+        assert a.serving == b.serving
+        for x, y in zip(a.allocations, b.allocations, strict=True):
+            assert x.slot_index == y.slot_index and x.degenerate == y.degenerate
+            assert x.w == y.w and x.v == y.v
+
+    @pytest.mark.parametrize("isl_enabled", [True, False])
+    def test_o3b_rain_two_processes_match_one(self, monkeypatch, isl_enabled):
+        scenario = bundled("o3b_rain")
+        one = self.run_on(1, monkeypatch, scenario, isl_enabled)
+        self.assert_identical(self.run_on(2, monkeypatch, scenario, isl_enabled), one)
+
+    @pytest.mark.parametrize("cores", [2, 8])
+    def test_degenerate_toy2_matches_one_process(self, monkeypatch, cores):
+        # 8 cores: more workers than the 4 slots, so one process per slot
+        scenario = bundled("toy2")
+        one = self.run_on(1, monkeypatch, scenario)
+        many = self.run_on(cores, monkeypatch, scenario)
+        assert many.degenerate_slots == (0, 1, 2, 3)
+        self.assert_identical(many, one)
+
+    def test_fewer_slots_than_cores_solves_each_slot_in_its_own_process(self, monkeypatch, tmp_path):
+        solve_slots = engine._solve_slots
+
+        def logged(scenario, isl_enabled, slots):
+            # a worker's appends never reach this process; its files do
+            (tmp_path / f"{slots.start}-{slots.stop}.{os.getpid()}").touch()
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", logged)
+        self.run_on(8, monkeypatch, bundled("toy2"))
+        solved = sorted(path.name.split(".") for path in tmp_path.iterdir())
+        assert [slots for slots, _ in solved] == ["0-1", "1-2", "2-3", "3-4"]
+        assert solved[0][1] == str(os.getpid())
+        assert len({pid for _, pid in solved}) == 4
+
+    def test_worker_that_dies_without_a_result_raises(self, monkeypatch):
+        parent = os.getpid()
+        solve_slots = engine._solve_slots
+
+        def dies_in_worker(scenario, isl_enabled, slots):
+            if os.getpid() != parent:
+                os._exit(7)
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", dies_in_worker)
+        with pytest.raises(RuntimeError, match="worker for slots 2-3 exited with code 7"):
+            self.run_on(2, monkeypatch, bundled("toy2"))
+
+    def test_single_slot_run_never_imports_multiprocessing(self, tmp_path):
+        # one slot means one process; the import would only cost start-up
+        code = (
+            "import sys; from meoflow.cli import main; "
+            f"code = main(['run', 'toy3', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'multiprocessing' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(meoflow.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["0", "False"], out.stderr

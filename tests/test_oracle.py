@@ -16,9 +16,10 @@ optimize = pytest.importorskip("scipy.optimize")
 
 from meoflow import engine  # noqa: E402
 from meoflow.allocation import LEXICO_SLACK, SCALE_BPS, build_problem  # noqa: E402
+from meoflow.geometry import slot_geometry  # noqa: E402
 from meoflow.scenario import parse_scenario  # noqa: E402
 from meoflow.simplex import EQ, GE, LE, LpProblem  # noqa: E402
-from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL  # noqa: E402
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph  # noqa: E402
 
 
 def highs(problem: LpProblem, objective: np.ndarray):
@@ -53,29 +54,36 @@ def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
-def test_both_stages_match_highs_on_every_o3b_rain_slot(policy, monkeypatch):
-    check_both_stages_against_highs(policy, True, monkeypatch)
+def test_both_stages_match_highs_on_every_o3b_rain_slot(policy):
+    check_both_stages_against_highs(policy, True)
 
 
 @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
-def test_both_stages_match_highs_on_every_o3b_rain_no_isl_slot(policy, monkeypatch):
-    check_both_stages_against_highs(policy, False, monkeypatch)
+def test_both_stages_match_highs_on_every_o3b_rain_no_isl_slot(policy):
+    check_both_stages_against_highs(policy, False)
 
 
-def check_both_stages_against_highs(policy, isl_enabled, monkeypatch):
+def check_both_stages_against_highs(policy, isl_enabled):
     ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
     scenario = dataclasses.replace(
         parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
     )
-    graphs = []
-    solve_allocation = engine.solve_allocation
-
-    def keep_graph(graph, lexicographic=True):
-        graphs.append(graph)
-        return solve_allocation(graph, lexicographic)
-
-    monkeypatch.setattr(engine, "solve_allocation", keep_graph)
     result = engine.run(scenario, isl_enabled=isl_enabled)
+    # each slot's graph, built as engine.run builds it (a spy on the solve
+    # would miss the slots that worker processes solve)
+    graphs = [
+        build_slot_graph(
+            slot_geometry(scenario.constellation, list(scenario.stations), scenario.slot_midpoint_s(slot), slot_index=slot),
+            scenario.feeder_link,
+            scenario.isl,
+            scenario.rain_model,
+            rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
+            gs_altitudes_km=scenario.gs_altitudes_km(),
+            policy=scenario.serving_policy,
+            isl_enabled=isl_enabled,
+        )
+        for slot in range(scenario.slot_count)
+    ]
     assert scenario.lexicographic and len(graphs) == result.slot_count
 
     for slot, graph in enumerate(graphs):

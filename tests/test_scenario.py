@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from meoflow.cli import main
-from meoflow.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from meoflow.scenario import MAX_SLOT_COUNT, Scenario, ScenarioError, load_scenario, parse_scenario
 
 
 def base():
@@ -266,3 +266,25 @@ class TestLoading:
         p.write_text(json.dumps(data))
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "toy3.time.duration_s: start + duration_s is past" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration_s, slot_s", [(2.5e11, 1), (1e300, 1e-10)])
+    def test_enormous_slot_count_exits_2_with_path(self, tmp_path, capsys, duration_s, slot_s):
+        # the first horizon ends in the year 9948 but has 2.5e11 slots; the
+        # second one's slot count overflows to inf
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data["time"].update(duration_s=duration_s, slot_s=slot_s)
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "toy3.time.duration_s: " in err and f"more than the limit of {MAX_SLOT_COUNT}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_slot_count_limit_is_inclusive(self):
+        d = base()
+        d["time"].update(duration_s=MAX_SLOT_COUNT, slot_s=1)
+        assert parse_scenario(d).slot_count == MAX_SLOT_COUNT
+        d["time"].update(duration_s=MAX_SLOT_COUNT + 1)
+        with pytest.raises(ScenarioError, match=f"scenario.time.duration_s: .* more than the limit of {MAX_SLOT_COUNT}"):
+            parse_scenario(d)
