@@ -5,23 +5,26 @@ whatever it relays through a ring neighbor onto that neighbor's feeder
 links.  One LP per slot maximizes the minimum rate:
 
     maximize t
-    s.t.     R_k  =  sum_i c_fl[k,i] w_direct[k,i] + sum_routes r[k,l,j]
-             t   <=  R_k                                  for every k
-             r[k,l,j] <= c_isl[k,l] v[k,l,j]              (ISL leg cap)
-             r[k,l,j] <= c_fl[l,j] w_relay[k,l,j]         (feeder leg cap)
+    s.t.     t - sum_i c_fl[k,i] w_direct[k,i] - sum_routes r[k,l,j] <= 0
+                                                          for every k
+             r[k,l,j] - c_isl[k,l] v[k,l,j]      <= 0     (ISL leg cap)
+             r[k,l,j] - c_fl[l,j] w_relay[k,l,j] <= 0     (feeder leg cap)
              sum of fractions on each feeder edge  <= 1
              sum_j v[k,l,j] on each directed ISL   <= 1
              all variables >= 0
 
-An isolated satellite (no feeder link and no usable neighbor) has no
-R_k row, epigraph row or rate column: it would pin t to 0.  It is
-reported at rate 0 and the slot is flagged degenerate.
+The first row is the epigraph t <= R_k with satellite k's rate R_k, its
+direct share plus everything it relays, written out in place.  Every
+row is `<=` with rhs 0 or 1, so x = 0 is feasible and the solver starts
+there.  An isolated satellite (no feeder link and no usable neighbor)
+has no epigraph row: it would pin t to 0.  It is reported at rate 0 and
+the slot is flagged degenerate.
 
 The min() of the two relay legs is linearized through the shared
 throughput variable r.  A second, lexicographic stage maximizes
 sum_k R_k while pinning t >= t* so spare capacity is not left stranded;
 it is on by default.  It continues from the first stage's optimal
-tableau: the pin row is appended to it and only phase 2 runs.
+tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.
@@ -33,16 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .simplex import (
-    EQ,
-    GE,
-    LE,
-    STATUS_OPTIMAL,
-    LpProblem,
-    LpSolution,
-    SimplexIterationError,
-    solve,
-)
+from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, SimplexIterationError, solve
 from .topology import SlotGraph
 
 SCALE_BPS = 1e6
@@ -83,9 +77,9 @@ def enumerate_routes(graph: SlotGraph) -> list[Route]:
 def build_problem(graph: SlotGraph) -> LpProblem:
     """Assemble the per-slot max-min LP over the non-isolated satellites.
 
-    Isolated satellites get no rate column, R_k row or epigraph row; they
-    have no feeder edge and no route either, so the LP is the one the
-    served satellites alone would give.
+    Isolated satellites get no epigraph row; they have no feeder edge
+    and no route either, so the LP is the one the served satellites alone
+    would give.
     """
     k_count = graph.satellite_count
     served = [k for k in range(k_count) if k not in graph.isolated]
@@ -94,7 +88,6 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     isl = graph.isl_capacity_bps / SCALE_BPS
 
     tags: list[tuple] = [("t",)]
-    tags += [("rate", k) for k in served]
     direct_edges = [(k, j) for k in range(k_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
     tags += [("w_direct", k, j) for k, j in direct_edges]
     first_route = len(tags)
@@ -116,36 +109,22 @@ def build_problem(graph: SlotGraph) -> LpProblem:
         w_by_feeder.setdefault((rt.relay, rt.gs), []).append(v_col + 1)
         r_by_source.setdefault(rt.source, []).append(v_col + 2)
 
+    # epigraph t <= R_k, R_k being k's direct and relayed rates
     rows: list[dict[int, float]] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-
-    # R_k ties the rate variable to its direct and relayed parts
     for k in served:
-        row = {col[("rate", k)]: 1.0}
+        row = {col[("t",)]: 1.0}
         for j in direct_js.get(k, ()):
             row[col[("w_direct", k, j)]] = -fl[k, j]
         for r_col in r_by_source.get(k, ()):
             row[r_col] = -1.0
         rows.append(row)
-        senses.append(EQ)
-        rhs.append(0.0)
-
-    # epigraph t <= R_k
-    for k in served:
-        rows.append({col[("t",)]: 1.0, col[("rate", k)]: -1.0})
-        senses.append(LE)
-        rhs.append(0.0)
 
     # per-route leg capacities
     for i, rt in enumerate(routes):
         v_col = first_route + 3 * i
         rows.append({v_col + 2: 1.0, v_col: -isl[rt.source, rt.relay]})
-        senses.append(LE)
-        rhs.append(0.0)
         rows.append({v_col + 2: 1.0, v_col + 1: -fl[rt.relay, rt.gs]})
-        senses.append(LE)
-        rhs.append(0.0)
+    capacity_rows = len(rows)
 
     # feeder-edge packing: owner's share plus every relayed share <= 1
     for (s, j) in direct_edges:
@@ -153,30 +132,19 @@ def build_problem(graph: SlotGraph) -> LpProblem:
         for w_col in w_by_feeder.get((s, j), ()):
             row[w_col] = 1.0
         rows.append(row)
-        senses.append(LE)
-        rhs.append(1.0)
     # a feeder edge used only by relays still packs to <= 1
     for edge in sorted(w_by_feeder.keys() - set(direct_edges)):
         rows.append(dict.fromkeys(w_by_feeder[edge], 1.0))
-        senses.append(LE)
-        rhs.append(1.0)
 
     # directed-ISL packing: total fraction over all commodities <= 1
     for link in sorted(v_by_isl):
         rows.append(dict.fromkeys(v_by_isl[link], 1.0))
-        senses.append(LE)
-        rhs.append(1.0)
 
     objective = np.zeros(n)
     objective[col[("t",)]] = 1.0
-    return LpProblem(
-        objective=objective,
-        rows=rows,
-        senses=senses,
-        rhs=np.array(rhs),
-        bounds=[(0.0, None)] * n,
-        variable_tags=tuple(tags),
-    )
+    rhs = np.zeros(len(rows))
+    rhs[capacity_rows:] = 1.0
+    return LpProblem(objective=objective, rows=rows, rhs=rhs, variable_tags=tuple(tags))
 
 
 def lexicographic_refine(
@@ -184,21 +152,25 @@ def lexicographic_refine(
 ) -> tuple[LpProblem, LpSolution]:
     """Stage 2: maximize total rate holding the max-min value.
 
-    Returns the refined problem and its solution.  t_star is in solver
-    units (Mbit/s); the pin allows LEXICO_SLACK of slack.  The solve
+    Returns the refined problem and its solution.  The total rate
+    sum_k R_k is read off the epigraph rows, the rows with a t term: each
+    direct and relayed column enters one of them, with minus its rate
+    coefficient.  t_star is in solver units (Mbit/s); the pin
+    t >= t* - LEXICO_SLACK is appended as a `<=` row.  The solve
     continues from `stage1`, the optimal stage-1 solution of `problem`,
     which is computed here when not given.
     """
+    t_col = problem.column(("t",))
     objective = np.zeros(problem.n_variables)
-    for idx, tag in enumerate(problem.variable_tags):
-        if tag[0] == "rate":
-            objective[idx] = 1.0
+    for row in problem.rows:
+        if t_col in row:
+            for j, coef in row.items():
+                objective[j] = -coef
+    objective[t_col] = 0.0
     refined = LpProblem(
         objective=objective,
-        rows=problem.rows + [{problem.column(("t",)): 1.0}],
-        senses=problem.senses + [GE],
-        rhs=np.append(problem.rhs, t_star - LEXICO_SLACK),
-        bounds=list(problem.bounds),
+        rows=problem.rows + [{t_col: -1.0}],
+        rhs=np.append(problem.rhs, -(t_star - LEXICO_SLACK)),
         variable_tags=problem.variable_tags,
     )
     if stage1 is None:
@@ -237,13 +209,13 @@ def decode(
 ) -> AllocationResult:
     """Map LP values back to fractions, per-edge rates and R_k.
 
-    A satellite without a rate column (an isolated one) gets rate 0.
+    R_k sums satellite k's direct and relayed rates, as its epigraph row
+    does; an isolated satellite has neither and gets rate 0.
     """
     values = solution.values
     col = {tag: i for i, tag in enumerate(problem.variable_tags)}
 
-    rate_cols = [col.get(("rate", k)) for k in range(graph.satellite_count)]
-    rates = np.array([0.0 if c is None else values[c] for c in rate_cols]) * SCALE_BPS
+    rates = np.zeros(graph.satellite_count)
     w: dict[tuple[int, int, int], float] = {}
     v: dict[tuple[int, int, int], float] = {}
     fl_rates = np.zeros_like(graph.fl_capacity_bps)
@@ -256,7 +228,9 @@ def decode(
             if frac < 0.0:
                 frac = 0.0
             w[(k, k, j)] = frac
-            fl_rates[k, j] += frac * graph.fl_capacity_bps[k, j]
+            direct = frac * graph.fl_capacity_bps[k, j]
+            fl_rates[k, j] += direct
+            rates[k] += direct
         elif tag[0] == "r":
             _, s, l, j = tag
             through = float(values[col[tag]]) * SCALE_BPS
@@ -268,6 +242,7 @@ def decode(
             v[(s, l, j)] = through / c_isl if c_isl > 0 else 0.0
             fl_rates[l, j] += through
             isl_rates[s, l] += through
+            rates[s] += through
     return AllocationResult(
         slot_index=graph.slot_index,
         t_star_bps=t_star * SCALE_BPS,

@@ -209,6 +209,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"{tpath}.duration_s: {slots:.6g} slots (duration_s / slot_s), more than the limit of {MAX_SLOT_COUNT}"
         )
+    if round(slots) == 0:
+        raise ScenarioError(f"{tpath}.duration_s: {slots:.6g} slots (duration_s / slot_s), fewer than one")
     if abs(slots - round(slots)) > 1e-9:
         raise ScenarioError(f"{tpath}.slot_s: must divide duration_s evenly")
     try:

@@ -21,12 +21,13 @@ from meoflow.allocation import (
     AllocationError,
     Route,
     build_problem,
+    decode,
     enumerate_routes,
     lexicographic_refine,
     solve_allocation,
 )
 from meoflow.scenario import parse_scenario
-from meoflow.simplex import EQ, GE, LE, STATUS_OPTIMAL, solve
+from meoflow.simplex import STATUS_OPTIMAL, LpProblem, solve
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, SlotGraph, select_serving_gs
 from meoflow.geometry import ring_neighbors
 
@@ -147,8 +148,8 @@ class TestTwoSatRelay:
         assert not res.v
 
     def test_isolated_satellite_left_out_of_the_lp(self):
-        # no rate column or row for the isolated satellite: the LP is the one
-        # of the served pair alone, t* is their minimum and its rate is 0
+        # no column or row for the isolated satellite: the LP is the one of
+        # the served pair alone, t* is their minimum and its rate is 0
         g = make_graph([[300e6], [200e6], [0.0]], np.zeros((3, 3)))
         assert g.isolated == (2,)
         res = solve_allocation(g)
@@ -156,9 +157,9 @@ class TestTwoSatRelay:
         assert res.rates_bps[2] == 0.0
         assert res.t_star_bps == pytest.approx(200e6, abs=1e-3)
         problem = build_problem(g)
-        assert ("rate", 2) not in problem.variable_tags
         pair = build_problem(make_graph([[300e6], [200e6]], np.zeros((2, 2))))
-        assert problem.rows == pair.rows and list(problem.senses) == list(pair.senses)
+        assert problem.variable_tags == pair.variable_tags
+        assert problem.rows == pair.rows and problem.rhs.tolist() == pair.rhs.tolist()
 
     def test_all_isolated_slot_has_no_lp(self):
         res = solve_allocation(make_graph([[0.0], [0.0]], np.zeros((2, 2))))
@@ -193,16 +194,15 @@ def route_scan_problem(graph):
     routes = [(rt.source, rt.relay, rt.gs) for rt in enumerate_routes(graph)]
     served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
     direct = [(k, j) for k in range(graph.satellite_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
-    tags = [("t",)] + [("rate", k) for k in served] + [("w_direct", k, j) for k, j in direct]
+    tags = [("t",)] + [("w_direct", k, j) for k, j in direct]
     tags += [(name, *rt) for rt in routes for name in ("v", "w_relay", "r")]
     col = {tag: i for i, tag in enumerate(tags)}
     rows = []
     for k in served:
-        row = {col[("rate", k)]: 1.0}
+        row = {col[("t",)]: 1.0}
         row.update({col[("w_direct", s, j)]: -fl[s, j] for s, j in direct if s == k})
         row.update({col[("r", *rt)]: -1.0 for rt in routes if rt[0] == k})
         rows.append(row)
-    rows += [{col[("t",)]: 1.0, col[("rate", k)]: -1.0} for k in served]
     for s, l, j in routes:
         rows.append({col[("r", s, l, j)]: 1.0, col[("v", s, l, j)]: -isl[s, l]})
         rows.append({col[("r", s, l, j)]: 1.0, col[("w_relay", s, l, j)]: -fl[l, j]})
@@ -213,17 +213,16 @@ def route_scan_problem(graph):
         rows.append({col[("w_relay", *rt)]: 1.0 for rt in routes if rt[1:] == edge})
     for link in sorted({rt[:2] for rt in routes}):
         rows.append({col[("v", *rt)]: 1.0 for rt in routes if rt[:2] == link})
-    senses = [EQ] * len(served) + [LE] * (len(rows) - len(served))
     rhs = [0.0] * capacity_rows + [1.0] * (len(rows) - capacity_rows)
-    return tuple(tags), rows, senses, rhs
+    return tuple(tags), rows, rhs
 
 
 def assert_built_as_route_scan(graph):
     problem = build_problem(graph)
-    tags, rows, senses, rhs = route_scan_problem(graph)
+    tags, rows, rhs = route_scan_problem(graph)
     assert problem.variable_tags == tags
     assert [list(row.items()) for row in problem.rows] == [list(row.items()) for row in rows]
-    assert problem.senses == senses and problem.rhs.tolist() == rhs
+    assert problem.rhs.tolist() == rhs
 
 
 class TestBuildProblem:
@@ -366,39 +365,47 @@ class TestLexicographic:
 
     def test_warm_stage2_matches_cold_resolve_and_keeps_the_pin(self):
         # stage 2 continues from stage 1's tableau; solving the refined LP
-        # from scratch must reach the same total, in more pivots, and the
-        # pin t >= t* - LEXICO_SLACK must hold for every served satellite
+        # from scratch (with HiGHS: its pin row has a negative rhs, which
+        # the built-in solver takes only from a base) must reach the same
+        # total, and every served satellite's decoded rate must keep the
+        # pin t >= t* - LEXICO_SLACK
+        from test_oracle import highs
+
         rng = np.random.RandomState(29)
-        warm_pivots = cold_pivots = 0
         for _ in range(200):
             g = random_small_graph(rng)
             problem = build_problem(g)
             stage1 = solve(problem)
             t_star = stage1.objective_value
             refined, warm = lexicographic_refine(problem, t_star, stage1)
-            cold = solve(refined)
-            assert warm.status == cold.status == STATUS_OPTIMAL
-            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
-            warm_pivots += warm.iteration_count
-            cold_pivots += cold.iteration_count
+            cold = highs(refined, refined.objective)
+            assert warm.status == STATUS_OPTIMAL and cold.status == 0
+            assert warm.objective_value == pytest.approx(-cold.fun, rel=1e-9)
+            rates = decode(g, refined, warm, t_star, warm.iteration_count).rates_bps / SCALE_BPS
             for k in range(g.satellite_count):
                 if k not in g.isolated:
-                    assert warm.values[problem.column(("rate", k))] >= t_star - LEXICO_SLACK
-        assert warm_pivots < cold_pivots
+                    assert rates[k] >= t_star - LEXICO_SLACK
 
 
 class TestOptimalityCertificate:
     def test_pushing_min_rate_higher_is_infeasible(self):
+        # t >= 1.001 t*, appended as -t <= -1.001 t*, cuts off the stage-1
+        # optimum, and HiGHS finds no point that meets it (status 2)
+        from test_oracle import highs
+
         g = make_graph([[300e6], [0.0]], [[0, 100e6], [100e6, 0]])
         res = solve_allocation(g)
         problem = build_problem(g)
-        t_col = problem.column(("t",))
         bumped = 1.001 * res.t_star_bps / MBPS
-        problem.rows.append({t_col: 1.0})
-        problem.senses = list(problem.senses) + [GE]
-        problem.rhs = np.append(np.asarray(problem.rhs, dtype=float), bumped)
-        sol = solve(problem)
-        assert sol.status == "infeasible"
+        pushed = LpProblem(
+            problem.objective,
+            problem.rows + [{problem.column(("t",)): -1.0}],
+            np.append(problem.rhs, -bumped),
+            problem.variable_tags,
+        )
+        with pytest.raises(ValueError, match="cuts off"):
+            solve(pushed, base=solve(problem))
+        assert highs(pushed, pushed.objective).status == 2
 
 
 class TestAllocationError:

@@ -1,9 +1,11 @@
-"""Both LP stages of every o3b_rain slot, in both arms, against an independent solver (HiGHS).
+"""Both LP stages of every slot, in both arms, against an independent solver (HiGHS).
 
-The oracle LPs are built from the `LpProblem` rows only, so they share the
-model with the built-in simplex but none of its arithmetic: stage 1 is the
-max-min LP, stage 2 maximizes the sum of the rate columns with the pin
-t >= t* - LEXICO_SLACK appended.
+The scenarios are o3b_rain under both serving policies, and o3b_clear and
+toy3 under their own.  The oracle LPs are built from the `LpProblem` rows
+only, so they share the model with the built-in simplex but none of its
+arithmetic: stage 1 is the max-min LP, stage 2 maximizes the total rate,
+each direct column priced at its feeder capacity and each relayed one at
+1, with the pin -t <= -(t* - LEXICO_SLACK) appended.
 """
 import dataclasses
 import json
@@ -18,33 +20,20 @@ from meoflow import engine  # noqa: E402
 from meoflow.allocation import LEXICO_SLACK, SCALE_BPS, build_problem  # noqa: E402
 from meoflow.geometry import slot_geometry  # noqa: E402
 from meoflow.scenario import parse_scenario  # noqa: E402
-from meoflow.simplex import EQ, GE, LE, LpProblem  # noqa: E402
+from meoflow.simplex import LpProblem  # noqa: E402
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph  # noqa: E402
 
 
 def highs(problem: LpProblem, objective: np.ndarray):
-    """max objective . x over the problem's rows and bounds, as HiGHS solves it.
+    """max objective . x subject to rows . x <= rhs and x >= 0, as HiGHS solves it.
 
     Returns scipy's OptimizeResult, whose `fun` is the minimized -objective.
     """
-    n = problem.n_variables
-    dense = np.zeros((len(problem.rows), n))
+    dense = np.zeros((len(problem.rows), problem.n_variables))
     for i, row in enumerate(problem.rows):
         for j, coef in row.items():
             dense[i, j] = coef
-    senses = np.array(problem.senses)
-    sign = np.where(senses == GE, -1.0, 1.0)
-    ub = senses != EQ
-    assert set(problem.senses) <= {LE, GE, EQ}
-    return optimize.linprog(
-        -objective,
-        A_ub=(dense * sign[:, None])[ub],
-        b_ub=(problem.rhs * sign)[ub],
-        A_eq=dense[~ub],
-        b_eq=problem.rhs[~ub],
-        bounds=problem.bounds,
-        method="highs",
-    )
+    return optimize.linprog(-objective, A_ub=dense, b_ub=problem.rhs, bounds=(0, None), method="highs")
 
 
 def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
@@ -55,19 +44,23 @@ def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
 
 @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
 def test_both_stages_match_highs_on_every_o3b_rain_slot(policy):
-    check_both_stages_against_highs(policy, True)
+    check_both_stages_against_highs("o3b_rain", policy, True)
 
 
 @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
 def test_both_stages_match_highs_on_every_o3b_rain_no_isl_slot(policy):
-    check_both_stages_against_highs(policy, False)
+    check_both_stages_against_highs("o3b_rain", policy, False)
 
 
-def check_both_stages_against_highs(policy, isl_enabled):
-    ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
-    scenario = dataclasses.replace(
-        parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
-    )
+@pytest.mark.parametrize("name", ["o3b_clear", "toy3"])
+@pytest.mark.parametrize("isl_enabled", [True, False])
+def test_both_stages_match_highs_on_every_slot_of_the_bundled_scenario(name, isl_enabled):
+    check_both_stages_against_highs(name, POLICY_BEST_CAPACITY, isl_enabled)
+
+
+def check_both_stages_against_highs(name, policy, isl_enabled):
+    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
+    scenario = dataclasses.replace(parse_scenario(json.loads(ref.read_text()), name=name), serving_policy=policy)
     result = engine.run(scenario, isl_enabled=isl_enabled)
     # each slot's graph, built as engine.run builds it (a spy on the solve
     # would miss the slots that worker processes solve)
@@ -94,10 +87,12 @@ def check_both_stages_against_highs(policy, isl_enabled):
 
         pinned = dataclasses.replace(
             problem,
-            rows=problem.rows + [{t_col: 1.0}],
-            senses=problem.senses + [GE],
-            rhs=np.append(problem.rhs, t_star - LEXICO_SLACK),
+            rows=problem.rows + [{t_col: -1.0}],
+            rhs=np.append(problem.rhs, -(t_star - LEXICO_SLACK)),
         )
-        total_rate = np.array([tag[0] == "rate" for tag in problem.variable_tags], dtype=float)
+        fl = graph.fl_capacity_bps / SCALE_BPS
+        total_rate = np.array(
+            [fl[tag[1:]] if tag[0] == "w_direct" else float(tag[0] == "r") for tag in problem.variable_tags]
+        )
         refined_total = highs_optimum(pinned, total_rate)
         assert result.rates_bps[slot].sum() / SCALE_BPS == pytest.approx(refined_total, rel=1e-6)

@@ -281,6 +281,18 @@ class TestLoading:
         assert "toy3.time.duration_s: " in err and f"more than the limit of {MAX_SLOT_COUNT}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_horizon_of_zero_slots_exits_2_with_path(self, tmp_path, capsys, command):
+        # 1e-12 slots passes the even-division check but rounds to none
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data["time"].update(duration_s=1e-12, slot_s=1)
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main([command, str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "toy3.time.duration_s: 1e-12 slots (duration_s / slot_s), fewer than one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_slot_count_limit_is_inclusive(self):
         d = base()
         d["time"].update(duration_s=MAX_SLOT_COUNT, slot_s=1)
