@@ -14,11 +14,13 @@ links.  One LP per slot maximizes the minimum rate:
              all variables >= 0
 
 The first row is the epigraph t <= R_k with satellite k's rate R_k, its
-direct share plus everything it relays, written out in place.  Every
-row is `<=` with rhs 0 or 1, so x = 0 is feasible and the solver starts
-there.  An isolated satellite (no feeder link and no usable neighbor)
-has no epigraph row: it would pin t to 0.  It is reported at rate 0 and
-the slot is flagged degenerate.
+direct share plus everything it relays, written out in place.
+`build_problem` writes these rows, in this order, as the dense matrix A
+of `maximize c.x s.t. A.x <= b, x >= 0`.  Every row has rhs 0 or 1, so
+x = 0 is feasible and the solver starts there.  An isolated satellite
+(no feeder link and no usable neighbor) has no epigraph row: it would
+pin t to 0.  It is reported at rate 0 and the slot is flagged
+degenerate.
 
 The min() of the two relay legs is linearized through the shared
 throughput variable r.  A second, lexicographic stage maximizes
@@ -77,9 +79,12 @@ def enumerate_routes(graph: SlotGraph) -> list[Route]:
 def build_problem(graph: SlotGraph) -> LpProblem:
     """Assemble the per-slot max-min LP over the non-isolated satellites.
 
-    Isolated satellites get no epigraph row; they have no feeder edge
-    and no route either, so the LP is the one the served satellites alone
-    would give.
+    The rows come in the order of the module docstring: one epigraph row
+    per served satellite, two leg caps per route, one packing row per
+    feeder edge (direct edges first, then the edges only relays use) and
+    one per directed ISL.  Isolated satellites get no epigraph row; they
+    have no feeder edge and no route either, so the LP is the one the
+    served satellites alone would give.
     """
     k_count = graph.satellite_count
     served = [k for k in range(k_count) if k not in graph.isolated]
@@ -93,58 +98,40 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     first_route = len(tags)
     for rt in routes:
         tags += [("v", rt.source, rt.relay, rt.gs), ("w_relay", rt.source, rt.relay, rt.gs), ("r", rt.source, rt.relay, rt.gs)]
-    col = {tag: idx for idx, tag in enumerate(tags)}
-    n = len(tags)
 
-    # the routes' columns, grouped once by the rows they enter, in route order
-    direct_js: dict[int, list[int]] = {}
-    for k, j in direct_edges:
-        direct_js.setdefault(k, []).append(j)
-    r_by_source: dict[int, list[int]] = {}
-    w_by_feeder: dict[tuple[int, int], list[int]] = {}
-    v_by_isl: dict[tuple[int, int], list[int]] = {}
+    # the row of each satellite's epigraph, feeder edge and directed ISL
+    epigraph_row = {k: i for i, k in enumerate(served)}
+    packing = len(served) + 2 * len(routes)  # the first packing row
+    relay_edges = sorted({(rt.relay, rt.gs) for rt in routes} - set(direct_edges))
+    feeder_row = {edge: i for i, edge in enumerate(direct_edges + relay_edges, start=packing)}
+    isl_links = sorted({(rt.source, rt.relay) for rt in routes})
+    isl_row = {link: i for i, link in enumerate(isl_links, start=packing + len(feeder_row))}
+    matrix = np.zeros((packing + len(feeder_row) + len(isl_row), len(tags)))
+
+    # epigraph t <= R_k, R_k being k's direct and relayed rates; feeder-edge
+    # packing: owner's share plus every relayed share <= 1
+    matrix[: len(served), 0] = 1.0  # t is column 0
+    for w_col, (k, j) in enumerate(direct_edges, start=1):
+        matrix[epigraph_row[k], w_col] = -fl[k, j]
+        matrix[feeder_row[k, j], w_col] = 1.0
     for i, rt in enumerate(routes):
         v_col = first_route + 3 * i  # then w_relay, then r, as tagged above
-        v_by_isl.setdefault((rt.source, rt.relay), []).append(v_col)
-        w_by_feeder.setdefault((rt.relay, rt.gs), []).append(v_col + 1)
-        r_by_source.setdefault(rt.source, []).append(v_col + 2)
+        matrix[epigraph_row[rt.source], v_col + 2] = -1.0
+        # per-route leg capacities
+        leg = len(served) + 2 * i
+        matrix[leg, v_col + 2] = matrix[leg + 1, v_col + 2] = 1.0
+        matrix[leg, v_col] = -isl[rt.source, rt.relay]
+        matrix[leg + 1, v_col + 1] = -fl[rt.relay, rt.gs]
+        # packing: the relayed share on the relay's feeder edge, and the
+        # ISL fraction over all commodities on the directed ISL
+        matrix[feeder_row[rt.relay, rt.gs], v_col + 1] = 1.0
+        matrix[isl_row[rt.source, rt.relay], v_col] = 1.0
 
-    # epigraph t <= R_k, R_k being k's direct and relayed rates
-    rows: list[dict[int, float]] = []
-    for k in served:
-        row = {col[("t",)]: 1.0}
-        for j in direct_js.get(k, ()):
-            row[col[("w_direct", k, j)]] = -fl[k, j]
-        for r_col in r_by_source.get(k, ()):
-            row[r_col] = -1.0
-        rows.append(row)
-
-    # per-route leg capacities
-    for i, rt in enumerate(routes):
-        v_col = first_route + 3 * i
-        rows.append({v_col + 2: 1.0, v_col: -isl[rt.source, rt.relay]})
-        rows.append({v_col + 2: 1.0, v_col + 1: -fl[rt.relay, rt.gs]})
-    capacity_rows = len(rows)
-
-    # feeder-edge packing: owner's share plus every relayed share <= 1
-    for (s, j) in direct_edges:
-        row = {col[("w_direct", s, j)]: 1.0}
-        for w_col in w_by_feeder.get((s, j), ()):
-            row[w_col] = 1.0
-        rows.append(row)
-    # a feeder edge used only by relays still packs to <= 1
-    for edge in sorted(w_by_feeder.keys() - set(direct_edges)):
-        rows.append(dict.fromkeys(w_by_feeder[edge], 1.0))
-
-    # directed-ISL packing: total fraction over all commodities <= 1
-    for link in sorted(v_by_isl):
-        rows.append(dict.fromkeys(v_by_isl[link], 1.0))
-
-    objective = np.zeros(n)
-    objective[col[("t",)]] = 1.0
-    rhs = np.zeros(len(rows))
-    rhs[capacity_rows:] = 1.0
-    return LpProblem(objective=objective, rows=rows, rhs=rhs, variable_tags=tuple(tags))
+    objective = np.zeros(len(tags))
+    objective[0] = 1.0
+    rhs = np.zeros(matrix.shape[0])
+    rhs[packing:] = 1.0
+    return LpProblem(objective=objective, matrix=matrix, rhs=rhs, variable_tags=tuple(tags))
 
 
 def lexicographic_refine(
@@ -153,23 +140,22 @@ def lexicographic_refine(
     """Stage 2: maximize total rate holding the max-min value.
 
     Returns the refined problem and its solution.  The total rate
-    sum_k R_k is read off the epigraph rows, the rows with a t term: each
-    direct and relayed column enters one of them, with minus its rate
-    coefficient.  t_star is in solver units (Mbit/s); the pin
-    t >= t* - LEXICO_SLACK is appended as a `<=` row.  The solve
+    sum_k R_k is read off the epigraph rows of the matrix, the rows with
+    a t term: each direct and relayed column enters one of them, with
+    minus its rate coefficient.  t_star is in solver units (Mbit/s); the
+    pin t >= t* - LEXICO_SLACK is appended as a `<=` row.  The solve
     continues from `stage1`, the optimal stage-1 solution of `problem`,
     which is computed here when not given.
     """
     t_col = problem.column(("t",))
-    objective = np.zeros(problem.n_variables)
-    for row in problem.rows:
-        if t_col in row:
-            for j, coef in row.items():
-                objective[j] = -coef
+    epigraph = problem.matrix[problem.matrix[:, t_col] != 0.0]
+    objective = 0.0 - epigraph.sum(0)  # not -sum: a column in no epigraph row stays +0.0
     objective[t_col] = 0.0
+    pin = np.zeros(problem.n_variables)
+    pin[t_col] = -1.0
     refined = LpProblem(
         objective=objective,
-        rows=problem.rows + [{t_col: -1.0}],
+        matrix=np.vstack([problem.matrix, pin]),
         rhs=np.append(problem.rhs, -(t_star - LEXICO_SLACK)),
         variable_tags=problem.variable_tags,
     )
@@ -289,7 +275,7 @@ def solve_allocation(graph: SlotGraph, lexicographic: bool = True) -> Allocation
     ends other than optimal or the solver gives up.
     """
     problem = build_problem(graph)
-    if not problem.rows:
+    if not problem.rhs.size:
         # every satellite is isolated: no LP to solve, t* and all rates are 0
         return decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0)
     try:

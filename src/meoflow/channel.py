@@ -131,6 +131,8 @@ class IslParams:
             raise ValueError("efficiencies must be in (0, 1]")
         if self.beam_divergence_rad <= 0 or self.aperture_diameter_m <= 0:
             raise ValueError("divergence and aperture must be > 0")
+        if self.bandwidth_hz <= 0 or self.noise_power_w <= 0:
+            raise ValueError("bandwidth_hz and noise_power_w must be > 0")
         if self.fixed_capacity_override_bps is not None and self.fixed_capacity_override_bps < 0:
             raise ValueError("fixed_capacity_override_bps must be >= 0")
 

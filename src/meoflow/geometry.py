@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ConstellationSpec:
         epoch: reference time; satellite 0 with phase 0 sits at
             longitude 0 on the shell at this instant.
         inclination_deg: ring plane tilt; 0 is equatorial.
-        satellite_ids: display names, generated as S0..S{K-1} if omitted.
     """
 
     satellite_count: int
@@ -53,20 +52,20 @@ class ConstellationSpec:
     phase_offsets_deg: tuple[float, ...]
     epoch: datetime
     inclination_deg: float = 0.0
-    satellite_ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.satellite_count < 2:
             raise ValueError("satellite_count must be >= 2")
         if self.altitude_km <= 0:
             raise ValueError("altitude_km must be > 0")
+        if self.altitude_km > 1.5e6:
+            # past Earth's Hill sphere no orbit is bound to Earth
+            raise ValueError("altitude_km must be <= 1.5e6, Earth's Hill sphere")
         if len(self.phase_offsets_deg) != self.satellite_count:
             raise ValueError("phase_offsets_deg length must equal satellite_count")
         norm = [p % 360.0 for p in self.phase_offsets_deg]
         if any(b <= a for a, b in zip(norm, norm[1:])):
             raise ValueError("phase_offsets_deg must be strictly increasing modulo 360")
-        if self.satellite_ids is not None and len(self.satellite_ids) != self.satellite_count:
-            raise ValueError("satellite_ids length must equal satellite_count")
 
     @property
     def orbit_radius_km(self) -> float:
@@ -80,11 +79,6 @@ class ConstellationSpec:
     @property
     def orbital_period_s(self) -> float:
         return 2.0 * math.pi / self.angular_rate_rad_s
-
-    def ids(self) -> tuple[str, ...]:
-        if self.satellite_ids is not None:
-            return self.satellite_ids
-        return tuple(f"S{k}" for k in range(self.satellite_count))
 
 
 @dataclass(frozen=True)
@@ -110,10 +104,6 @@ class GroundStationSpec:
             raise ValueError("longitude_deg must be in [-180, 360]")
         if self.min_elevation_deg < 0.0:
             raise ValueError("min_elevation_deg must be >= 0")
-
-    @property
-    def altitude_km(self) -> float:
-        return self.altitude_m / 1000.0
 
     def ecef_km(self) -> np.ndarray:
         return geodetic_to_ecef(self.latitude_deg, self.longitude_deg, self.altitude_m)

@@ -32,6 +32,11 @@ class ScenarioError(ValueError):
 # bundled 6-satellite, 8-gateway scenarios, so about 1 GB at the limit.
 MAX_SLOT_COUNT = 100_000
 
+# The most satellites one ring may have.  A slot LP grows with satellites
+# times stations: 1,000 satellites over toy3's three gateways take about
+# 10 s per slot on a 2-core machine.
+_MAX_SATELLITE_COUNT = 1000
+
 _REQUIRED = object()
 
 
@@ -226,6 +231,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         csec, cpath, ["satellite_count", "altitude_km", "phase_offsets_deg", "inclination_deg"]
     )
     count = _integer(csec, "satellite_count", cpath, minimum=1)
+    if count > _MAX_SATELLITE_COUNT:
+        raise ScenarioError(f"{cpath}.satellite_count: must be <= {_MAX_SATELLITE_COUNT}")
     altitude_km = _number(csec, "altitude_km", cpath, positive=True)
     inclination = _number(csec, "inclination_deg", cpath, default=0.0)
     phases = _get(csec, "phase_offsets_deg", cpath, default=None)

@@ -7,11 +7,11 @@ termination on degenerate problems at the cost of some extra pivots,
 which is fine at the few-hundred-variable sizes produced per time slot.
 
 Problems have one shape, `maximize c.x subject to A.x <= b, x >= 0`,
-over sparse rows.  Each row gets a slack variable; a cold solve needs
-b >= 0, so that the all-slack basis (x = 0) is feasible and the simplex
-starts from it with no phase 1.  Only a continued solve (`base=`) takes
-a row of either rhs sign.  Each solve builds the problem's dense
-constraint matrix once: it fills the tableau and audits the answer.
+with A a dense matrix.  Each row gets a slack variable; a cold solve
+needs b >= 0, so that the all-slack basis (x = 0) is feasible and the
+simplex starts from it with no phase 1.  Only a continued solve
+(`base=`) takes a row of either rhs sign.  A fills the tableau and
+audits the answer.
 
 The tableau is condensed (a dictionary, in Chvatal's *Linear
 Programming*, 1983): rows are the basic variables plus the cost row,
@@ -25,7 +25,6 @@ the same values.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,26 +43,28 @@ class SimplexIterationError(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """maximize objective . x subject to rows . x <= rhs, x >= 0.
+    """maximize objective . x subject to matrix . x <= rhs, x >= 0.
 
     Attributes:
-        objective: dense coefficient vector, length n.
-        rows: sparse constraint rows, one {column: coefficient} dict each.
+        objective: coefficient vector, length n.
+        matrix: constraint matrix A, one row per constraint and one
+            column per variable.
         rhs: right-hand sides, one per row.
         variable_tags: arbitrary hashable labels, one per variable, used
             by callers to map columns back to model quantities.
     """
 
     objective: np.ndarray
-    rows: list[dict[int, float]]
+    matrix: np.ndarray
     rhs: np.ndarray
     variable_tags: tuple = ()
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
+        self.matrix = np.asarray(self.matrix, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
-        if len(self.rows) != self.rhs.shape[0]:
-            raise ValueError("rows and rhs must have equal lengths")
+        if self.matrix.shape != (self.rhs.shape[0], self.objective.shape[0]):
+            raise ValueError("matrix must have one row per rhs and one column per objective coefficient")
         if self.variable_tags and len(self.variable_tags) != self.objective.shape[0]:
             raise ValueError("variable_tags length must match objective length")
 
@@ -81,9 +82,8 @@ class LpSolution:
     """Result of `solve`.
 
     An optimal solution also keeps what a later `solve(..., base=...)`
-    continues from: the final condensed tableau, the variable of each of
-    its rows (`basis`) and columns (`nonbasic`), and the problem's dense
-    constraint matrix.
+    continues from: the final condensed tableau and the variable of each
+    of its rows (`basis`) and columns (`nonbasic`).
     """
 
     status: str
@@ -93,19 +93,6 @@ class LpSolution:
     tableau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     basis: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-
-def _dense(rows: list[dict[int, float]], n: int) -> np.ndarray:
-    """The rows as a dense (rows, n) matrix."""
-    matrix = np.zeros((len(rows), n))
-    lengths = [len(row) for row in rows]
-    count = sum(lengths)
-    chain = itertools.chain.from_iterable
-    cols = np.fromiter(chain(rows), dtype=np.intp, count=count)
-    coefs = np.fromiter(chain(row.values() for row in rows), dtype=float, count=count)
-    matrix[np.repeat(np.arange(len(rows)), lengths), cols] = coefs
-    return matrix
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -160,7 +147,7 @@ def _price(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, cost: n
         tableau[-1] -= cost[basis[i]] * tableau[i]
 
 
-def _result(problem: LpProblem, tableau, basis, nonbasic, matrix, status, iterations) -> LpSolution:
+def _result(problem: LpProblem, tableau, basis, nonbasic, status, iterations) -> LpSolution:
     """Read the basic solution, audit it and keep the tableau to continue from."""
     n = problem.n_variables
     if status == STATUS_UNBOUNDED:
@@ -168,8 +155,8 @@ def _result(problem: LpProblem, tableau, basis, nonbasic, matrix, status, iterat
     y = np.zeros(basis.shape[0] + nonbasic.shape[0])
     y[basis] = tableau[:-1, -1]
     x = y[:n]
-    _check_residuals(problem, matrix, x)
-    return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic, matrix)
+    _check_residuals(problem, x)
+    return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
 
 
 def solve(
@@ -191,9 +178,7 @@ def solve(
         return _continue(problem, base, max_iterations)
     if (problem.rhs < 0.0).any():
         raise ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
-    n = problem.n_variables
-    matrix = _dense(problem.rows, n)
-    m = matrix.shape[0]
+    m, n = problem.matrix.shape
     if max_iterations is None:
         max_iterations = 10 * (m + n)
 
@@ -201,11 +186,11 @@ def solve(
     basis = np.arange(n, n + m)
     nonbasic = np.arange(n)
     tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :n] = matrix
+    tableau[:m, :n] = problem.matrix
     tableau[:m, -1] = problem.rhs
     tableau[-1, :n] = -problem.objective
     status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
-    return _result(problem, tableau, basis, nonbasic, matrix, status, iterations)
+    return _result(problem, tableau, basis, nonbasic, status, iterations)
 
 
 def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]) -> LpSolution:
@@ -222,7 +207,7 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     n = problem.n_variables
     if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
         raise ValueError("the base must be an optimal solution over the same variables")
-    row, b = problem.rows[-1], float(problem.rhs[-1])
+    b = float(problem.rhs[-1])
     m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
     n_total = m + width  # the base's variables and the new row's slack
     if max_iterations is None:
@@ -230,7 +215,7 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
 
     # the new row over every variable, then over the nonbasic ones and rhs
     coefs = np.zeros(n_total)
-    coefs[list(row)] = list(row.values())
+    coefs[:n] = problem.matrix[-1]
     tableau = np.zeros((m + 2, width))
     tableau[:m] = base.tableau[:m]
     new = tableau[m]
@@ -243,24 +228,20 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     new[-1] = max(new[-1], 0.0)
     basis = np.append(base.basis, n_total - 1)
     nonbasic = base.nonbasic.copy()
-    matrix = np.vstack([base.matrix, coefs[:n]])
 
     cost = np.zeros(n_total)
     cost[:n] = -problem.objective
     _price(tableau, basis, nonbasic, cost)
     status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
-    return _result(problem, tableau, basis, nonbasic, matrix, status, iterations)
+    return _result(problem, tableau, basis, nonbasic, status, iterations)
 
 
-def _check_residuals(problem: LpProblem, matrix: np.ndarray, x: np.ndarray) -> None:
-    """Defensive post-solve feasibility audit (absolute tolerance).
-
-    `matrix` is the problem's dense constraint matrix.
-    """
+def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:
+    """Defensive post-solve feasibility audit (absolute tolerance)."""
     rhs = problem.rhs
     scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
     tol = FEAS_TOL * scale
-    v = matrix @ x
+    v = problem.matrix @ x
     bad = (v > rhs + tol).nonzero()[0]
     if bad.size:
         i = bad[0]

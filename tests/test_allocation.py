@@ -159,7 +159,7 @@ class TestTwoSatRelay:
         problem = build_problem(g)
         pair = build_problem(make_graph([[300e6], [200e6]], np.zeros((2, 2))))
         assert problem.variable_tags == pair.variable_tags
-        assert problem.rows == pair.rows and problem.rhs.tolist() == pair.rhs.tolist()
+        assert np.array_equal(problem.matrix, pair.matrix) and problem.rhs.tolist() == pair.rhs.tolist()
 
     def test_all_isolated_slot_has_no_lp(self):
         res = solve_allocation(make_graph([[0.0], [0.0]], np.zeros((2, 2))))
@@ -188,7 +188,7 @@ class TestRouteEnumeration:
 
 def route_scan_problem(graph):
     """build_problem's columns and rows, each row made by one scan over all
-    routes: the reference for its grouped build, down to each row's key order."""
+    routes as a {column: coefficient} dict: the reference for its build."""
     fl = graph.fl_capacity_bps / SCALE_BPS
     isl = graph.isl_capacity_bps / SCALE_BPS
     routes = [(rt.source, rt.relay, rt.gs) for rt in enumerate_routes(graph)]
@@ -214,14 +214,17 @@ def route_scan_problem(graph):
     for link in sorted({rt[:2] for rt in routes}):
         rows.append({col[("v", *rt)]: 1.0 for rt in routes if rt[:2] == link})
     rhs = [0.0] * capacity_rows + [1.0] * (len(rows) - capacity_rows)
-    return tuple(tags), rows, rhs
+    matrix = np.zeros((len(rows), len(tags)))
+    for i, row in enumerate(rows):
+        matrix[i, list(row)] = list(row.values())
+    return tuple(tags), matrix, rhs
 
 
 def assert_built_as_route_scan(graph):
     problem = build_problem(graph)
-    tags, rows, rhs = route_scan_problem(graph)
+    tags, matrix, rhs = route_scan_problem(graph)
     assert problem.variable_tags == tags
-    assert [list(row.items()) for row in problem.rows] == [list(row.items()) for row in rows]
+    assert np.array_equal(problem.matrix, matrix)
     assert problem.rhs.tolist() == rhs
 
 
@@ -397,9 +400,11 @@ class TestOptimalityCertificate:
         res = solve_allocation(g)
         problem = build_problem(g)
         bumped = 1.001 * res.t_star_bps / MBPS
+        pin = np.zeros(problem.n_variables)
+        pin[problem.column(("t",))] = -1.0
         pushed = LpProblem(
             problem.objective,
-            problem.rows + [{problem.column(("t",)): -1.0}],
+            np.vstack([problem.matrix, pin]),
             np.append(problem.rhs, -bumped),
             problem.variable_tags,
         )

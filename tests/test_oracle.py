@@ -1,15 +1,20 @@
 """Both LP stages of every slot, in both arms, against an independent solver (HiGHS).
 
 The scenarios are o3b_rain under both serving policies, and o3b_clear and
-toy3 under their own.  The oracle LPs are built from the `LpProblem` rows
-only, so they share the model with the built-in simplex but none of its
-arithmetic: stage 1 is the max-min LP, stage 2 maximizes the total rate,
-each direct column priced at its feeder capacity and each relayed one at
-1, with the pin -t <= -(t* - LEXICO_SLACK) appended.
+toy3 under their own.  Seed-0 dense_ground, the benchmark's 12-satellite,
+32-gateway workload, is checked in its no-ISL arm; it turns the
+lexicographic stage off, so only its stage 1 is.  The oracle LPs are
+built from the `LpProblem` matrix only, so they share the model with the
+built-in simplex but none of its arithmetic: stage 1 is the max-min LP,
+stage 2 maximizes the total rate, each direct column priced at its
+feeder capacity and each relayed one at 1, with the pin
+-t <= -(t* - LEXICO_SLACK) appended.
 """
 import dataclasses
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,15 +30,11 @@ from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_s
 
 
 def highs(problem: LpProblem, objective: np.ndarray):
-    """max objective . x subject to rows . x <= rhs and x >= 0, as HiGHS solves it.
+    """max objective . x subject to matrix . x <= rhs and x >= 0, as HiGHS solves it.
 
     Returns scipy's OptimizeResult, whose `fun` is the minimized -objective.
     """
-    dense = np.zeros((len(problem.rows), problem.n_variables))
-    for i, row in enumerate(problem.rows):
-        for j, coef in row.items():
-            dense[i, j] = coef
-    return optimize.linprog(-objective, A_ub=dense, b_ub=problem.rhs, bounds=(0, None), method="highs")
+    return optimize.linprog(-objective, A_ub=problem.matrix, b_ub=problem.rhs, bounds=(0, None), method="highs")
 
 
 def highs_optimum(problem: LpProblem, objective: np.ndarray) -> float:
@@ -58,13 +59,25 @@ def test_both_stages_match_highs_on_every_slot_of_the_bundled_scenario(name, isl
     check_both_stages_against_highs(name, POLICY_BEST_CAPACITY, isl_enabled)
 
 
-def check_both_stages_against_highs(name, policy, isl_enabled):
-    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
-    scenario = dataclasses.replace(parse_scenario(json.loads(ref.read_text()), name=name), serving_policy=policy)
-    result = engine.run(scenario, isl_enabled=isl_enabled)
-    # each slot's graph, built as engine.run builds it (a spy on the solve
-    # would miss the slots that worker processes solve)
-    graphs = [
+def test_stage1_matches_highs_on_every_slot_of_seed_0_dense_ground_without_isl():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", root / "perfbench" / "scenarios.py")
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    scenario = parse_scenario(json.loads(scenarios.generate("dense_ground", 0, root)), name="dense_ground")
+    result = engine.run(scenario, isl_enabled=False)
+    graphs = slot_graphs(scenario, False)
+    assert not scenario.lexicographic and len(graphs) == result.slot_count
+    for slot, graph in enumerate(graphs):
+        problem = build_problem(graph)
+        t_star = highs_optimum(problem, problem.objective)
+        assert result.t_star_bps[slot] / SCALE_BPS == pytest.approx(t_star, rel=1e-6)
+
+
+def slot_graphs(scenario, isl_enabled):
+    """Each slot's graph, built as engine.run builds it (a spy on the solve
+    would miss the slots that worker processes solve)."""
+    return [
         build_slot_graph(
             slot_geometry(scenario.constellation, list(scenario.stations), scenario.slot_midpoint_s(slot), slot_index=slot),
             scenario.feeder_link,
@@ -77,6 +90,13 @@ def check_both_stages_against_highs(name, policy, isl_enabled):
         )
         for slot in range(scenario.slot_count)
     ]
+
+
+def check_both_stages_against_highs(name, policy, isl_enabled):
+    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
+    scenario = dataclasses.replace(parse_scenario(json.loads(ref.read_text()), name=name), serving_policy=policy)
+    result = engine.run(scenario, isl_enabled=isl_enabled)
+    graphs = slot_graphs(scenario, isl_enabled)
     assert scenario.lexicographic and len(graphs) == result.slot_count
 
     for slot, graph in enumerate(graphs):
@@ -85,9 +105,11 @@ def check_both_stages_against_highs(name, policy, isl_enabled):
         t_star = highs_optimum(problem, problem.objective)
         assert result.t_star_bps[slot] / SCALE_BPS == pytest.approx(t_star, rel=1e-6)
 
+        pin = np.zeros(problem.n_variables)
+        pin[t_col] = -1.0
         pinned = dataclasses.replace(
             problem,
-            rows=problem.rows + [{t_col: -1.0}],
+            matrix=np.vstack([problem.matrix, pin]),
             rhs=np.append(problem.rhs, -(t_star - LEXICO_SLACK)),
         )
         fl = graph.fl_capacity_bps / SCALE_BPS

@@ -293,6 +293,19 @@ class TestLoading:
         assert "toy3.time.duration_s: 1e-12 slots (duration_s / slot_s), fewer than one" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("key, value", [("bandwidth_hz", -1), ("noise_power_w", 0)])
+    def test_non_positive_isl_budget_value_exits_2_with_path(self, tmp_path, capsys, command, key, value):
+        # the physical ISL budget, without the override, divides by both
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data["isl"] = {"sensitivity_dbm": -200, key: value}
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main([command, str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "toy3.isl: bandwidth_hz and noise_power_w must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_slot_count_limit_is_inclusive(self):
         d = base()
         d["time"].update(duration_s=MAX_SLOT_COUNT, slot_s=1)

@@ -17,10 +17,8 @@ from meoflow.simplex import (
 
 
 def box_problem(a, b, c):
-    """maximize c.x st a x <= b, x >= 0 (dense rows)."""
-    m, n = a.shape
-    rows = [{j: float(a[i, j]) for j in range(n) if a[i, j] != 0.0} for i in range(m)]
-    return LpProblem(objective=np.asarray(c, dtype=float), rows=rows, rhs=np.asarray(b, dtype=float))
+    """maximize c.x st a x <= b, x >= 0."""
+    return LpProblem(objective=np.asarray(c, dtype=float), matrix=a, rhs=np.asarray(b, dtype=float))
 
 
 def vertex_enumeration_optimum(a, b, c):
@@ -45,7 +43,7 @@ def vertex_enumeration_optimum(a, b, c):
 class TestBasics:
     def test_epigraph_two_caps(self):
         # maximize t st t <= 3, t <= 5
-        p = LpProblem(np.array([1.0]), [{0: 1.0}, {0: 1.0}], np.array([3.0, 5.0]))
+        p = LpProblem(np.array([1.0]), [[1.0], [1.0]], np.array([3.0, 5.0]))
         s = solve(p)
         assert s.status == STATUS_OPTIMAL
         assert s.objective_value == pytest.approx(3.0, abs=1e-12)
@@ -54,19 +52,25 @@ class TestBasics:
         # x >= 5 and x <= 3: an LP with rhs >= 0 always has the feasible
         # point x = 0, so an infeasible one has a negative rhs, which a
         # cold solve refuses
-        p = LpProblem(np.array([1.0]), [{0: -1.0}, {0: 1.0}], np.array([-5.0, 3.0]))
+        p = LpProblem(np.array([1.0]), [[-1.0], [1.0]], np.array([-5.0, 3.0]))
         with pytest.raises(ValueError, match="rhs >= 0"):
             solve(p)
 
+    @pytest.mark.parametrize("matrix", [[[1.0, 0.0]], [[1.0], [1.0]], [1.0]])
+    def test_matrix_shape_must_match_rhs_and_objective(self, matrix):
+        # one objective coefficient and one rhs take a 1 x 1 matrix
+        with pytest.raises(ValueError, match="matrix must have one row per rhs"):
+            LpProblem(np.array([1.0]), matrix, np.array([1.0]))
+
     def test_unbounded(self):
-        p = LpProblem(np.array([1.0, 0.0]), [{1: 1.0}], np.array([1.0]))
+        p = LpProblem(np.array([1.0, 0.0]), [[0.0, 1.0]], np.array([1.0]))
         assert solve(p).status == STATUS_UNBOUNDED
 
     @pytest.mark.parametrize("coef,pivots", [(PIVOT_EPS / 2, 0), (2 * PIVOT_EPS, 1)])
     def test_pivot_eps_decides_whether_a_column_improves(self, coef, pivots):
         # maximize coef * x st x <= 1: the all-slack start is optimal unless
         # x's reduced cost beats PIVOT_EPS
-        s = solve(LpProblem(np.array([coef]), [{0: 1.0}], np.array([1.0])))
+        s = solve(LpProblem(np.array([coef]), [[1.0]], np.array([1.0])))
         assert s.status == STATUS_OPTIMAL and s.iteration_count == pivots
         assert s.values[0] == float(pivots)
 
@@ -115,8 +119,8 @@ class TestRandomOracle:
             c = rng.uniform(-1.0, 2.0, size=8)
             p = box_problem(a, b, c)
             s = solve(p)
-            for row, rhs in zip(p.rows, p.rhs):
-                v = sum(coef * s.values[j] for j, coef in row.items())
+            for row, rhs in zip(p.matrix, p.rhs):
+                v = sum(coef * s.values[j] for j, coef in enumerate(row) if coef)
                 assert v <= rhs + 1e-8
             assert np.all(s.values >= -1e-8)
 
@@ -149,8 +153,8 @@ class TestContinueFromBase:
         assert 0 < cold_solved < 40
 
     def test_row_that_cuts_off_the_base_optimum_is_refused(self):
-        p = LpProblem(np.array([1.0]), [{0: 1.0}], np.array([3.0]))
-        q = LpProblem(np.array([1.0]), p.rows + [{0: 1.0}], np.array([3.0, 2.0]))
+        p = LpProblem(np.array([1.0]), [[1.0]], np.array([3.0]))
+        q = LpProblem(np.array([1.0]), [[1.0], [1.0]], np.array([3.0, 2.0]))
         with pytest.raises(ValueError, match="cuts off"):
             solve(q, base=solve(p))
 
@@ -159,8 +163,8 @@ class TestContinueFromBase:
     def test_feas_tol_bounds_how_far_the_base_optimum_may_violate_the_row(self, sign, violation, accepted):
         # the base optimum is x = 1; the appended row x <= 1 - violation, or
         # x >= 1 + violation written as -x <= -(1 + violation)
-        p = LpProblem(np.array([1.0]), [{0: 1.0}], np.array([1.0]))
-        q = LpProblem(np.array([1.0]), p.rows + [{0: sign}], np.array([1.0, sign * (1.0 - sign * violation)]))
+        p = LpProblem(np.array([1.0]), [[1.0]], np.array([1.0]))
+        q = LpProblem(np.array([1.0]), [[1.0], [sign]], np.array([1.0, sign * (1.0 - sign * violation)]))
         if accepted:
             s = solve(q, base=solve(p))
             assert s.status == STATUS_OPTIMAL and s.values[0] == 1.0
@@ -176,9 +180,9 @@ class TestResidualAudit:
     # max |rhs| = 2e-8).  A >= row is audited as its negated <= row, as
     # stage 2 writes its pin; an equality as both rows.
     ROWS = {
-        "<=": ([{0: 1.0, 1: 1.0}], [2.0]),
-        ">=": ([{0: -1.0, 1: -1.0}], [-2.0]),
-        "=": ([{0: 1.0, 1: 1.0}, {0: -1.0, 1: -1.0}], [2.0, -2.0]),
+        "<=": ([[1.0, 1.0]], [2.0]),
+        ">=": ([[-1.0, -1.0]], [-2.0]),
+        "=": ([[1.0, 1.0], [-1.0, -1.0]], [2.0, -2.0]),
     }
 
     @pytest.mark.parametrize(
@@ -198,7 +202,7 @@ class TestResidualAudit:
     def test_rows_and_bounds_within_tolerance(self, sense, x, error):
         rows, rhs = self.ROWS[sense]
         p = LpProblem(np.zeros(2), rows, np.array(rhs))
-        audit = lambda: simplex._check_residuals(p, simplex._dense(p.rows, 2), np.array(x))
+        audit = lambda: simplex._check_residuals(p, np.array(x))
         if error is None:
             audit()
         else:

@@ -29,8 +29,7 @@ def small_lps(draw, zero_one_rhs):
     n = draw(st.integers(1, 5))
     rows, rhs = [], []
     for _ in range(draw(st.integers(1, 5))):
-        dense = draw(st.lists(coefficient, min_size=n, max_size=n))
-        rows.append({j: c for j, c in enumerate(dense) if c})
+        rows.append(draw(st.lists(coefficient, min_size=n, max_size=n)))
         rhs.append(float(draw(st.integers(0, 1 if zero_one_rhs else 6))))
     objective = draw(st.lists(coefficient, min_size=n, max_size=n))
     return LpProblem(np.array(objective), rows, np.array(rhs))
@@ -62,17 +61,16 @@ def test_solve_from_base_matches_cold_solve_on_an_appended_inequality(zero_one_r
         base = solve(problem)
         hypothesis.assume(base.status == STATUS_OPTIMAL)
         n = problem.n_variables
-        dense = data.draw(st.lists(coefficient, min_size=n, max_size=n))
-        extra = {j: c for j, c in enumerate(dense) if c}
-        at_base = sum(coef * base.values[j] for j, coef in extra.items())
+        extra = data.draw(st.lists(coefficient, min_size=n, max_size=n))
+        at_base = sum(coef * base.values[j] for j, coef in enumerate(extra) if coef)
         if at_base > 0.0 and data.draw(st.booleans()):
             # a >= row written as its negation, as stage 2 writes its pin:
             # the rhs turns negative once at_base exceeds the margin
-            extra = {j: -c for j, c in extra.items()}
+            extra = [-c for c in extra]
             at_base = -at_base
         margin = float(data.draw(st.integers(0, 3)))
         objective = np.array(data.draw(st.lists(coefficient, min_size=n, max_size=n)))
-        appended = LpProblem(objective, problem.rows + [extra], np.append(problem.rhs, at_base + margin))
+        appended = LpProblem(objective, np.vstack([problem.matrix, extra]), np.append(problem.rhs, at_base + margin))
         warm = solve(appended, base=base)
         if at_base + margin >= 0.0:
             cold = solve(appended)
