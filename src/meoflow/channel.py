@@ -18,13 +18,22 @@ efficiencies, gains, pointing losses and free-space loss:
 with G_tx = 16/Theta^2 (divergence Theta), G_rx = (D pi / lambda)^2
 (aperture D) and pointing loss L = exp(-G * phi^2) for jitter phi.
 Capacity is Shannon: B log2(1 + CNR).
+
+The feeder and ISL budgets take plain floats or equal-shape arrays of
+links.  On arrays, + - * / run in numpy in the scalar code's operation
+order, while log10, powers and log2 still go through libm one entry at a
+time (numpy's SIMD versions differ from libm in the last bit on some
+inputs), so an array budget is bit-equal to the scalar one, entry by entry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from typing import Optional
+
+import numpy as np
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -35,6 +44,20 @@ RAIN_CLASS_RATES_MM_H = {"heavy": 16.5, "moderate": 9.5, "light": 5.0}
 Chosen together with the bundled scenarios' 2.0 km rain layer so the
 heavy curve exceeds 16 dB at 8 deg elevation while all three curves land
 on ~3 / ~2 / ~1 dB at 80 deg."""
+
+MAX_RAIN_RATE_MM_H = 2000.0
+"""Above the heaviest rain ever measured (about 1,900 mm/h over one minute)."""
+
+
+def _check_ranges(params, **ranges) -> None:
+    """Raise ValueError for the first field outside its closed range (low, high).
+
+    The link-budget ranges are wide enough for any physical link and narrow
+    enough that every budget stays finite on any link of a metre or more.
+    """
+    for name, (low, high) in ranges.items():
+        if not low <= getattr(params, name) <= high:
+            raise ValueError(f"{name} must be in [{low:g}, {high:g}]")
 
 
 @dataclass(frozen=True)
@@ -53,8 +76,11 @@ class FeederLinkParams:
     shadowing_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.carrier_frequency_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("carrier frequency and bandwidth must be > 0")
+        db = (-300.0, 300.0)
+        _check_ranges(
+            self, carrier_frequency_hz=(3e3, 3e12), bandwidth_hz=(1.0, 3e12), eirp_dbw=db,
+            rx_figure_of_merit_db_k=db, shadowing_loss_db=(0.0, db[1]),
+        )  # the radio spectrum; 10**(CNR/10) stays finite
 
 
 @dataclass(frozen=True)
@@ -73,12 +99,12 @@ class RainModelParams:
     reduction_length_scale_km: float = 35.0
 
     def __post_init__(self):
-        if self.coeff_a <= 0 or self.coeff_b <= 0:
-            raise ValueError("coeff_a and coeff_b must be > 0")
-        if self.rain_height_km <= 0:
-            raise ValueError("rain_height_km must be > 0")
-        if self.reduction_length_scale_km <= 0:
-            raise ValueError("reduction_length_scale_km must be > 0")
+        if self.coeff_a <= 0 or self.coeff_b <= 0 or self.rain_height_km <= 0:
+            raise ValueError("coeff_a, coeff_b and rain_height_km must be > 0")
+        _check_ranges(
+            self, coeff_a=(0.0, 100.0), coeff_b=(0.0, 10.0), rain_height_km=(0.0, 100.0),
+            reduction_length_scale_km=(1e-3, math.inf),
+        )  # rate**coeff_b and the path through the layer stay finite
 
 
 @dataclass(frozen=True)
@@ -93,8 +119,8 @@ class RainEvent:
     def __post_init__(self):
         if self.end <= self.start:
             raise ValueError("rain event end must be after start")
-        if self.rain_rate_mm_h < 0:
-            raise ValueError("rain_rate_mm_h must be >= 0")
+        if not 0.0 <= self.rain_rate_mm_h <= MAX_RAIN_RATE_MM_H:
+            raise ValueError(f"rain_rate_mm_h must be in [0, {MAX_RAIN_RATE_MM_H:g}]")
 
     def active_at(self, time: datetime) -> bool:
         return self.start <= time < self.end
@@ -125,16 +151,19 @@ class IslParams:
     fixed_capacity_override_bps: Optional[float] = None
 
     def __post_init__(self):
-        if self.wavelength_m <= 0 or self.tx_power_w <= 0:
-            raise ValueError("wavelength_m and tx_power_w must be > 0")
+        if self.tx_power_w <= 0 or self.aperture_diameter_m <= 0:
+            raise ValueError("tx_power_w and aperture_diameter_m must be > 0")
         if not 0 < self.tx_efficiency <= 1 or not 0 < self.rx_efficiency <= 1:
             raise ValueError("efficiencies must be in (0, 1]")
-        if self.beam_divergence_rad <= 0 or self.aperture_diameter_m <= 0:
-            raise ValueError("divergence and aperture must be > 0")
         if self.bandwidth_hz <= 0 or self.noise_power_w <= 0:
             raise ValueError("bandwidth_hz and noise_power_w must be > 0")
         if self.fixed_capacity_override_bps is not None and self.fixed_capacity_override_bps < 0:
             raise ValueError("fixed_capacity_override_bps must be >= 0")
+        _check_ranges(
+            self, wavelength_m=(1e-7, 1e-3), tx_power_w=(0.0, 1e6), aperture_diameter_m=(0.0, 100.0),
+            beam_divergence_rad=(1e-9, 1.0), tx_pointing_error_rad=(0.0, 1.0), rx_pointing_error_rad=(0.0, 1.0),
+            sensitivity_dbm=(-300.0, 300.0), bandwidth_hz=(0.0, 3e15), noise_power_w=(1e-30, math.inf),
+        )  # gains, powers and the Shannon capacity stay finite
 
     @property
     def tx_gain(self) -> float:
@@ -145,8 +174,15 @@ class IslParams:
         return (self.aperture_diameter_m * math.pi / self.wavelength_m) ** 2
 
 
+def _libm(f, x):
+    """f(x) through libm: a float for a float, entry by entry for an array."""
+    if np.ndim(x) == 0:
+        return f(x)
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return _libm(partial(math.pow, 10.0), db / 10.0)
 
 
 def linear_to_db(x: float) -> float:
@@ -202,10 +238,10 @@ def rain_attenuation_db(
 
 def fspl_db(distance_km: float, frequency_hz: float) -> float:
     """Free-space path loss 20 log10(4 pi d / lambda), dB."""
-    if distance_km <= 0 or frequency_hz <= 0:
+    if np.any(distance_km <= 0) or frequency_hz <= 0:
         raise ValueError("distance and frequency must be > 0")
     wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
-    return 20.0 * math.log10(4.0 * math.pi * distance_km * 1e3 / wavelength)
+    return 20.0 * _libm(math.log10, 4.0 * math.pi * distance_km * 1e3 / wavelength)
 
 
 def fl_cnr_db(
@@ -216,9 +252,17 @@ def fl_cnr_db(
     rain: RainModelParams,
     gs_altitude_km: float = 0.0,
 ) -> float:
-    """Feeder downlink carrier-to-noise ratio, dB."""
+    """Feeder downlink carrier-to-noise ratio, dB.
+
+    On arrays, the rain attenuation of the wet links goes through the scalar
+    `rain_attenuation_db`, one link at a time.
+    """
     loss = fspl_db(distance_km, params.carrier_frequency_hz) + params.shadowing_loss_db
-    if rain_rate_mm_h > 0.0:
+    if np.ndim(loss):
+        wet = np.flatnonzero(rain_rate_mm_h > 0.0)
+        columns = (elevation_deg[wet].tolist(), rain_rate_mm_h[wet].tolist(), gs_altitude_km[wet].tolist())
+        loss[wet] += [rain_attenuation_db(el, rate, rain, alt) for el, rate, alt in zip(*columns)]
+    elif rain_rate_mm_h > 0.0:
         loss += rain_attenuation_db(elevation_deg, rain_rate_mm_h, rain, gs_altitude_km)
     return (
         params.eirp_dbw
@@ -231,11 +275,11 @@ def fl_cnr_db(
 
 def shannon_capacity_bps(cnr_linear: float, bandwidth_hz: float) -> float:
     """B log2(1 + CNR), bit/s."""
-    if cnr_linear < 0:
+    if np.any(cnr_linear < 0):
         raise ValueError("cnr_linear must be >= 0")
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth_hz must be > 0")
-    return bandwidth_hz * math.log2(1.0 + cnr_linear)
+    return bandwidth_hz * _libm(math.log2, 1.0 + cnr_linear)
 
 
 def fl_capacity_bps(
@@ -253,13 +297,13 @@ def fl_capacity_bps(
 
 def isl_received_power_w(distance_km: float, params: IslParams) -> float:
     """Optical receive power after gains, pointing losses and spreading, W."""
-    if distance_km <= 0:
+    if np.any(distance_km <= 0):
         raise ValueError("distance_km must be > 0")
     g_tx = params.tx_gain
     g_rx = params.rx_gain
     l_tx = math.exp(-g_tx * params.tx_pointing_error_rad**2)
     l_rx = math.exp(-g_rx * params.rx_pointing_error_rad**2)
-    spreading = (params.wavelength_m / (4.0 * math.pi * distance_km * 1e3)) ** 2
+    spreading = _libm(lambda x: x**2, params.wavelength_m / (4.0 * math.pi * distance_km * 1e3))
     return (
         params.tx_power_w
         * params.tx_efficiency
@@ -278,10 +322,10 @@ def isl_capacity_bps(distance_km: float, params: IslParams) -> float:
     In physical mode the link is usable only at or above the receiver
     sensitivity; below it the capacity is 0.
     """
-    if params.fixed_capacity_override_bps is not None:
-        return params.fixed_capacity_override_bps
+    override = params.fixed_capacity_override_bps
+    if override is not None:
+        return np.full(np.shape(distance_km), override) if np.ndim(distance_km) else override
     p_rx = isl_received_power_w(distance_km, params)
     sensitivity_w = db_to_linear(params.sensitivity_dbm) / 1e3
-    if p_rx < sensitivity_w:
-        return 0.0
-    return shannon_capacity_bps(p_rx / params.noise_power_w, params.bandwidth_hz)
+    # a bool factor: the capacity is 0.0 below the receiver sensitivity
+    return shannon_capacity_bps(p_rx / params.noise_power_w, params.bandwidth_hz) * (p_rx >= sensitivity_w)

@@ -113,6 +113,7 @@ def _write_json(path: Path, doc) -> None:
 
 def _write_results_csv(path: Path, result: RunResult) -> None:
     sc = result.scenario
+    ids = sc.station_ids
     degenerate = set(result.degenerate_slots)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -140,7 +141,7 @@ def _write_results_csv(path: Path, result: RunResult) -> None:
                         k,
                         float(result.rates_bps[n, k]),
                         float(result.t_star_bps[n]),
-                        sc.station_ids[j] if j is not None else "",
+                        ids[j] if j is not None else "",
                         float(result.direct_bps[n, k]),
                         float(result.relayed_bps[n, k]),
                         int(n in degenerate),

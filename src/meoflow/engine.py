@@ -7,6 +7,9 @@ The calling process solves the first range and forked worker processes
 solve the others; the results are put back in slot order.  Every slot runs
 the same deterministic code in whichever process solves it, so the results
 are bit-identical to a single-process run, and reruns are bit-identical.
+Each process computes the geometry, link budgets and serving policy of its
+own range at once, as arrays with a leading slot axis, in blocks of at
+most `BLOCK_ENTRIES` entries, so nothing but the results crosses a pipe.
 A slot with isolated satellites (no feeder link and no usable neighbor)
 comes back from the allocator flagged degenerate, with the isolated rates
 at zero; it is excluded from rate statistics.
@@ -20,11 +23,16 @@ from typing import Optional
 import numpy as np
 
 from .allocation import AllocationResult, solve_allocation
-from .geometry import slot_geometry
+from .geometry import range_geometry
 from .scenario import Scenario
-from .topology import build_slot_graph
+from .topology import range_graphs
 
 DEFAULT_BIN_WIDTH_BPS = 5e6
+
+# The most slot x satellite x (station + satellite) entries of the (N, K, I)
+# feeder and (N, K, K) ISL arrays in one block, each entry a few times 8 bytes:
+# tens of MB at most, even at 1,000 satellites.  A block holds at least one slot.
+BLOCK_ENTRIES = 2**20
 
 
 @dataclass
@@ -104,26 +112,21 @@ def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[tu
 
     Returns, per slot, the allocation and what `run` reads of the slot's
     graph: (allocation, fl_capacity_bps, isl_capacity_bps, serving_gs).
+    The slot graphs are built a block of slots at a time.
     """
     altitudes = scenario.gs_altitudes_km()
-    stations = list(scenario.stations)
+    links = (scenario.feeder_link, scenario.isl, scenario.rain_model)
+    k = scenario.constellation.satellite_count
+    step = max(1, BLOCK_ENTRIES // (k * (len(scenario.stations) + k)))
     solved = []
-    for slot in slots:
-        geometry = slot_geometry(
-            scenario.constellation, stations, scenario.slot_midpoint_s(slot), slot_index=slot
-        )
-        graph = build_slot_graph(
-            geometry,
-            scenario.feeder_link,
-            scenario.isl,
-            scenario.rain_model,
-            rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
-            gs_altitudes_km=altitudes,
-            policy=scenario.serving_policy,
-            isl_enabled=isl_enabled,
-        )
-        result = solve_allocation(graph, lexicographic=scenario.lexicographic)
-        solved.append((result, graph.fl_capacity_bps, graph.isl_capacity_bps, graph.serving_gs))
+    for first in range(0, len(slots), step):
+        block = slots[first : first + step]
+        times = [scenario.slot_midpoint_s(slot) for slot in block]
+        geometry = range_geometry(scenario.constellation, scenario.stations, times)[2:]  # all but positions
+        rates = [scenario.rain_rates_at(scenario.slot_midpoint(slot)) for slot in block]
+        for graph in range_graphs(block, geometry, *links, rates, altitudes, scenario.serving_policy, isl_enabled):
+            result = solve_allocation(graph, lexicographic=scenario.lexicographic)
+            solved.append((result, graph.fl_capacity_bps, graph.isl_capacity_bps, graph.serving_gs))
     return solved
 
 

@@ -12,6 +12,10 @@ ground-station landscape.
 Ground stations are placed with a WGS-84 geodetic conversion; visibility
 and elevation are computed from the raw ECEF vectors with a spherical
 Earth (radius 6371 km) as the occlusion body.
+
+`range_geometry` evaluates a whole range of N instants at once, as arrays
+with a leading slot axis, and converts the stations to ECEF once for all
+of them; `slot_geometry` is its N = 1 case, so both give the same bits.
 """
 from __future__ import annotations
 
@@ -64,8 +68,9 @@ class ConstellationSpec:
         if len(self.phase_offsets_deg) != self.satellite_count:
             raise ValueError("phase_offsets_deg length must equal satellite_count")
         norm = [p % 360.0 for p in self.phase_offsets_deg]
-        if any(b <= a for a, b in zip(norm, norm[1:])):
-            raise ValueError("phase_offsets_deg must be strictly increasing modulo 360")
+        # ring neighbors closer than 1e-3 deg (about 100 m) could coincide after rounding: an ISL of range 0
+        if any(b - a < 1e-3 for a, b in zip(norm, norm[1:] + [norm[0] + 360.0])):
+            raise ValueError("phase_offsets_deg must be increasing modulo 360, at least 1e-3 deg apart")
 
     @property
     def orbit_radius_km(self) -> float:
@@ -104,29 +109,28 @@ class GroundStationSpec:
             raise ValueError("longitude_deg must be in [-180, 360]")
         if self.min_elevation_deg < 0.0:
             raise ValueError("min_elevation_deg must be >= 0")
+        if not -1e4 <= self.altitude_m <= 1e5:  # from under the sea floor to the edge of space
+            raise ValueError("altitude_m must be in [-1e4, 1e5]")
 
     def ecef_km(self) -> np.ndarray:
         return geodetic_to_ecef(self.latitude_deg, self.longitude_deg, self.altitude_m)
 
 
-def propagate(spec: ConstellationSpec, time: "datetime | float") -> np.ndarray:
-    """Satellite ECEF positions (K, 3) in km at `time`.
+def propagate(spec: ConstellationSpec, time: "datetime | float | np.ndarray") -> np.ndarray:
+    """Satellite ECEF positions in km: (K, 3) at one time, (N, K, 3) at N times.
 
     Each satellite sits at in-plane angle phase_k + n*(t - epoch) on the
     circular shell; the ascending node is pinned to the +x axis so phase 0
-    at the epoch means longitude 0.  `time` is a datetime or plain seconds
-    since the epoch (floats dodge the microsecond quantization of
-    datetime arithmetic).
+    at the epoch means longitude 0.  `time` is a datetime, plain seconds
+    since the epoch (floats dodge the microsecond quantization of datetime
+    arithmetic), or a 1-D array of such seconds.
     """
-    dt = (time - spec.epoch).total_seconds() if isinstance(time, datetime) else float(time)
-    u = np.radians(np.asarray(spec.phase_offsets_deg, dtype=float)) + spec.angular_rate_rad_s * dt
+    dt = (time - spec.epoch).total_seconds() if isinstance(time, datetime) else np.asarray(time, dtype=float)
+    u = np.radians(np.asarray(spec.phase_offsets_deg, dtype=float)) + spec.angular_rate_rad_s * np.expand_dims(dt, -1)
     inc = math.radians(spec.inclination_deg)
     r = spec.orbit_radius_km
-    pos = np.empty((spec.satellite_count, 3))
-    pos[:, 0] = r * np.cos(u)
-    pos[:, 1] = r * np.sin(u) * math.cos(inc)
-    pos[:, 2] = r * np.sin(u) * math.sin(inc)
-    return pos
+    sin_u = np.sin(u)
+    return np.stack([r * np.cos(u), r * sin_u * math.cos(inc), r * sin_u * math.sin(inc)], axis=-1)
 
 
 def geodetic_to_ecef(latitude_deg: float, longitude_deg: float, altitude_m: float = 0.0) -> np.ndarray:
@@ -185,6 +189,28 @@ class SlotGeometry:
     distances_isl_km: np.ndarray
 
 
+def range_geometry(
+    spec: ConstellationSpec, stations: Sequence[GroundStationSpec], times_s: Sequence[float]
+) -> tuple[np.ndarray, ...]:
+    """The geometry of N instants (seconds since the epoch) at once.
+
+    Returns, each with a leading slot axis except the stations:
+    sat_positions_km (N, K, 3), gs_positions_km (I, 3), distances_fl_km,
+    elevations_deg and visible (N, K, I), and distances_isl_km (N, K, K);
+    the fields of `SlotGeometry`, in its order.
+    """
+    sats = propagate(spec, np.asarray(times_s, dtype=float))
+    gs = np.array([s.ecef_km() for s in stations]).reshape(len(stations), 3)
+    diff = sats[:, :, None, :] - gs  # (N, K, I, 3)
+    dist_fl = np.linalg.norm(diff, axis=3)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_el = np.einsum("nkij,ij->nki", diff, gs) / (dist_fl * np.linalg.norm(gs, axis=1))
+    elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    visible = elev >= np.array([s.min_elevation_deg for s in stations], dtype=float)
+    dist_isl = np.linalg.norm(sats[:, :, None, :] - sats[:, None, :, :], axis=3)
+    return sats, gs, dist_fl, elev, visible, dist_isl
+
+
 def slot_geometry(
     spec: ConstellationSpec,
     stations: Sequence[GroundStationSpec],
@@ -192,35 +218,12 @@ def slot_geometry(
     slot_index: int = 0,
 ) -> SlotGeometry:
     """Evaluate the full satellite/station geometry at one instant."""
-    sats = propagate(spec, time)
-    if not isinstance(time, datetime):
-        time = spec.epoch + timedelta(seconds=float(time))
-    gs = np.array([s.ecef_km() for s in stations]) if stations else np.zeros((0, 3))
-    k, i = sats.shape[0], gs.shape[0]
-
-    diff = sats[:, None, :] - gs[None, :, :]  # (K, I, 3)
-    dist_fl = np.linalg.norm(diff, axis=2)
-
-    gs_norm = np.linalg.norm(gs, axis=1) if i else np.zeros(0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sin_el = np.einsum("kij,ij->ki", diff, gs) / (dist_fl * gs_norm[None, :])
-    elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0))) if i else np.zeros((k, 0))
-
-    masks = np.array([s.min_elevation_deg for s in stations]) if i else np.zeros(0)
-    visible = elev >= masks[None, :] if i else np.zeros((k, 0), dtype=bool)
-
-    dist_isl = np.linalg.norm(sats[:, None, :] - sats[None, :, :], axis=2)
-
-    return SlotGeometry(
-        slot_index=slot_index,
-        time=time,
-        sat_positions_km=sats,
-        gs_positions_km=gs,
-        distances_fl_km=dist_fl,
-        elevations_deg=elev,
-        visible=visible,
-        distances_isl_km=dist_isl,
-    )
+    if isinstance(time, datetime):
+        seconds = (time - spec.epoch).total_seconds()
+    else:
+        seconds, time = float(time), spec.epoch + timedelta(seconds=float(time))
+    sats, gs, *per_slot = range_geometry(spec, stations, [seconds])
+    return SlotGeometry(slot_index, time, sats[0], gs, *(a[0] for a in per_slot))
 
 
 def ring_neighbors(satellite_count: int) -> tuple[tuple[int, ...], ...]:

@@ -17,11 +17,17 @@ Policies:
 
 Ring neighbors are assumed mutually visible; line-of-sight occlusion
 between satellites is not modeled.
+
+`range_graphs` builds the graphs of a slot range at once: the link budgets
+run over arrays of the visible (slot, satellite, station) entries and the
+ring pairs, best-capacity is an argmax over the station axis, and one-hop
+reachability is a boolean product of usable ISLs and lit feeder links.
+`build_slot_graph` and `select_serving_gs` are its N = 1 case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,23 +76,35 @@ class SlotGraph:
         return self.fl_capacity_bps.shape[1]
 
 
-def _derive_reachability(fl, isl, neighbors):
-    k = fl.shape[0]
-    reachable = []
-    isolated = []
-    for s in range(k):
-        via = sorted(
-            {
-                j
-                for n in neighbors[s]
-                if isl[s, n] > 0.0
-                for j in np.nonzero(fl[n] > 0.0)[0]
-            }
-        )
-        reachable.append(tuple(int(j) for j in via))
-        if not np.any(fl[s] > 0.0) and not via:
-            isolated.append(s)
-    return tuple(reachable), tuple(isolated)
+def _policy_graphs(slots: Sequence[int], fl: np.ndarray, isl: np.ndarray, neighbors, policy: str) -> list[SlotGraph]:
+    """The serving policy over a slot range, from (N, K, I) feeder and (N, K, K) ISL capacities.
+
+    best-capacity masks every non-serving feeder edge to zero; lp-fractional
+    keeps every edge and leaves serving_gs at None.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    lit = fl > 0.0
+    serves = lit.any(axis=2)
+    serving = np.full(serves.shape, -1)
+    if policy == POLICY_BEST_CAPACITY:
+        best = fl.argmax(axis=2)[..., None]  # argmax takes the lowest index on ties
+        kept = np.zeros_like(fl)
+        np.put_along_axis(kept, best, np.take_along_axis(fl, best, axis=2), axis=2)
+        fl = np.where(serves[..., None], kept, fl)
+        lit = fl > 0.0
+        serving = np.where(serves, best[..., 0], -1)
+    ring = np.zeros(isl.shape[1:], dtype=bool)
+    for s, nbrs in enumerate(neighbors):
+        ring[s, list(nbrs)] = True
+    reach = (ring & (isl > 0.0)) @ lit  # (N, K, I): stations one usable ISL hop away
+    isolated = ~serves & ~reach.any(axis=2)
+    graphs = []
+    for n, slot in enumerate(slots):
+        serving_gs = tuple(None if j < 0 else j for j in serving[n].tolist())
+        reachable = tuple(tuple(np.flatnonzero(row).tolist()) for row in reach[n])
+        graphs.append(SlotGraph(slot, fl[n], isl[n], neighbors, serving_gs, reachable, tuple(np.flatnonzero(isolated[n]).tolist())))
+    return graphs
 
 
 def select_serving_gs(graph: SlotGraph, policy: str = POLICY_BEST_CAPACITY) -> SlotGraph:
@@ -95,26 +113,34 @@ def select_serving_gs(graph: SlotGraph, policy: str = POLICY_BEST_CAPACITY) -> S
     best-capacity masks every non-serving feeder edge to zero;
     lp-fractional returns the graph with serving_gs cleared.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy == POLICY_LP_FRACTIONAL:
-        reachable, isolated = _derive_reachability(graph.fl_capacity_bps, graph.isl_capacity_bps, graph.neighbors)
-        return replace(graph, serving_gs=(None,) * graph.satellite_count, reachable_gs=reachable, isolated=isolated)
+    fl, isl = graph.fl_capacity_bps[None], graph.isl_capacity_bps[None]
+    return _policy_graphs([graph.slot_index], fl, isl, graph.neighbors, policy)[0]
 
-    fl = graph.fl_capacity_bps.copy()
-    serving: list[Optional[int]] = []
-    for k in range(graph.satellite_count):
-        row = fl[k]
-        if not np.any(row > 0.0):
-            serving.append(None)
-            continue
-        best = int(np.argmax(row))  # argmax takes the lowest index on ties
-        serving.append(best)
-        keep = row[best]
-        row[:] = 0.0
-        row[best] = keep
-    reachable, isolated = _derive_reachability(fl, graph.isl_capacity_bps, graph.neighbors)
-    return replace(graph, fl_capacity_bps=fl, serving_gs=tuple(serving), reachable_gs=reachable, isolated=isolated)
+
+def range_graphs(
+    slots: Sequence[int], geometry: Sequence[np.ndarray], fl_params: FeederLinkParams, isl_params: IslParams,
+    rain_model: RainModelParams, rain_rates_mm_h, gs_altitudes_km, policy: str, isl_enabled: bool
+) -> list[SlotGraph]:
+    """Capacity graphs of N slots at once, one per entry of `slots`.
+
+    geometry: (distances_fl_km, elevations_deg, visible, distances_isl_km) of
+    `range_geometry`, each with a leading slot axis.  rain_rates_mm_h is
+    (N, I), one row per slot; gs_altitudes_km is (I,).  The other arguments
+    are those of `build_slot_graph`.
+    """
+    dist_fl, elev, visible, dist_isl = geometry
+    shape = dist_fl.shape
+    rates = np.broadcast_to(np.asarray(rain_rates_mm_h, dtype=float)[:, None, :], shape)[visible]
+    alts = np.broadcast_to(np.asarray(gs_altitudes_km, dtype=float), shape)[visible]
+    fl = np.zeros(shape)
+    fl[visible] = fl_capacity_bps(dist_fl[visible], elev[visible], rates, fl_params, rain_model, alts)
+
+    neighbors = ring_neighbors(shape[1])
+    isl = np.zeros(dist_isl.shape)
+    if isl_enabled:
+        src, dst = np.array([(s, n) for s, nbrs in enumerate(neighbors) for n in nbrs]).T
+        isl[:, src, dst] = isl_capacity_bps(dist_isl[:, src, dst], isl_params)
+    return _policy_graphs(slots, fl, isl, neighbors, policy)
 
 
 def build_slot_graph(
@@ -127,47 +153,18 @@ def build_slot_graph(
     policy: str = POLICY_BEST_CAPACITY,
     isl_enabled: bool = True,
 ) -> SlotGraph:
-    """Capacity graph for one slot.
+    """Capacity graph for one slot: `range_graphs` with N = 1.
 
     rain_rates_mm_h gives the rain rate over each station for this slot
     (0 = clear); gs_altitudes_km thins the rain layer per site.  With
     isl_enabled=False all ISL capacities are forced to zero, which is the
     no-ISL baseline arm.
     """
-    k, i = geometry.distances_fl_km.shape
+    i = geometry.distances_fl_km.shape[1]
     rates = np.zeros(i) if rain_rates_mm_h is None else np.asarray(rain_rates_mm_h, dtype=float)
     alts = np.zeros(i) if gs_altitudes_km is None else np.asarray(gs_altitudes_km, dtype=float)
     if rates.shape != (i,) or alts.shape != (i,):
         raise ValueError("per-station arrays must have one entry per station")
-
-    fl = np.zeros((k, i))
-    for s in range(k):
-        for j in range(i):
-            if not geometry.visible[s, j]:
-                continue
-            fl[s, j] = fl_capacity_bps(
-                float(geometry.distances_fl_km[s, j]),
-                float(geometry.elevations_deg[s, j]),
-                float(rates[j]),
-                fl_params,
-                rain_model,
-                gs_altitude_km=float(alts[j]),
-            )
-
-    neighbors = ring_neighbors(k)
-    isl = np.zeros((k, k))
-    if isl_enabled:
-        for s in range(k):
-            for n in neighbors[s]:
-                isl[s, n] = isl_capacity_bps(float(geometry.distances_isl_km[s, n]), isl_params)
-
-    graph = SlotGraph(
-        slot_index=geometry.slot_index,
-        fl_capacity_bps=fl,
-        isl_capacity_bps=isl,
-        neighbors=neighbors,
-        serving_gs=(None,) * k,
-        reachable_gs=((),) * k,
-        isolated=(),
-    )
-    return select_serving_gs(graph, policy)
+    arrays = (geometry.distances_fl_km, geometry.elevations_deg, geometry.visible, geometry.distances_isl_km)
+    slot = [geometry.slot_index]
+    return range_graphs(slot, [a[None] for a in arrays], fl_params, isl_params, rain_model, rates[None], alts, policy, isl_enabled)[0]

@@ -76,6 +76,10 @@ class TestPropagate:
             ConstellationSpec(3, 8062.0, (0.0, 240.0, 120.0), EPOCH)
         with pytest.raises(ValueError):
             ConstellationSpec(1, 8062.0, (0.0,), EPOCH)
+        # ring neighbors that round to one position would have an ISL of range 0
+        for phases in [(0.0, 1e-154, 240.0), (0.0, 120.0, 359.9999)]:
+            with pytest.raises(ValueError, match="at least 1e-3 deg apart"):
+                ConstellationSpec(3, 8062.0, phases, EPOCH)
 
 
 class TestGeodetic:

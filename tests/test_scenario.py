@@ -306,6 +306,29 @@ class TestLoading:
         assert "toy3.isl: bandwidth_hz and noise_power_w must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("feeder_link", "eirp_dbw", 1e5, "eirp_dbw must be in [-300, 300]"),
+            ("feeder_link", "bandwidth_hz", 1e-300, "bandwidth_hz must be in [1, 3e+12]"),
+            ("feeder_link", "carrier_frequency_hz", 1e-300, "carrier_frequency_hz must be in [3000, 3e+12]"),
+            ("rain_model", "coeff_b", 1e5, "coeff_b must be in [0, 10]"),
+            ("rain_model", "reduction_length_scale_km", 5e-324, "reduction_length_scale_km must be in [0.001, inf]"),
+            ("isl", "beam_divergence_rad", 1e-300, "beam_divergence_rad must be in [1e-09, 1]"),
+            ("isl", "sensitivity_dbm", 1e5, "sensitivity_dbm must be in [-300, 300]"),
+        ],
+    )
+    def test_link_budget_value_that_overflows_exits_2_with_path(self, tmp_path, capsys, section, key, value, message):
+        # each of these ended the run in an OverflowError, ValueError or ZeroDivisionError
+        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
+        data = json.loads(ref.read_text())
+        data[section] = {key: value}  # for isl: the physical budget, without the override
+        p = tmp_path / "toy3.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"toy3.{section}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_slot_count_limit_is_inclusive(self):
         d = base()
         d["time"].update(duration_s=MAX_SLOT_COUNT, slot_s=1)
