@@ -172,7 +172,8 @@ class AllocationResult:
     carrying that source's traffic; v maps (source, relay, station) to
     the ISL fraction of the route.  Relay and ISL fractions are
     normalized to the realized route throughput, so aggregate edge rates
-    and flow conservation close exactly.
+    and flow conservation close exactly.  direct_bps and relayed_bps split
+    rates_bps by path, up to rounding; serving_gs is the slot graph's.
     """
 
     slot_index: int
@@ -182,6 +183,9 @@ class AllocationResult:
     v: dict[tuple[int, int, int], float]
     fl_rates_bps: np.ndarray
     isl_rates_bps: np.ndarray
+    direct_bps: np.ndarray
+    relayed_bps: np.ndarray
+    serving_gs: tuple[Optional[int], ...]
     iterations: int
     degenerate: bool = False
 
@@ -202,6 +206,8 @@ def decode(
     col = {tag: i for i, tag in enumerate(problem.variable_tags)}
 
     rates = np.zeros(graph.satellite_count)
+    direct_rates = np.zeros(graph.satellite_count)
+    relayed = np.zeros(graph.satellite_count)
     w: dict[tuple[int, int, int], float] = {}
     v: dict[tuple[int, int, int], float] = {}
     fl_rates = np.zeros_like(graph.fl_capacity_bps)
@@ -217,6 +223,7 @@ def decode(
             direct = frac * graph.fl_capacity_bps[k, j]
             fl_rates[k, j] += direct
             rates[k] += direct
+            direct_rates[k] += direct
         elif tag[0] == "r":
             _, s, l, j = tag
             through = float(values[col[tag]]) * SCALE_BPS
@@ -226,6 +233,7 @@ def decode(
             c_isl = graph.isl_capacity_bps[s, l]
             w[(s, l, j)] = through / c_fl if c_fl > 0 else 0.0
             v[(s, l, j)] = through / c_isl if c_isl > 0 else 0.0
+            relayed[s] += v[(s, l, j)] * c_isl
             fl_rates[l, j] += through
             isl_rates[s, l] += through
             rates[s] += through
@@ -237,6 +245,9 @@ def decode(
         v=v,
         fl_rates_bps=fl_rates,
         isl_rates_bps=isl_rates,
+        direct_bps=direct_rates,
+        relayed_bps=relayed,
+        serving_gs=graph.serving_gs,
         iterations=iterations,
         degenerate=bool(graph.isolated),
     )

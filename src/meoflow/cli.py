@@ -176,15 +176,17 @@ def cmd_run(args) -> int:
         if args.seedless_deterministic:
             repeat = _run_doc(_run_arm(scenario, isl_enabled))
             if json.dumps(doc) != json.dumps(repeat):
-                print("error: rerun produced different results", file=sys.stderr)
-                return EXIT_VERIFY_FAILED
+                return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except AllocationError as exc:
         return _solver_failed(exc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_results_csv(out / "results.csv", result)
-    _write_json(out / "summary.json", doc)
-    _write_json(out / "allocations.json", _allocations_doc(result))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_results_csv(out / "results.csv", result)
+        _write_json(out / "summary.json", doc)
+        _write_json(out / "allocations.json", _allocations_doc(result))
+    except OSError as exc:
+        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
     if result.degenerate_slots:
         print(f"degenerate slots: {list(result.degenerate_slots)}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -223,16 +225,18 @@ def cmd_compare(args) -> int:
         if args.seedless_deterministic:
             _, _, repeat = both_arms()
             if json.dumps(doc) != json.dumps(repeat):
-                print("error: rerun produced different results", file=sys.stderr)
-                return EXIT_VERIFY_FAILED
+                return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
     except AllocationError as exc:
         return _solver_failed(exc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "compare.json", doc)
-    _write_compare_csv(out / "compare.csv", baseline, treatment)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "compare.json", doc)
+        _write_compare_csv(out / "compare.csv", baseline, treatment)
+    except OSError as exc:
+        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
     if doc["series"]["degenerate_slots"]:
         print(f"degenerate slots: {doc['series']['degenerate_slots']}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -260,8 +264,7 @@ def _rain_windows(scenario: Scenario):
 def cmd_plot(args) -> int:
     results_dir = Path(args.results_dir)
     compare_doc = _read_json(results_dir / "compare.json")
-    run_doc = _read_json(results_dir / "summary.json")
-    doc = compare_doc if compare_doc is not None else run_doc
+    doc = compare_doc if compare_doc is not None else _read_json(results_dir / "summary.json")
     if doc is None:
         return _fail(f"{results_dir}: no compare.json or summary.json found")
     try:
@@ -269,37 +272,41 @@ def cmd_plot(args) -> int:
     except (KeyError, TypeError, ScenarioError) as exc:
         return _fail(f"embedded scenario unreadable: {exc}")
     out = Path(args.out) if args.out else results_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if args.kind == "rain-attenuation":
+            svg = rain_curves_svg(scenario.rain_model, dict(RAIN_CLASS_RATES_MM_H))
+            (out / "rain_attenuation.svg").write_text(svg)
+            return EXIT_OK
 
-    if args.kind == "rain-attenuation":
-        svg = rain_curves_svg(scenario.rain_model, dict(RAIN_CLASS_RATES_MM_H))
-        (out / "rain_attenuation.svg").write_text(svg)
-        return EXIT_OK
-
-    series = doc["series"]
-    times = series["times_s"]
-    if compare_doc is not None:
-        treatment = np.asarray(series["treatment_rates_bps"], dtype=float)
-        baseline = np.asarray(series["baseline_rates_bps"], dtype=float)
-    else:
-        treatment = np.asarray(series["rates_bps"], dtype=float)
-        baseline = None
-    included = np.ones(treatment.shape[0], dtype=bool)
-    included[series.get("degenerate_slots", [])] = False
-    windows = _rain_windows(scenario)
-    for k in range(treatment.shape[1]):
-        base_col = baseline[:, k] / 1e6 if baseline is not None else None
-        if args.kind == "timeseries":
-            svg = timeseries_svg(
-                times, treatment[:, k] / 1e6, f"Satellite {k}", base_col, windows
-            )
-            (out / f"timeseries_sat{k}.svg").write_text(svg)
+        series = doc["series"]
+        times = series["times_s"]
+        if compare_doc is not None:
+            treatment = np.asarray(series["treatment_rates_bps"], dtype=float)
+            baseline = np.asarray(series["baseline_rates_bps"], dtype=float)
         else:
-            base_inc = base_col[included] if base_col is not None else None
-            svg = histogram_svg(
-                treatment[included, k] / 1e6, f"Satellite {k}", base_inc
-            )
-            (out / f"histogram_sat{k}.svg").write_text(svg)
+            treatment = np.asarray(series["rates_bps"], dtype=float)
+            baseline = None
+        included = np.ones(treatment.shape[0], dtype=bool)
+        included[series.get("degenerate_slots", [])] = False
+        windows = _rain_windows(scenario)
+        for k in range(treatment.shape[1]):
+            base_col = baseline[:, k] / 1e6 if baseline is not None else None
+            if args.kind == "timeseries":
+                svg = timeseries_svg(
+                    times, treatment[:, k] / 1e6, f"Satellite {k}", base_col, windows
+                )
+                (out / f"timeseries_sat{k}.svg").write_text(svg)
+            else:
+                base_inc = base_col[included] if base_col is not None else None
+                svg = histogram_svg(
+                    treatment[included, k] / 1e6, f"Satellite {k}", base_inc
+                )
+                (out / f"histogram_sat{k}.svg").write_text(svg)
+    except OSError as exc:
+        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return _fail(f"{results_dir}: results unreadable: {exc!r}")
     return EXIT_OK
 
 

@@ -70,49 +70,26 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
     Raises the AllocationError of the first slot that fails to solve.
     """
     enabled = scenario.isl_enabled if isl_enabled is None else bool(isl_enabled)
-    n = scenario.slot_count
-    k = scenario.constellation.satellite_count
-    rates = np.zeros((n, k))
-    t_star = np.zeros(n)
-    direct = np.zeros((n, k))
-    relayed = np.zeros((n, k))
-    iterations = np.zeros(n, dtype=int)
-    serving = []
-    allocations = []
-    degenerate = []
-    for slot, (result, fl_capacity, isl_capacity, serving_gs) in enumerate(_solve_horizon(scenario, enabled)):
-        if result.degenerate:
-            degenerate.append(slot)
-        rates[slot] = result.rates_bps
-        t_star[slot] = result.t_star_bps
-        for (src, tx, j), frac in result.w.items():
-            if src == tx:
-                direct[slot, src] += frac * fl_capacity[tx, j]
-        for (src, relay, _), frac in result.v.items():
-            relayed[slot, src] += frac * isl_capacity[src, relay]
-        iterations[slot] = result.iterations
-        serving.append(serving_gs)
-        allocations.append(result)
+    allocations = _solve_horizon(scenario, enabled)
     return RunResult(
         scenario=scenario,
         isl_enabled=enabled,
-        rates_bps=rates,
-        t_star_bps=t_star,
-        direct_bps=direct,
-        relayed_bps=relayed,
-        serving=tuple(serving),
+        rates_bps=np.array([a.rates_bps for a in allocations]),
+        t_star_bps=np.array([a.t_star_bps for a in allocations]),
+        direct_bps=np.array([a.direct_bps for a in allocations]),
+        relayed_bps=np.array([a.relayed_bps for a in allocations]),
+        serving=tuple(a.serving_gs for a in allocations),
         allocations=allocations,
-        degenerate_slots=tuple(degenerate),
-        iterations=iterations,
+        degenerate_slots=tuple(slot for slot, a in enumerate(allocations) if a.degenerate),
+        iterations=np.array([a.iterations for a in allocations]),
     )
 
 
-def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[tuple]:
-    """Solve the given slots in order.
+def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[AllocationResult]:
+    """Solve the given slots in order and return their allocations.
 
-    Returns, per slot, the allocation and what `run` reads of the slot's
-    graph: (allocation, fl_capacity_bps, isl_capacity_bps, serving_gs).
-    The slot graphs are built a block of slots at a time.
+    The slot graphs are built a block of slots at a time; each allocation
+    carries all that `run` reads of its slot.
     """
     altitudes = scenario.gs_altitudes_km()
     links = (scenario.feeder_link, scenario.isl, scenario.rain_model)
@@ -125,12 +102,11 @@ def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[tu
         geometry = range_geometry(scenario.constellation, scenario.stations, times)[2:]  # all but positions
         rates = [scenario.rain_rates_at(scenario.slot_midpoint(slot)) for slot in block]
         for graph in range_graphs(block, geometry, *links, rates, altitudes, scenario.serving_policy, isl_enabled):
-            result = solve_allocation(graph, lexicographic=scenario.lexicographic)
-            solved.append((result, graph.fl_capacity_bps, graph.isl_capacity_bps, graph.serving_gs))
+            solved.append(solve_allocation(graph, lexicographic=scenario.lexicographic))
     return solved
 
 
-def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[tuple]:
+def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResult]:
     """`_solve_slots` over the whole horizon, one contiguous range per process.
 
     This process solves the first range while forked workers solve the
@@ -256,8 +232,7 @@ def compare(baseline: RunResult, treatment: RunResult) -> dict:
         if not same:
             raise ValueError("mismatched time grids")
     excluded = sorted(set(baseline.degenerate_slots) | set(treatment.degenerate_slots))
-    mask = np.ones(baseline.slot_count, dtype=bool)
-    mask[excluded] = False
+    mask = baseline.included_mask() & treatment.included_mask()
     if not mask.any():
         raise ValueError("no non-degenerate slots to compare")
     base = baseline.rates_bps[mask]

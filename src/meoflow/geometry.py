@@ -150,22 +150,6 @@ def geodetic_to_ecef(latitude_deg: float, longitude_deg: float, altitude_m: floa
     )
 
 
-def elevation_angle(sat_ecef_km: np.ndarray, gs_ecef_km: np.ndarray) -> float:
-    """Elevation of the satellite above the station's local horizon, degrees.
-
-    Positive above the horizon plane (the plane normal to the station's
-    position vector), negative below.
-    """
-    gs = np.asarray(gs_ecef_km, dtype=float)
-    d = np.asarray(sat_ecef_km, dtype=float) - gs
-    gs_norm = np.linalg.norm(gs)
-    d_norm = np.linalg.norm(d)
-    if gs_norm == 0.0 or d_norm == 0.0:
-        raise ValueError("positions must be distinct and away from the geocenter")
-    s = float(np.dot(d, gs) / (gs_norm * d_norm))
-    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
-
-
 @dataclass(frozen=True)
 class SlotGeometry:
     """All pairwise geometry for one time slot.

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -73,26 +73,20 @@ def _finite(value, where):
     return value
 
 
-def _number(data, key, path, default=_REQUIRED, minimum=None, positive=False):
+def _number(data, key, path, default=_REQUIRED, positive=False):
     value = _get(data, key, path, default)
     if value is default and default is not _REQUIRED:
         return default
     value = _finite(value, f"{path}.{key}")
     if positive and value <= 0:
         raise ScenarioError(f"{path}.{key}: must be positive")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
     return value
 
 
-def _integer(data, key, path, default=_REQUIRED, minimum=None):
-    value = _get(data, key, path, default)
-    if value is default and default is not _REQUIRED:
-        return default
+def _integer(data, key, path):
+    value = _get(data, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
     return value
 
 
@@ -129,13 +123,16 @@ def _datetime(data, key, path, default=_REQUIRED):
 
 
 def _params_from_section(data, path, cls):
-    # scenario keys mirror the dataclass fields one-to-one
-    names = [f.name for f in fields(cls)]
-    _check_keys(data, path, names)
+    """Build `cls` from a section whose keys are its fields, one to one: a
+    field without a default is required, a `str` field takes a non-empty
+    string and any other a finite number; `cls` checks the ranges.
+    """
+    _check_keys(data, path, [f.name for f in fields(cls)])
     kwargs = {}
-    for name in names:
-        if name in data:
-            kwargs[name] = _finite(data[name], f"{path}.{name}")
+    for f in fields(cls):
+        if f.default is MISSING or f.name in data:
+            parse = _string if f.type in (str, "str") else _number
+            kwargs[f.name] = parse(data, f.name, path)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -230,10 +227,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     _check_keys(
         csec, cpath, ["satellite_count", "altitude_km", "phase_offsets_deg", "inclination_deg"]
     )
-    count = _integer(csec, "satellite_count", cpath, minimum=1)
+    count = _integer(csec, "satellite_count", cpath)
     if count > _MAX_SATELLITE_COUNT:
         raise ScenarioError(f"{cpath}.satellite_count: must be <= {_MAX_SATELLITE_COUNT}")
-    altitude_km = _number(csec, "altitude_km", cpath, positive=True)
+    altitude_km = _number(csec, "altitude_km", cpath)
     inclination = _number(csec, "inclination_deg", cpath, default=0.0)
     phases = _get(csec, "phase_offsets_deg", cpath, default=None)
     if phases is None:
@@ -251,26 +248,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     gsec = _get(root, "ground_stations", name)
     if not isinstance(gsec, list) or not gsec:
         raise ScenarioError(f"{gpath}: expected a non-empty list")
-    stations = []
-    for i, entry in enumerate(gsec):
-        epath = f"{gpath}[{i}]"
-        entry = _mapping(entry, epath)
-        _check_keys(
-            entry,
-            epath,
-            ["station_id", "latitude_deg", "longitude_deg", "altitude_m", "min_elevation_deg"],
-        )
-        values = (
-            _string(entry, "station_id", epath),
-            _number(entry, "latitude_deg", epath),
-            _number(entry, "longitude_deg", epath),
-            _number(entry, "altitude_m", epath, default=0.0),
-            _number(entry, "min_elevation_deg", epath, default=5.0, minimum=0.0),
-        )
-        try:
-            stations.append(GroundStationSpec(*values))
-        except ValueError as exc:
-            raise ScenarioError(f"{epath}: {exc}") from None
+    stations = [
+        _params_from_section(_mapping(entry, f"{gpath}[{i}]"), f"{gpath}[{i}]", GroundStationSpec)
+        for i, entry in enumerate(gsec)
+    ]
     ids = [s.station_id for s in stations]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"{gpath}: duplicate station_id")

@@ -3,11 +3,15 @@ import csv
 import json
 import os
 import signal
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meoflow
 from meoflow import allocation
 from meoflow.cli import EXIT_SOLVER_FAILED, main
 from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
@@ -258,6 +262,24 @@ class TestPlotCommand:
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["plot", str(tmp_path / "empty"), "timeseries"]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("series"),
+            lambda doc: doc["series"].update(degenerate_slots=[5]),
+            lambda doc: doc["series"].update(rates_bps=[]),
+        ],
+        ids=["no_series", "degenerate_slot_past_the_horizon", "no_rates"],
+    )
+    def test_unreadable_results_exit_2(self, run_dir, capsys, edit):
+        summary = run_dir / "summary.json"
+        doc = json.loads(summary.read_text())
+        assert len(doc["series"]["times_s"]) == 1  # toy3 is a one-slot run
+        edit(doc)
+        summary.write_text(json.dumps(doc))
+        assert main(["plot", str(run_dir), "histogram"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run_dir}: results unreadable: ")
+
     def test_deterministic_bytes(self, compare_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -265,3 +287,25 @@ class TestPlotCommand:
         main(["plot", str(compare_dir), "timeseries", "--out", str(b)])
         for f in sorted(a.glob("*.svg")):
             assert f.read_bytes() == (b / f.name).read_bytes()
+
+
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["run", "compare", "plot"])
+    def test_out_naming_a_file_exits_2_without_traceback(self, tmp_path, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        args = [command, "toy3"]
+        if command == "plot":
+            assert main(["run", "toy3", "--out", str(tmp_path / "run")]) == 0
+            args = [command, str(tmp_path / "run"), "timeseries"]
+        env = dict(os.environ, PYTHONPATH=str(Path(meoflow.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "meoflow.cli", *args, "--out", str(blocker)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith(f"error: {blocker}: ")

@@ -106,6 +106,31 @@ class TestRun:
         total = res.direct_bps + res.relayed_bps
         assert np.allclose(total, res.rates_bps, atol=1e-3)
 
+    @pytest.mark.parametrize(
+        "policy, isl_enabled",
+        [(POLICY_BEST_CAPACITY, True), (POLICY_BEST_CAPACITY, False), (POLICY_LP_FRACTIONAL, True)],
+        ids=["isl", "no_isl", "lp_fractional_isl"],
+    )
+    def test_o3b_rain_split_is_the_fraction_sum_bit_for_bit(self, policy, isl_enabled):
+        # direct: each own-feeder fraction times its feeder capacity; relayed:
+        # each ISL fraction times its ISL capacity; both summed in dict order
+        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        data["policies"]["serving_gs"] = policy
+        s = parse_scenario(data, name="o3b_rain")
+        res = run(s, isl_enabled=isl_enabled)
+        direct = np.zeros_like(res.rates_bps)
+        relayed = np.zeros_like(res.rates_bps)
+        for n, alloc in enumerate(res.allocations):
+            g = rebuild_graph(s, n, isl_enabled)
+            for (src, tx, j), frac in alloc.w.items():
+                if src == tx:
+                    direct[n, src] += frac * g.fl_capacity_bps[tx, j]
+            for (src, relay, _), frac in alloc.v.items():
+                relayed[n, src] += frac * g.isl_capacity_bps[src, relay]
+        assert np.array_equal(res.direct_bps, direct)
+        assert np.array_equal(res.relayed_bps, relayed)
+        assert res.relayed_bps.any() == isl_enabled
+
     def test_isl_monotonicity_per_slot(self):
         events = [
             {

@@ -11,7 +11,6 @@ from meoflow.geometry import (
     WGS84_F,
     ConstellationSpec,
     GroundStationSpec,
-    elevation_angle,
     geodetic_to_ecef,
     propagate,
     ring_neighbors,
@@ -106,29 +105,28 @@ class TestGeodetic:
 
 
 class TestElevation:
+    @staticmethod
+    def elevation_deg(psi_deg, altitude_km=8062.0):
+        # satellite 0 of an equatorial two-satellite ring, psi degrees east of a station at (0, 0)
+        spec = ConstellationSpec(2, altitude_km, (psi_deg, psi_deg + 180.0), EPOCH)
+        return float(slot_geometry(spec, [GroundStationSpec("g", 0.0, 0.0)], EPOCH).elevations_deg[0, 0])
+
     def test_zenith_is_ninety(self):
-        gs = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
-        sat = np.array([EARTH_RADIUS_KM + 8062.0, 0.0, 0.0])
-        assert elevation_angle(sat, gs) == pytest.approx(90.0, abs=1e-9)
+        assert self.elevation_deg(0.0) == pytest.approx(90.0, abs=1e-9)
 
     def test_thirty_degree_separation_oracle(self):
         # frozen oracle value for h = 8062 km, 30 deg ground-track separation
         r = EARTH_RADIUS_KM + 8062.0
         expected = elevation_oracle_deg(30.0, EARTH_RADIUS_KM, r)
         assert expected == pytest.approx(40.3383, abs=1e-3)
-        gs = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
-        psi = math.radians(30.0)
-        sat = np.array([r * math.cos(psi), r * math.sin(psi), 0.0])
-        assert elevation_angle(sat, gs) == pytest.approx(expected, abs=1e-9)
+        # the station at (0, 0) sits on the WGS-84 equator, at radius WGS84_A_KM
+        assert self.elevation_deg(30.0) == pytest.approx(elevation_oracle_deg(30.0, WGS84_A_KM, r), abs=1e-9)
 
     def test_matches_oracle_across_separations(self):
         r = EARTH_RADIUS_KM + 8062.0
-        gs = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
         for psi_deg in np.linspace(1.0, 120.0, 40):
-            psi = math.radians(psi_deg)
-            sat = np.array([r * math.cos(psi), r * math.sin(psi), 0.0])
-            assert elevation_angle(sat, gs) == pytest.approx(
-                elevation_oracle_deg(psi_deg, EARTH_RADIUS_KM, r), abs=1e-9
+            assert self.elevation_deg(psi_deg) == pytest.approx(
+                elevation_oracle_deg(psi_deg, WGS84_A_KM, r), abs=1e-9
             )
 
 
