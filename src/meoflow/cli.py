@@ -1,7 +1,8 @@
 """Command line surface: run one arm, compare both, render SVG charts.
 
 Exit codes: 0 success, 1 determinism verification failure, 2 malformed or
-missing input, 3 run completed but degenerate slots are present (outputs are
+missing input (also a compare in which every slot is degenerate: nothing is
+written), 3 run completed but degenerate slots are present (outputs are
 still written), 4 a slot LP failed to solve (nothing is written).
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import AllocationError
-from .channel import RAIN_CLASS_RATES_MM_H
 from .engine import RunResult, compare, run, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .svgplot import histogram_svg, rain_curves_svg, timeseries_svg
@@ -43,14 +43,6 @@ def _run_arm(scenario: Scenario, isl_enabled: bool) -> RunResult:
         raise
 
 
-def _solver_failed(exc: AllocationError) -> int:
-    """Report a slot LP failure from `_run_arm`, naming slot, arm and stage."""
-    return _fail(
-        f"solver failed on slot {exc.slot} of the {exc.arm} arm, LP stage {exc.stage}: {exc.reason}",
-        EXIT_SOLVER_FAILED,
-    )
-
-
 def _load_scenario_arg(arg: str) -> Scenario:
     path = Path(arg)
     if path.exists():
@@ -62,25 +54,15 @@ def _load_scenario_arg(arg: str) -> Scenario:
     raise ScenarioError(f"{arg}: no such scenario file or bundled scenario")
 
 
-def _series_block(result: RunResult) -> dict:
-    sc = result.scenario
-    return {
-        "times_s": [sc.slot_midpoint_s(n) for n in range(result.slot_count)],
-        "rates_bps": [[float(x) for x in row] for row in result.rates_bps],
-        "t_star_bps": [float(x) for x in result.t_star_bps],
-        "degenerate_slots": list(result.degenerate_slots),
-    }
-
-
-def _run_doc(result: RunResult) -> dict:
-    sc = result.scenario
-    return {
-        "scenario_name": sc.name,
-        "isl_enabled": result.isl_enabled,
-        "scenario": sc.raw,
-        "summary": summarize(result),
-        "series": _series_block(result),
-    }
+def _series(arms: dict, degenerate_slots) -> dict:
+    """A document's `series` block; each arm's keys start with its prefix in `arms`."""
+    first = next(iter(arms.values()))
+    series = {"times_s": [first.scenario.slot_midpoint_s(n) for n in range(first.slot_count)]}
+    for key in ("rates_bps", "t_star_bps"):
+        for prefix, result in arms.items():
+            series[prefix + key] = getattr(result, key).tolist()
+    series["degenerate_slots"] = list(degenerate_slots)
+    return series
 
 
 def _allocations_doc(result: RunResult) -> list:
@@ -111,130 +93,50 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_results_csv(path: Path, result: RunResult) -> None:
-    sc = result.scenario
-    ids = sc.station_ids
-    degenerate = set(result.degenerate_slots)
+def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
+    """One row per slot and satellite: slot, time_utc, satellite, then `row(n, k)`."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "slot",
-                "time_utc",
-                "satellite",
-                "rate_bps",
-                "t_star_bps",
-                "serving_gs",
-                "direct_bps",
-                "relayed_bps",
-                "degenerate",
-            ]
-        )
+        writer.writerow(["slot", "time_utc", "satellite", *columns])
         for n in range(result.slot_count):
-            stamp = sc.slot_midpoint(n).isoformat()
+            stamp = result.scenario.slot_midpoint(n).isoformat()
             for k in range(result.satellite_count):
-                j = result.serving[n][k]
-                writer.writerow(
-                    [
-                        n,
-                        stamp,
-                        k,
-                        float(result.rates_bps[n, k]),
-                        float(result.t_star_bps[n]),
-                        ids[j] if j is not None else "",
-                        float(result.direct_bps[n, k]),
-                        float(result.relayed_bps[n, k]),
-                        int(n in degenerate),
-                    ]
-                )
+                writer.writerow([n, stamp, k, *row(n, k)])
 
 
-def _write_compare_csv(path: Path, baseline: RunResult, treatment: RunResult) -> None:
-    sc = baseline.scenario
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["slot", "time_utc", "satellite", "baseline_bps", "treatment_bps", "delta_bps"]
-        )
-        for n in range(baseline.slot_count):
-            stamp = sc.slot_midpoint(n).isoformat()
-            for k in range(baseline.satellite_count):
-                b = float(baseline.rates_bps[n, k])
-                t = float(treatment.rates_bps[n, k])
-                writer.writerow([n, stamp, k, b, t, t - b])
+def _solve_and_write(args, document, files) -> int:
+    """The body of `run` and `compare`.
 
-
-def cmd_run(args) -> int:
+    Solves the command's arms, builds `document(*results)` (twice, and
+    compared, with --seedless-deterministic) and writes each `(name, content)`
+    of `files(doc, *results)` to --out: a `.csv` name's content is the
+    `(columns, row)` of `_write_csv`, any other name's a JSON document.
+    """
     try:
         scenario = _load_scenario_arg(args.scenario)
     except ScenarioError as exc:
         return _fail(str(exc))
-    isl_enabled = scenario.isl_enabled and not args.no_isl
+    arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
     try:
-        result = _run_arm(scenario, isl_enabled)
-        doc = _run_doc(result)
+        results = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
+        doc = document(*results)
         if args.seedless_deterministic:
-            repeat = _run_doc(_run_arm(scenario, isl_enabled))
-            if json.dumps(doc) != json.dumps(repeat):
-                return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
-    except AllocationError as exc:
-        return _solver_failed(exc)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_results_csv(out / "results.csv", result)
-        _write_json(out / "summary.json", doc)
-        _write_json(out / "allocations.json", _allocations_doc(result))
-    except OSError as exc:
-        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
-    if result.degenerate_slots:
-        print(f"degenerate slots: {list(result.degenerate_slots)}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    try:
-        scenario = _load_scenario_arg(args.scenario)
-    except ScenarioError as exc:
-        return _fail(str(exc))
-
-    def both_arms():
-        baseline = _run_arm(scenario, False)
-        treatment = _run_arm(scenario, True)
-        report = compare(baseline, treatment)
-        doc = {
-            "scenario_name": scenario.name,
-            "scenario": scenario.raw,
-            "comparison": report,
-            "baseline_summary": summarize(baseline),
-            "treatment_summary": summarize(treatment),
-            "series": {
-                "times_s": [scenario.slot_midpoint_s(n) for n in range(baseline.slot_count)],
-                "baseline_rates_bps": [[float(x) for x in row] for row in baseline.rates_bps],
-                "treatment_rates_bps": [[float(x) for x in row] for row in treatment.rates_bps],
-                "baseline_t_star_bps": [float(x) for x in baseline.t_star_bps],
-                "treatment_t_star_bps": [float(x) for x in treatment.t_star_bps],
-                "degenerate_slots": report["excluded_slots"],
-            },
-        }
-        return baseline, treatment, doc
-
-    try:
-        baseline, treatment, doc = both_arms()
-        if args.seedless_deterministic:
-            _, _, repeat = both_arms()
+            repeat = document(*(_run_arm(scenario, isl_enabled) for isl_enabled in arms))
             if json.dumps(doc) != json.dumps(repeat):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
-    except AllocationError as exc:
-        return _solver_failed(exc)
+    except AllocationError as exc:  # name the slot, the arm `_run_arm` set and the stage
+        reason = f"slot {exc.slot} of the {exc.arm} arm, LP stage {exc.stage}: {exc.reason}"
+        return _fail(f"solver failed on {reason}", EXIT_SOLVER_FAILED)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "compare.json", doc)
-        _write_compare_csv(out / "compare.csv", baseline, treatment)
+        for name, content in files(doc, *results):
+            if name.endswith(".csv"):
+                _write_csv(out / name, results[0], *content)
+            else:
+                _write_json(out / name, content)
     except OSError as exc:
         return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
     if doc["series"]["degenerate_slots"]:
@@ -243,13 +145,69 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def cmd_run(args) -> int:
+    def document(result):
+        return {
+            "scenario_name": result.scenario.name,
+            "isl_enabled": result.isl_enabled,
+            "scenario": result.scenario.raw,
+            "summary": summarize(result),
+            "series": _series({"": result}, result.degenerate_slots),
+        }
+
+    def files(doc, result):
+        ids = result.scenario.station_ids
+        degenerate = set(result.degenerate_slots)
+
+        def row(n, k):
+            j = result.serving[n][k]
+            return [
+                float(result.rates_bps[n, k]),
+                float(result.t_star_bps[n]),
+                ids[j] if j is not None else "",
+                float(result.direct_bps[n, k]),
+                float(result.relayed_bps[n, k]),
+                int(n in degenerate),
+            ]
+
+        columns = ["rate_bps", "t_star_bps", "serving_gs", "direct_bps", "relayed_bps", "degenerate"]
+        return [
+            ("results.csv", (columns, row)),
+            ("summary.json", doc),
+            ("allocations.json", _allocations_doc(result)),
+        ]
+
+    return _solve_and_write(args, document, files)
+
+
+def cmd_compare(args) -> int:
+    def document(baseline, treatment):
+        report = compare(baseline, treatment)
+        arms = {"baseline_": baseline, "treatment_": treatment}
+        return {
+            "scenario_name": baseline.scenario.name,
+            "scenario": baseline.scenario.raw,
+            "comparison": report,
+            "baseline_summary": summarize(baseline),
+            "treatment_summary": summarize(treatment),
+            "series": _series(arms, report["excluded_slots"]),
+        }
+
+    def files(doc, baseline, treatment):
+        def row(n, k):
+            b = float(baseline.rates_bps[n, k])
+            t = float(treatment.rates_bps[n, k])
+            return [b, t, t - b]
+
+        columns = ["baseline_bps", "treatment_bps", "delta_bps"]
+        return [("compare.json", doc), ("compare.csv", (columns, row))]
+
+    return _solve_and_write(args, document, files)
+
+
 def _read_json(path: Path):
-    if not path.is_file():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
-        return None
+    """The document in `path`, None if there is no such file; bad JSON raises ValueError."""
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
 def _rain_windows(scenario: Scenario):
@@ -263,8 +221,11 @@ def _rain_windows(scenario: Scenario):
 
 def cmd_plot(args) -> int:
     results_dir = Path(args.results_dir)
-    compare_doc = _read_json(results_dir / "compare.json")
-    doc = compare_doc if compare_doc is not None else _read_json(results_dir / "summary.json")
+    try:
+        compare_doc = _read_json(results_dir / "compare.json")
+        doc = compare_doc if compare_doc is not None else _read_json(results_dir / "summary.json")
+    except ValueError as exc:
+        return _fail(f"{results_dir}: results unreadable: {exc!r}")
     if doc is None:
         return _fail(f"{results_dir}: no compare.json or summary.json found")
     try:
@@ -275,7 +236,7 @@ def cmd_plot(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.kind == "rain-attenuation":
-            svg = rain_curves_svg(scenario.rain_model, dict(RAIN_CLASS_RATES_MM_H))
+            svg = rain_curves_svg(scenario.rain_model)
             (out / "rain_attenuation.svg").write_text(svg)
             return EXIT_OK
 
@@ -288,7 +249,10 @@ def cmd_plot(args) -> int:
             treatment = np.asarray(series["rates_bps"], dtype=float)
             baseline = None
         included = np.ones(treatment.shape[0], dtype=bool)
-        included[series.get("degenerate_slots", [])] = False
+        slots = series.get("degenerate_slots", [])
+        if not all(type(n) is int and 0 <= n < len(included) for n in slots):
+            raise ValueError(f"degenerate_slots {slots}: each must be an integer in [0, {len(included)})")
+        included[slots] = False
         windows = _rain_windows(scenario)
         for k in range(treatment.shape[1]):
             base_col = baseline[:, k] / 1e6 if baseline is not None else None
@@ -318,25 +282,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="solve one arm of a scenario")
-    run_p.add_argument("scenario", help="scenario file path or bundled scenario name")
     run_p.add_argument("--no-isl", action="store_true", help="force ISL capacities to zero")
-    run_p.add_argument("--out", default="out", help="output directory")
-    run_p.add_argument(
-        "--seedless-deterministic",
-        action="store_true",
-        help="run twice and fail unless results are identical",
-    )
     run_p.set_defaults(func=cmd_run)
-
     cmp_p = sub.add_parser("compare", help="run both arms and report deltas")
-    cmp_p.add_argument("scenario", help="scenario file path or bundled scenario name")
-    cmp_p.add_argument("--out", default="out", help="output directory")
-    cmp_p.add_argument(
-        "--seedless-deterministic",
-        action="store_true",
-        help="run twice and fail unless results are identical",
-    )
     cmp_p.set_defaults(func=cmd_compare)
+    # added after --no-isl, which `run --help` and its usage line list first
+    for solve_p in (run_p, cmp_p):
+        solve_p.add_argument("scenario", help="scenario file path or bundled scenario name")
+        solve_p.add_argument("--out", default="out", help="output directory")
+        solve_p.add_argument(
+            "--seedless-deterministic",
+            action="store_true",
+            help="run twice and fail unless results are identical",
+        )
 
     plot_p = sub.add_parser("plot", help="render SVG charts from results")
     plot_p.add_argument("results_dir", help="directory with summary.json or compare.json")

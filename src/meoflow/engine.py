@@ -27,7 +27,7 @@ from .geometry import range_geometry
 from .scenario import Scenario
 from .topology import range_graphs
 
-DEFAULT_BIN_WIDTH_BPS = 5e6
+HISTOGRAM_BIN_WIDTH_BPS = 5e6  # summary histograms and the histogram charts
 
 # The most slot x satellite x (station + satellite) entries of the (N, K, I)
 # feeder and (N, K, K) ISL arrays in one block, each entry a few times 8 bytes:
@@ -172,21 +172,21 @@ def _series_stats(values: np.ndarray) -> dict:
     }
 
 
-def _histogram(values: np.ndarray, bin_width_bps: float) -> dict:
+def _histogram(values: np.ndarray) -> dict:
     if values.size == 0:
-        return {"bin_width_bps": bin_width_bps, "bin_start_bps": 0.0, "counts": []}
+        return {"bin_width_bps": HISTOGRAM_BIN_WIDTH_BPS, "bin_start_bps": 0.0, "counts": []}
     top = float(values.max())
-    n_bins = max(1, int(np.ceil((top + 1e-9) / bin_width_bps)))
-    edges = np.arange(n_bins + 1) * bin_width_bps
+    n_bins = max(1, int(np.ceil((top + 1e-9) / HISTOGRAM_BIN_WIDTH_BPS)))
+    edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH_BPS
     counts, _ = np.histogram(values, bins=edges)
     return {
-        "bin_width_bps": bin_width_bps,
+        "bin_width_bps": HISTOGRAM_BIN_WIDTH_BPS,
         "bin_start_bps": 0.0,
         "counts": [int(c) for c in counts],
     }
 
 
-def summarize(result: RunResult, bin_width_bps: float = DEFAULT_BIN_WIDTH_BPS) -> dict:
+def summarize(result: RunResult) -> dict:
     """Per-satellite and constellation statistics over non-degenerate slots.
 
     Standard deviations are population deviations.  Both spread notions are
@@ -199,7 +199,7 @@ def summarize(result: RunResult, bin_width_bps: float = DEFAULT_BIN_WIDTH_BPS) -
     for k in range(result.satellite_count):
         stats = _series_stats(series[:, k])
         stats["satellite"] = k
-        stats["histogram"] = _histogram(series[:, k], bin_width_bps)
+        stats["histogram"] = _histogram(series[:, k])
         per_satellite.append(stats)
     sat_means = [s["mean_bps"] for s in per_satellite]
     constellation = _series_stats(series.reshape(-1))

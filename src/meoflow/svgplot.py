@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import RainModelParams, rain_attenuation_db
+from .channel import RAIN_CLASS_RATES_MM_H, RainModelParams, rain_attenuation_db
+from .engine import HISTOGRAM_BIN_WIDTH_BPS
 
 WIDTH = 720
 HEIGHT = 340
@@ -20,6 +21,7 @@ BASELINE_COLOR = "#888888"
 TREATMENT_COLOR = "#1f77b4"
 SHADE_COLOR = "#9ecae1"
 CURVE_COLORS = ("#d62728", "#ff7f0e", "#2ca02c")
+BIN_WIDTH_MBPS = HISTOGRAM_BIN_WIDTH_BPS / 1e6
 
 
 class _Frame:
@@ -92,9 +94,9 @@ def _polyline(frame, xs, ys, color, dashed=False):
     return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
 
 
-def _legend(entries, x=None, y=None):
-    x = WIDTH - MARGIN_RIGHT - 150 if x is None else x
-    y = MARGIN_TOP + 8 if y is None else y
+def _legend(entries):
+    x = WIDTH - MARGIN_RIGHT - 150
+    y = MARGIN_TOP + 8
     parts = []
     for i, (label, color) in enumerate(entries):
         yy = y + 14 * i
@@ -143,15 +145,15 @@ def timeseries_svg(times_s, series_mbps, title, baseline_mbps=None, rain_windows
     return _document(parts)
 
 
-def histogram_svg(series_mbps, title, baseline_mbps=None, bin_width_mbps=5.0):
+def histogram_svg(series_mbps, title, baseline_mbps=None):
     """Rate histogram with mean (solid) and mean±std (dashed) markers."""
     series = np.asarray(series_mbps, dtype=float)
     arms = [(series, TREATMENT_COLOR, 0.65)]
     if baseline_mbps is not None:
         arms.insert(0, (np.asarray(baseline_mbps, dtype=float), BASELINE_COLOR, 0.45))
     top_rate = max((float(a.max()) for a, _, _ in arms if a.size), default=1.0)
-    n_bins = max(1, int(np.ceil((top_rate + 1e-9) / bin_width_mbps)))
-    edges = np.arange(n_bins + 1) * bin_width_mbps
+    n_bins = max(1, int(np.ceil((top_rate + 1e-9) / BIN_WIDTH_MBPS)))
+    edges = np.arange(n_bins + 1) * BIN_WIDTH_MBPS
     counts = [np.histogram(a, bins=edges)[0] for a, _, _ in arms]
     top_count = max((float(c.max()) for c in counts if c.size), default=1.0)
     frame = _Frame(0.0, float(edges[-1]), 0.0, max(top_count, 1.0) * 1.1)
@@ -190,12 +192,12 @@ def histogram_svg(series_mbps, title, baseline_mbps=None, bin_width_mbps=5.0):
     return _document(parts)
 
 
-def rain_curves_svg(rain_model: RainModelParams, classes: dict, gs_altitude_km: float = 0.0):
-    """Attenuation against elevation for the named rain classes, 5 to 90 deg."""
+def rain_curves_svg(rain_model: RainModelParams):
+    """Attenuation against elevation for the rain classes, 5 to 90 deg, at sea level."""
     elevations = np.arange(5.0, 90.5, 1.0)
     curves = {
-        name: [rain_attenuation_db(float(e), rate, rain_model, gs_altitude_km) for e in elevations]
-        for name, rate in classes.items()
+        name: [rain_attenuation_db(float(e), rate, rain_model) for e in elevations]
+        for name, rate in RAIN_CLASS_RATES_MM_H.items()
     }
     top = max(max(v) for v in curves.values())
     frame = _Frame(5.0, 90.0, 0.0, top * 1.05)

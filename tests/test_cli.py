@@ -1,5 +1,6 @@
 """End-to-end command line behavior on the bundled toy scenarios."""
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -123,6 +124,13 @@ class TestCompareCommand:
 
     def test_seedless_deterministic_compare(self, tmp_path):
         assert main(["compare", "toy3", "--seedless-deterministic", "--out", str(tmp_path)]) == 0
+
+    def test_no_usable_slot_exits_2_writing_nothing(self, tmp_path, capsys):
+        # every toy2 slot is degenerate, so there is no baseline minimum to compare against
+        out = tmp_path / "out"
+        assert main(["compare", "toy2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no non-degenerate slots to compare\n"
+        assert not out.exists()
 
 
 class TestSolverFailure:
@@ -268,8 +276,18 @@ class TestPlotCommand:
             lambda doc: doc.pop("series"),
             lambda doc: doc["series"].update(degenerate_slots=[5]),
             lambda doc: doc["series"].update(rates_bps=[]),
+            lambda doc: doc["series"].update(degenerate_slots=[-1]),
+            lambda doc: doc["series"].update(degenerate_slots=[len(doc["series"]["times_s"])]),
+            lambda doc: doc["series"].update(degenerate_slots=[True]),
         ],
-        ids=["no_series", "degenerate_slot_past_the_horizon", "no_rates"],
+        ids=[
+            "no_series",
+            "degenerate_slot_past_the_horizon",
+            "no_rates",
+            "negative_degenerate_slot",
+            "degenerate_slot_at_slot_count",
+            "bool_degenerate_slot",
+        ],
     )
     def test_unreadable_results_exit_2(self, run_dir, capsys, edit):
         summary = run_dir / "summary.json"
@@ -279,6 +297,21 @@ class TestPlotCommand:
         summary.write_text(json.dumps(doc))
         assert main(["plot", str(run_dir), "histogram"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {run_dir}: results unreadable: ")
+
+    def test_corrupt_summary_exits_2(self, run_dir, capsys):
+        summary = run_dir / "summary.json"
+        summary.write_text(summary.read_text()[:-10])
+        assert main(["plot", str(run_dir), "histogram"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run_dir}: results unreadable: ")
+
+    def test_corrupt_compare_beside_valid_summary_exits_2(self, compare_dir, run_dir, capsys):
+        # a broken compare.json must not fall back to single-arm charts
+        compare_json = compare_dir / "compare.json"
+        compare_json.write_text(compare_json.read_text()[:-10])
+        (compare_dir / "summary.json").write_bytes((run_dir / "summary.json").read_bytes())
+        assert main(["plot", str(compare_dir), "histogram"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {compare_dir}: results unreadable: ")
+        assert not list(compare_dir.glob("*.svg"))
 
     def test_deterministic_bytes(self, compare_dir, tmp_path):
         a = tmp_path / "a"
@@ -309,3 +342,57 @@ class TestUnusableOut:
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith(f"error: {blocker}: ")
+
+
+# sha256 of every file the commands below write: any change to an output byte
+# of run, compare or plot fails here
+OUTPUT_SHA256 = {
+    "toy2_run/allocations.json": "08bcbda8d7de93d55b79d3e84eabc8624f90eff11c511b4b0d05574b4cb8dbd5",
+    "toy2_run/results.csv": "8cb1dbe72d384e0531fa7f3ed85959b9d1ad862509645a9f71d24acc4437cb1d",
+    "toy2_run/summary.json": "b099b4136beda75435ad2966f8650c2962007581c42dfc1ae2491311654d17e7",
+    "toy2_no_isl/allocations.json": "08bcbda8d7de93d55b79d3e84eabc8624f90eff11c511b4b0d05574b4cb8dbd5",
+    "toy2_no_isl/results.csv": "8cb1dbe72d384e0531fa7f3ed85959b9d1ad862509645a9f71d24acc4437cb1d",
+    "toy2_no_isl/summary.json": "b099b4136beda75435ad2966f8650c2962007581c42dfc1ae2491311654d17e7",
+    "toy3_run/allocations.json": "256337e248e6ea50f2393c974e63f324b7eb938f4d10414159a6b095e999e142",
+    "toy3_run/results.csv": "02ddbd91740f3e9d275376b40228d11868cedf0c4af37d6067c6e6755f228358",
+    "toy3_run/summary.json": "88a44ec47ff2993c2666d9b7f45eb7382cb49a62f7cb410210948a555e6f0b76",
+    "toy3_no_isl/allocations.json": "ab345a7b4deddb21248024f46da449a101c3c09d69182053dbc7f746c4924c09",
+    "toy3_no_isl/results.csv": "78a45f26fe33c2ec6a4a102722700516f24ffa769fc9cf7907e86452f9022a7b",
+    "toy3_no_isl/summary.json": "d0d651817a70f2602533435d5827b3c5a75a543851710e5f2d678ee35a2249eb",
+    "toy3_compare/compare.csv": "d983cd24103537decddd6d393a402b2d18e60a21507a8f6e8405f4acf16c69a2",
+    "toy3_compare/compare.json": "ab21f2abcdb8493739031ffd888633a95b21588593b8918a74f1ea9873c95e50",
+    "timeseries/timeseries_sat0.svg": "ad22dba2c2681f50b3bc198dcc2bb58eaade18936b99579707041871eaa66db7",
+    "timeseries/timeseries_sat1.svg": "b9bdb4f2ef9ee0d05d87aca64ad1fe5acb4047d8f9bbaac80d4d0c8f66ae4c98",
+    "timeseries/timeseries_sat2.svg": "f438050d8ec6b141fbc0d779921aab93ae9c16815b5a591c3e568bd259524f95",
+    "histogram/histogram_sat0.svg": "9cde9db74239071ee5104e6709d58832174ce8f72788a206a4b8865aad39b62f",
+    "histogram/histogram_sat1.svg": "2ff60861fe91bf37b6edb41c02db9a8b6084f6eeb6d5606f6db41380324943ec",
+    "histogram/histogram_sat2.svg": "a46655cb0e40ad3bd9bdc3a8ef1b755c69d4226db5676b11c8d3e4696060396a",
+    "rain-attenuation/rain_attenuation.svg": "688165f95f92caf7c4ee2b05828b08e74697eeb1e92dc341e08a792782537b57",
+}
+
+
+def test_command_outputs_are_byte_pinned(tmp_path):
+    codes = {}
+    for sc in ("toy2", "toy3"):
+        codes[f"{sc}_run"] = main(["run", sc, "--out", str(tmp_path / f"{sc}_run")])
+        codes[f"{sc}_no_isl"] = main(["run", sc, "--no-isl", "--out", str(tmp_path / f"{sc}_no_isl")])
+        codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
+    for kind in ("timeseries", "histogram", "rain-attenuation"):
+        codes[kind] = main(["plot", str(tmp_path / "toy3_compare"), kind, "--out", str(tmp_path / kind)])
+    assert codes == {
+        "toy2_run": 3,
+        "toy2_no_isl": 3,
+        "toy2_compare": 2,  # every toy2 slot is degenerate: nothing to compare
+        "toy3_run": 0,
+        "toy3_no_isl": 0,
+        "toy3_compare": 0,
+        "timeseries": 0,
+        "histogram": 0,
+        "rain-attenuation": 0,
+    }
+    written = {
+        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(tmp_path.rglob("*"))
+        if f.is_file()
+    }
+    assert written == OUTPUT_SHA256
