@@ -347,6 +347,11 @@ class TestUnusableOut:
 # sha256 of every file the commands below write: any change to an output byte
 # of run, compare or plot fails here
 OUTPUT_SHA256 = {
+    "o3b_rain_compare/compare.csv": "81861ebacc3c7a46cc603a38e92f7f5065e26fa79be675027b9f7ae30a794d3c",
+    "o3b_rain_compare/compare.json": "02aefca3cc3f47b2dba83eb5af946f5fdd4d3b750a4b310f7f607b81eb1e1eea",
+    "o3b_rain_run/allocations.json": "373657235871d03ce24a4d0e3766eb8450224052bdafa907e4898ca57f8dead4",
+    "o3b_rain_run/results.csv": "63dbe7486951ee8c3c6f58b9f01057a6a4f3ed0748df22cb2383b154af316dc6",
+    "o3b_rain_run/summary.json": "9bce77ed7ef4c0988ace622f13da575121a496eac0704b5df84c8e0772e31aae",
     "toy2_run/allocations.json": "08bcbda8d7de93d55b79d3e84eabc8624f90eff11c511b4b0d05574b4cb8dbd5",
     "toy2_run/results.csv": "8cb1dbe72d384e0531fa7f3ed85959b9d1ad862509645a9f71d24acc4437cb1d",
     "toy2_run/summary.json": "b099b4136beda75435ad2966f8650c2962007581c42dfc1ae2491311654d17e7",
@@ -373,6 +378,10 @@ OUTPUT_SHA256 = {
 
 def test_command_outputs_are_byte_pinned(tmp_path):
     codes = {}
+    # 288 slots: o3b_rain's LPs cross the solver's block and chunk boundaries
+    for sc in ("o3b_rain",):
+        codes[f"{sc}_run"] = main(["run", sc, "--out", str(tmp_path / f"{sc}_run")])
+        codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
     for sc in ("toy2", "toy3"):
         codes[f"{sc}_run"] = main(["run", sc, "--out", str(tmp_path / f"{sc}_run")])
         codes[f"{sc}_no_isl"] = main(["run", sc, "--no-isl", "--out", str(tmp_path / f"{sc}_no_isl")])
@@ -380,6 +389,8 @@ def test_command_outputs_are_byte_pinned(tmp_path):
     for kind in ("timeseries", "histogram", "rain-attenuation"):
         codes[kind] = main(["plot", str(tmp_path / "toy3_compare"), kind, "--out", str(tmp_path / kind)])
     assert codes == {
+        "o3b_rain_run": 0,
+        "o3b_rain_compare": 0,
         "toy2_run": 3,
         "toy2_no_isl": 3,
         "toy2_compare": 2,  # every toy2 slot is degenerate: nothing to compare

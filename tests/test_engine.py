@@ -237,6 +237,26 @@ class TestPivotBudget:
         )
         assert run(scenario, isl_enabled=isl_enabled).iterations.sum() == total
 
+    # The same totals split by stage: stage 1 alone is the run without the
+    # lexicographic refinement, stage 2 the rest of the full run.
+    @pytest.mark.parametrize(
+        "policy,isl_enabled,stage1,stage2",
+        [
+            (POLICY_BEST_CAPACITY, True, 10_155, 0),
+            (POLICY_BEST_CAPACITY, False, 2_016, 1_440),
+            (POLICY_LP_FRACTIONAL, True, 22_461, 0),
+            (POLICY_LP_FRACTIONAL, False, 4_161, 1_664),
+        ],
+    )
+    def test_o3b_rain_pivots_per_stage_exact(self, policy, isl_enabled, stage1, stage2):
+        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
+        scenario = dataclasses.replace(
+            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+        )
+        first = run(dataclasses.replace(scenario, lexicographic=False), isl_enabled=isl_enabled).iterations.sum()
+        both = run(scenario, isl_enabled=isl_enabled).iterations.sum()
+        assert (first, both - first) == (stage1, stage2)
+
 
 def manual_result(rates, degenerate=()):
     rates = np.asarray(rates, dtype=float)
