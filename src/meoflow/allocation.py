@@ -30,15 +30,21 @@ tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.
+
+`solve_block` solves a block of slots at once: it builds every slot's
+LP, solves all stage-1 LPs in one `simplex.solve_batch`, then all
+stage-2 LPs in another, and decodes each slot.  A slot's result does not
+depend on the block it is solved in; `solve_allocation` is the one-slot
+case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, SimplexIterationError, solve
+from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, solve, solve_batch
 from .topology import SlotGraph
 
 SCALE_BPS = 1e6
@@ -134,18 +140,13 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     return LpProblem(objective=objective, matrix=matrix, rhs=rhs, variable_tags=tuple(tags))
 
 
-def lexicographic_refine(
-    problem: LpProblem, t_star: float, stage1: Optional[LpSolution] = None
-) -> tuple[LpProblem, LpSolution]:
-    """Stage 2: maximize total rate holding the max-min value.
+def _pinned(problem: LpProblem, t_star: float) -> LpProblem:
+    """Stage 2's LP: maximize total rate holding the max-min value.
 
-    Returns the refined problem and its solution.  The total rate
-    sum_k R_k is read off the epigraph rows of the matrix, the rows with
-    a t term: each direct and relayed column enters one of them, with
-    minus its rate coefficient.  t_star is in solver units (Mbit/s); the
-    pin t >= t* - LEXICO_SLACK is appended as a `<=` row.  The solve
-    continues from `stage1`, the optimal stage-1 solution of `problem`,
-    which is computed here when not given.
+    The total rate sum_k R_k is read off the epigraph rows of the matrix,
+    the rows with a t term: each direct and relayed column enters one of
+    them, with minus its rate coefficient.  t_star is in solver units
+    (Mbit/s); the pin t >= t* - LEXICO_SLACK is appended as a `<=` row.
     """
     t_col = problem.column(("t",))
     epigraph = problem.matrix[problem.matrix[:, t_col] != 0.0]
@@ -153,12 +154,23 @@ def lexicographic_refine(
     objective[t_col] = 0.0
     pin = np.zeros(problem.n_variables)
     pin[t_col] = -1.0
-    refined = LpProblem(
+    return LpProblem(
         objective=objective,
         matrix=np.vstack([problem.matrix, pin]),
         rhs=np.append(problem.rhs, -(t_star - LEXICO_SLACK)),
         variable_tags=problem.variable_tags,
     )
+
+
+def lexicographic_refine(
+    problem: LpProblem, t_star: float, stage1: Optional[LpSolution] = None
+) -> tuple[LpProblem, LpSolution]:
+    """Stage 2 of one slot: the `_pinned` problem and its solution.
+
+    The solve continues from `stage1`, the optimal stage-1 solution of
+    `problem`, which is computed here when not given.
+    """
+    refined = _pinned(problem, t_star)
     if stage1 is None:
         stage1 = solve(problem)
     return refined, solve(refined, base=stage1)
@@ -274,36 +286,58 @@ class AllocationError(RuntimeError):
         return type(self), (self.slot, self.stage, self.reason), self.__dict__
 
 
-def _require_optimal(graph: SlotGraph, stage: int, solution: LpSolution) -> None:
-    if solution.status != STATUS_OPTIMAL:
-        raise AllocationError(graph.slot_index, stage, f"LP {solution.status}")
+def _solve_stage(graphs: Sequence[SlotGraph], stage: int, problems: dict, bases: Optional[dict], failures: dict) -> dict:
+    """Solve one stage's LPs of a block, keyed by block position, in one batch.
+
+    Returns the optimal solutions by position.  Any other end is recorded
+    in `failures` as the AllocationError that names its slot and stage.
+    """
+    keys = list(problems)
+    outcomes = solve_batch([problems[i] for i in keys], bases=None if bases is None else [bases[i] for i in keys])
+    solved = {}
+    for i, outcome in zip(keys, outcomes):
+        if isinstance(outcome, Exception):
+            failures[i] = AllocationError(graphs[i].slot_index, stage, str(outcome))
+            failures[i].__cause__ = outcome
+        elif outcome.status != STATUS_OPTIMAL:
+            failures[i] = AllocationError(graphs[i].slot_index, stage, f"LP {outcome.status}")
+        else:
+            solved[i] = outcome
+    return solved
+
+
+def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list[AllocationResult]:
+    """Solve a block of slots end to end: build, optimize, optionally refine, decode.
+
+    Every slot's stage-1 LP is solved in one `solve_batch`, then every
+    stage-2 LP in another, and each slot gets the result it gets alone.
+    Raises the AllocationError, naming the slot and stage, of the first
+    slot whose LP ends other than optimal or whose solve gives up.
+    """
+    problems = [build_problem(graph) for graph in graphs]
+    failures: dict = {}
+    lps = {i: problem for i, problem in enumerate(problems) if problem.rhs.size}
+    stages = [_solve_stage(graphs, 1, lps, None, failures)]
+    chosen = {i: (problems[i], solution) for i, solution in stages[0].items()}
+    if lexicographic:
+        refined = {i: _pinned(problems[i], solution.objective_value) for i, solution in stages[0].items()}
+        stages.append(_solve_stage(graphs, 2, refined, stages[0], failures))
+        chosen = {i: (refined[i], solution) for i, solution in stages[1].items()}
+    if failures:
+        raise failures[min(failures)]
+    results = []
+    for i, graph in enumerate(graphs):
+        if i not in chosen:
+            # every satellite is isolated: no LP to solve, t* and all rates are 0
+            empty = LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0)
+            results.append(decode(graph, problems[i], empty, 0.0, 0))
+            continue
+        problem, solution = chosen[i]
+        iterations = sum(stage[i].iteration_count for stage in stages)
+        results.append(decode(graph, problem, solution, stages[0][i].objective_value, iterations))
+    return results
 
 
 def solve_allocation(graph: SlotGraph, lexicographic: bool = True) -> AllocationResult:
-    """Solve one slot end to end: build, optimize, optionally refine, decode.
-
-    Raises AllocationError, naming the slot and stage, when either LP
-    ends other than optimal or the solver gives up.
-    """
-    problem = build_problem(graph)
-    if not problem.rhs.size:
-        # every satellite is isolated: no LP to solve, t* and all rates are 0
-        return decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0)
-    try:
-        stage1 = solve(problem)
-    except SimplexIterationError as exc:
-        raise AllocationError(graph.slot_index, 1, str(exc)) from exc
-    _require_optimal(graph, 1, stage1)
-    t_star = stage1.objective_value
-    iterations = stage1.iteration_count
-    chosen = stage1
-    active_problem = problem
-    if lexicographic:
-        try:
-            active_problem, stage2 = lexicographic_refine(problem, t_star, stage1)
-        except (SimplexIterationError, ValueError) as exc:
-            raise AllocationError(graph.slot_index, 2, str(exc)) from exc
-        _require_optimal(graph, 2, stage2)
-        iterations += stage2.iteration_count
-        chosen = stage2
-    return decode(graph, active_problem, chosen, t_star, iterations)
+    """Solve one slot end to end: `solve_block` of that slot alone."""
+    return solve_block([graph], lexicographic)[0]

@@ -242,12 +242,12 @@ def cmd_plot(args) -> int:
 
         series = doc["series"]
         times = series["times_s"]
-        if compare_doc is not None:
-            treatment = np.asarray(series["treatment_rates_bps"], dtype=float)
-            baseline = np.asarray(series["baseline_rates_bps"], dtype=float)
-        else:
-            treatment = np.asarray(series["rates_bps"], dtype=float)
-            baseline = None
+        arms = ("treatment_", "baseline_") if compare_doc is not None else ("",)
+        for key in [arm + name for arm in arms for name in ("rates_bps", "t_star_bps")]:
+            if len(series[key]) != len(times):
+                raise ValueError(f"{key} has {len(series[key])} rows for {len(times)} times_s")
+        treatment = np.asarray(series[arms[0] + "rates_bps"], dtype=float)
+        baseline = np.asarray(series["baseline_rates_bps"], dtype=float) if compare_doc is not None else None
         included = np.ones(treatment.shape[0], dtype=bool)
         slots = series.get("degenerate_slots", [])
         if not all(type(n) is int and 0 <= n < len(included) for n in slots):

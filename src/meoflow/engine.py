@@ -9,7 +9,8 @@ the same deterministic code in whichever process solves it, so the results
 are bit-identical to a single-process run, and reruns are bit-identical.
 Each process computes the geometry, link budgets and serving policy of its
 own range at once, as arrays with a leading slot axis, in blocks of at
-most `BLOCK_ENTRIES` entries, so nothing but the results crosses a pipe.
+most `BLOCK_ENTRIES` entries, and solves each block's slot LPs together
+(`allocation.solve_block`), so nothing but the results crosses a pipe.
 A slot with isolated satellites (no feeder link and no usable neighbor)
 comes back from the allocator flagged degenerate, with the isolated rates
 at zero; it is excluded from rate statistics.
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import AllocationResult, solve_allocation
+from .allocation import AllocationResult, solve_block
 from .geometry import range_geometry
 from .scenario import Scenario
 from .topology import range_graphs
@@ -88,8 +89,8 @@ def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
 def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[AllocationResult]:
     """Solve the given slots in order and return their allocations.
 
-    The slot graphs are built a block of slots at a time; each allocation
-    carries all that `run` reads of its slot.
+    The slot graphs are built, and their LPs solved, a block of slots at a
+    time; each allocation carries all that `run` reads of its slot.
     """
     altitudes = scenario.gs_altitudes_km()
     links = (scenario.feeder_link, scenario.isl, scenario.rain_model)
@@ -101,8 +102,8 @@ def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[Al
         times = [scenario.slot_midpoint_s(slot) for slot in block]
         geometry = range_geometry(scenario.constellation, scenario.stations, times)[2:]  # all but positions
         rates = [scenario.rain_rates_at(scenario.slot_midpoint(slot)) for slot in block]
-        for graph in range_graphs(block, geometry, *links, rates, altitudes, scenario.serving_policy, isl_enabled):
-            solved.append(solve_allocation(graph, lexicographic=scenario.lexicographic))
+        graphs = range_graphs(block, geometry, *links, rates, altitudes, scenario.serving_policy, isl_enabled)
+        solved += solve_block(graphs, lexicographic=scenario.lexicographic)
     return solved
 
 

@@ -22,16 +22,33 @@ pivot hands the entering column's slot to the leaving variable; every
 stored entry goes through the same floating-point operations as in the
 full tableau (up to the sign of a zero), so both walk the same pivots to
 the same values.
+
+`solve_batch` solves many LPs together, which is how the allocator solves
+a block of slots: the per-call cost of numpy, not arithmetic, is most of a
+pivot at these sizes, so each call of a step works on every LP that has
+not yet ended.  A chunk of LPs sits in one zero-padded (B, M+1, N+1)
+array, each LP's constraint rows and columns first, its cost row last and
+its rhs column last.  A zero padding column never improves, a zero
+padding row never leaves, and a pivot updates only the rows with a
+nonzero factor (x - 0 * p is x, up to the sign of a zero), so every LP
+walks the same pivots to the same bits in any chunk, alone or with
+others.  `solve` is the one-LP case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 PIVOT_EPS = 1e-9
 FEAS_TOL = 1e-8
+
+# The most tableau entries, padding included, of one chunk of LPs pivoted
+# together: 2 MB of float64.  A chunk holds at least one LP.
+CHUNK_ENTRIES = 2**18
+
+_NONE = np.iinfo(np.intp).max  # the variable of a padding row or column
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
@@ -95,68 +112,76 @@ class LpSolution:
     nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Pivot the condensed tableau on (row, col).
+@dataclass
+class _Start:
+    """One LP set up for `solve_batch`, before any row operation.
 
-    The entering column's slot takes the leaving variable's column, which
-    is a unit vector before the update, so each stored entry goes through
-    the same operations as in the full tableau.  (A zero of the full
-    tableau may be -0.0 where this one holds +0.0; they compare equal.)
+    rows and rhs are its constraint rows over the nonbasic columns, cost
+    its cost row before pricing, and cap its pivot cap.  A continued solve
+    also has an appended row to eliminate against the basis (`new_row`,
+    which must keep at least `least_rhs`) and a cost to price out over
+    the basis (`price`), each as (rows, coefficients) to subtract in order.
     """
-    pivot = tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    tableau[row] /= pivot
-    tableau -= factors[:, None] * tableau[row]
+
+    rows: np.ndarray
+    rhs: np.ndarray
+    cost: np.ndarray
+    basis: np.ndarray
+    nonbasic: np.ndarray
+    cap: int
+    new_row: tuple = ((), ())
+    price: tuple = ((), ())
+    least_rhs: Optional[float] = None
 
 
-def _run_simplex(tableau, basis, nonbasic, max_iterations):
-    """Minimize the cost row in place.  Returns (status, iterations)."""
-    m = tableau.shape[0] - 1
-    cost, rhs = tableau[-1, :-1], tableau[:m, -1]
-    it = 0
-    while True:
-        if it >= max_iterations:
-            raise SimplexIterationError(f"simplex exceeded {max_iterations} iterations")
-        improving = (cost < -PIVOT_EPS).nonzero()[0]
-        if not improving.size:
-            return STATUS_OPTIMAL, it
-        # Bland: the improving column of the smallest variable index
-        entering = int(improving[nonbasic[improving].argmin()])
-        col = tableau[:m, entering]
-        rows = (col > PIVOT_EPS).nonzero()[0]
-        if not rows.size:
-            return STATUS_UNBOUNDED, it
-        ratios = rhs[rows] / col[rows]
-        best = ratios.min()
-        # Bland tie-break: among minimal ratios leave the smallest basis index
-        tied = rows[ratios <= best + PIVOT_EPS * max(1.0, abs(best))]
-        leaving = int(tied[basis[tied].argmin()])
-        _pivot(tableau, leaving, entering)
-        basis[leaving], nonbasic[entering] = nonbasic[entering], basis[leaving]
-        it += 1
+def _start(problem: LpProblem, base: Optional[LpSolution], max_iterations: Optional[int]):
+    """The `_Start` of one LP, or the ValueError that refuses it."""
+    m, n = problem.matrix.shape
+    if base is None:
+        if (problem.rhs < 0.0).any():
+            return ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
+        # row i's slack is variable n + i and starts basic; x starts nonbasic
+        cap = 10 * (m + n) if max_iterations is None else max_iterations
+        return _Start(problem.matrix, problem.rhs, -problem.objective, np.arange(n, n + m), np.arange(n), cap)
+    return _continue(problem, base, max_iterations)
 
 
-def _price(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, cost: np.ndarray) -> None:
-    """Write `cost` into the cost row, priced out over the basis."""
-    tableau[-1, :-1] = cost[nonbasic]
-    tableau[-1, -1] = 0.0
-    for i in cost[basis].nonzero()[0]:
-        tableau[-1] -= cost[basis[i]] * tableau[i]
+def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]):
+    """Set up `problem` to continue from `base`'s optimal tableau.
 
-
-def _result(problem: LpProblem, tableau, basis, nonbasic, status, iterations) -> LpSolution:
-    """Read the basic solution, audit it and keep the tableau to continue from."""
+    `problem` must be the LP that `base` solved with one more row
+    appended last, of either rhs sign, and any objective.  The new row is
+    eliminated against the basis and its slack enters it; if the base
+    optimum satisfies the new row, that basis is feasible and the simplex
+    runs on from it under the new objective (Chvatal 1983, adding a
+    constraint to a solved LP).  The pivot count and cap cover this solve
+    alone.
+    """
     n = problem.n_variables
-    if status == STATUS_UNBOUNDED:
-        return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(n, np.nan), iterations)
-    y = np.zeros(basis.shape[0] + nonbasic.shape[0])
-    y[basis] = tableau[:-1, -1]
-    x = y[:n]
-    _check_residuals(problem, x)
-    return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
+    if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
+        return ValueError("the base must be an optimal solution over the same variables")
+    b = float(problem.rhs[-1])
+    m = base.tableau.shape[0] - 1
+    n_total = m + base.tableau.shape[1]  # the base's variables and the new row's slack
+    # the new row over every variable, then over the nonbasic ones
+    coefs = np.zeros(n_total)
+    coefs[:n] = problem.matrix[-1]
+    cost = np.zeros(n_total)
+    cost[:n] = -problem.objective
+    basis = np.append(base.basis, n_total - 1)
+    eliminate = coefs[base.basis].nonzero()[0]
+    price = cost[basis].nonzero()[0]
+    return _Start(
+        rows=np.vstack([base.tableau[:m, :-1], coefs[base.nonbasic]]),
+        rhs=np.append(base.tableau[:m, -1], b),
+        cost=cost[base.nonbasic],
+        basis=basis,
+        nonbasic=base.nonbasic.copy(),
+        cap=10 * (m + 1 + n) if max_iterations is None else max_iterations,
+        new_row=(eliminate, coefs[base.basis[eliminate]]),
+        price=(price, cost[basis[price]]),
+        least_rhs=-FEAS_TOL * max(1.0, abs(b)),
+    )
 
 
 def solve(
@@ -174,66 +199,186 @@ def solve(
     10 * (rows + variables)) is exhausted; that always indicates a
     modelling or numerical pathology, not a valid answer.
     """
-    if base is not None:
-        return _continue(problem, base, max_iterations)
-    if (problem.rhs < 0.0).any():
-        raise ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
-    m, n = problem.matrix.shape
-    if max_iterations is None:
-        max_iterations = 10 * (m + n)
-
-    # row i's slack is variable n + i and starts basic; x starts nonbasic
-    basis = np.arange(n, n + m)
-    nonbasic = np.arange(n)
-    tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :n] = problem.matrix
-    tableau[:m, -1] = problem.rhs
-    tableau[-1, :n] = -problem.objective
-    status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
-    return _result(problem, tableau, basis, nonbasic, status, iterations)
+    (outcome,) = solve_batch([problem], max_iterations, bases=[base])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]) -> LpSolution:
-    """Solve `problem` by continuing from `base`'s optimal tableau.
+def solve_batch(
+    problems: Sequence[LpProblem],
+    max_iterations: Optional[int] = None,
+    *,
+    bases: Optional[Sequence[Optional[LpSolution]]] = None,
+) -> list:
+    """`solve` each problem, pivoting many of them per step.
 
-    `problem` must be the LP that `base` solved with one more row
-    appended last, of either rhs sign, and any objective.  The new row is
-    eliminated against the basis and its slack enters it; if the base
-    optimum satisfies the new row, that basis is feasible and the simplex
-    runs on from it under the new objective (Chvatal 1983, adding a
-    constraint to a solved LP).  The pivot count and cap cover this solve
-    alone.
+    bases, if given, holds one entry per problem: None for a cold solve,
+    or the base to continue from.  Returns, in order, each problem's
+    LpSolution or the ValueError or SimplexIterationError that `solve`
+    would raise for it; one LP's failure leaves the others' results
+    unchanged.  The LPs are pivoted in chunks of consecutive problems,
+    each padded to its most rows and columns, and a chunk holds as many
+    LPs as CHUNK_ENTRIES allows at the batch's most rows and columns, at
+    least one.
     """
-    n = problem.n_variables
-    if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
-        raise ValueError("the base must be an optimal solution over the same variables")
-    b = float(problem.rhs[-1])
-    m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
-    n_total = m + width  # the base's variables and the new row's slack
-    if max_iterations is None:
-        max_iterations = 10 * (m + 1 + n)
+    if bases is None:
+        bases = [None] * len(problems)
+    outcomes = [_start(problem, base, max_iterations) for problem, base in zip(problems, bases)]
+    ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
+    if not ready:
+        return outcomes
+    rows = max(outcomes[i].rows.shape[0] for i in ready)
+    cols = max(outcomes[i].rows.shape[1] for i in ready)
+    step = max(1, CHUNK_ENTRIES // ((rows + 1) * (cols + 1)))
+    for first in range(0, len(ready), step):
+        chunk = ready[first : first + step]
+        solved = _solve_chunk([problems[i] for i in chunk], [outcomes[i] for i in chunk])
+        for i, outcome in zip(chunk, solved):
+            outcomes[i] = outcome
+    return outcomes
 
-    # the new row over every variable, then over the nonbasic ones and rhs
-    coefs = np.zeros(n_total)
-    coefs[:n] = problem.matrix[-1]
-    tableau = np.zeros((m + 2, width))
-    tableau[:m] = base.tableau[:m]
-    new = tableau[m]
-    new[:-1] = coefs[base.nonbasic]
-    new[-1] = b
-    for i in coefs[base.basis].nonzero()[0]:
-        new -= coefs[base.basis[i]] * tableau[i]
-    if new[-1] < -FEAS_TOL * max(1.0, abs(b)):
-        raise ValueError("the appended row cuts off the base optimum")
-    new[-1] = max(new[-1], 0.0)
-    basis = np.append(base.basis, n_total - 1)
-    nonbasic = base.nonbasic.copy()
 
-    cost = np.zeros(n_total)
-    cost[:n] = -problem.objective
-    _price(tableau, basis, nonbasic, cost)
-    status, iterations = _run_simplex(tableau, basis, nonbasic, max_iterations)
-    return _result(problem, tableau, basis, nonbasic, status, iterations)
+def _solve_chunk(problems: list, starts: list) -> list:
+    """Pad the LPs into one array, pivot them all to their ends, read each out."""
+    m = np.array([start.rows.shape[0] for start in starts])
+    n = np.array([start.rows.shape[1] for start in starts])
+    # at least one row and column, so that no reduction is over nothing
+    rows, cols = max(1, m.max()), max(1, n.max())
+    tableau = np.zeros((len(starts), rows + 1, cols + 1))
+    basis = np.full((len(starts), rows), _NONE)
+    nonbasic = np.full((len(starts), cols), _NONE)
+    for b, start in enumerate(starts):
+        tableau[b, : m[b], : n[b]] = start.rows
+        tableau[b, : m[b], cols] = start.rhs
+        tableau[b, rows, : n[b]] = start.cost
+        basis[b, : m[b]] = start.basis
+        nonbasic[b, : n[b]] = start.nonbasic
+    _subtract_rows(tableau, m - 1, [start.new_row for start in starts])
+    _subtract_rows(tableau, np.full(len(starts), rows), [start.price for start in starts])
+
+    ends: list = [None] * len(starts)
+    for b, start in enumerate(starts):
+        if start.least_rhs is None:
+            continue
+        new_rhs = tableau[b, m[b] - 1, cols]
+        if new_rhs < start.least_rhs:
+            ends[b] = ValueError("the appended row cuts off the base optimum")
+        elif new_rhs < 0.0:
+            tableau[b, m[b] - 1, cols] = 0.0
+    iterations = _run_simplex(tableau, basis, nonbasic, np.array([start.cap for start in starts]), ends)
+
+    outcomes = []
+    for b, (problem, end) in enumerate(zip(problems, ends)):
+        if isinstance(end, Exception):
+            outcomes.append(end)
+        elif end == STATUS_UNBOUNDED:
+            outcomes.append(LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), int(iterations[b])))
+        else:
+            # the LP's own rows and columns, its cost row and rhs column last
+            own = np.empty((m[b] + 1, n[b] + 1))
+            own[:-1, :-1] = tableau[b, : m[b], : n[b]]
+            own[:-1, -1] = tableau[b, : m[b], cols]
+            own[-1, :-1] = tableau[b, rows, : n[b]]
+            own[-1, -1] = tableau[b, rows, cols]
+            own_basis, own_nonbasic = basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy()
+            try:
+                outcomes.append(_optimal(problem, own, own_basis, own_nonbasic, int(iterations[b])))
+            except SimplexIterationError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _subtract_rows(tableau: np.ndarray, target: np.ndarray, steps: list) -> None:
+    """Row b of `target` in LP b, less coef * row for each (row, coef) of steps[b].
+
+    The k-th subtraction of every LP is one numpy update, so each LP
+    keeps its own order of subtractions.
+    """
+    counts = np.array([len(rows) for rows, _ in steps])
+    if not counts.any():
+        return
+    rows = np.zeros((len(steps), counts.max()), dtype=int)
+    coefs = np.zeros(rows.shape)
+    for b, (own_rows, own_coefs) in enumerate(steps):
+        rows[b, : counts[b]] = own_rows
+        coefs[b, : counts[b]] = own_coefs
+    for k in range(counts.max()):
+        lps = (counts > k).nonzero()[0]
+        tableau[lps, target[lps]] -= coefs[lps, k, None] * tableau[lps, rows[lps, k]]
+
+
+def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
+    """Minimize the cost row of every LP whose end is None, in place.
+
+    Each LP ends at its own iteration cap (a SimplexIterationError, checked
+    first, as a cap of 0 allows no step), optimal or unbounded; its end is
+    written into `ends`.  Returns the pivots of each LP.
+    """
+    m, n = basis.shape[1], nonbasic.shape[1]
+    iterations = np.zeros(len(ends), dtype=int)
+    live = np.array([b for b, end in enumerate(ends) if end is None], dtype=int)
+    while live.size:
+        capped = iterations[live] >= caps[live]
+        if capped.any():
+            for b in live[capped]:
+                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations")
+            live = live[~capped]
+        # Bland: the improving column of the smallest variable index
+        candidates = np.where(tableau[live, m, :n] < -PIVOT_EPS, nonbasic[live], _NONE)
+        entering = candidates.argmin(1)
+        optimal = candidates.min(1) == _NONE
+        if optimal.any():
+            for b in live[optimal]:
+                ends[b] = STATUS_OPTIMAL
+            live, entering = live[~optimal], entering[~optimal]
+        col = tableau[live, :m, entering]
+        positive = col > PIVOT_EPS
+        bounded = positive.any(1)
+        if not bounded.all():
+            for b in live[~bounded]:
+                ends[b] = STATUS_UNBOUNDED
+            live, entering, col, positive = live[bounded], entering[bounded], col[bounded], positive[bounded]
+        if not live.size:
+            break
+        ratios = np.divide(tableau[live, :m, n], col, out=np.full(col.shape, np.inf), where=positive)
+        best = ratios.min(1, keepdims=True)
+        # Bland tie-break: among minimal ratios leave the smallest basis index
+        tied = ratios <= best + PIVOT_EPS * np.maximum(1.0, np.abs(best))
+        leaving = np.where(tied, basis[live], _NONE).argmin(1)
+        _pivot(tableau, live, leaving, entering)
+        basis[live, leaving], nonbasic[live, entering] = nonbasic[live, entering], basis[live, leaving]
+        iterations[live] += 1
+    return iterations
+
+
+def _pivot(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Pivot LP lps[i] of the padded tableau on (rows[i], cols[i]), for every i.
+
+    The entering column's slot takes the leaving variable's column, which
+    is a unit vector before the update, so each stored entry goes through
+    the same operations as in the full tableau.  Only the rows with a
+    nonzero factor are updated; a zero of the full tableau may differ here
+    in its sign, and the two compare equal.
+    """
+    pivot = tableau[lps, rows, cols]
+    factors = tableau[lps, :, cols]
+    factors[np.arange(lps.size), rows] = 0.0
+    tableau[lps, :, cols] = 0.0
+    tableau[lps, rows, cols] = 1.0
+    pivot_rows = tableau[lps, rows] / pivot[:, None]
+    tableau[lps, rows] = pivot_rows
+    lp, row = factors.nonzero()
+    tableau[lps[lp], row] -= factors[lp, row, None] * pivot_rows[lp]
+
+
+def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int) -> LpSolution:
+    """Read the basic solution, audit it and keep the tableau to continue from."""
+    y = np.zeros(basis.shape[0] + nonbasic.shape[0])
+    y[basis] = tableau[:-1, -1]
+    x = y[: problem.n_variables]
+    _check_residuals(problem, x)
+    return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
 
 
 def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:

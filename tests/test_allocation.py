@@ -241,7 +241,7 @@ class TestBuildProblem:
         data = json.loads(ref.read_text())
         data["policies"]["serving_gs"] = POLICY_LP_FRACTIONAL
         graphs = []
-        monkeypatch.setattr(engine, "solve_allocation", lambda graph, lexicographic: graphs.append(graph))
+        monkeypatch.setattr(engine, "solve_block", lambda block, lexicographic: graphs.extend(block) or [])
         engine._solve_slots(parse_scenario(data, name="o3b_rain"), isl_enabled, range(288))
         for graph in graphs:
             assert_built_as_route_scan(graph)

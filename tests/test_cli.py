@@ -135,10 +135,10 @@ class TestCompareCommand:
 
 class TestSolverFailure:
     def test_run_stage1_failure_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch):
-        def give_up(problem, max_iterations=None):
-            raise SimplexIterationError("simplex exceeded 1 iterations")
+        def give_up(problems, max_iterations=None, *, bases=None):
+            return [SimplexIterationError("simplex exceeded 1 iterations") for _ in problems]
 
-        monkeypatch.setattr(allocation, "solve", give_up)
+        monkeypatch.setattr(allocation, "solve_batch", give_up)
         assert main(["run", "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED == 4
         err = capsys.readouterr().err
         assert "slot 0 of the ISL arm, LP stage 1: simplex exceeded 1 iterations" in err
@@ -146,14 +146,14 @@ class TestSolverFailure:
         assert not (tmp_path / "results.csv").exists()
 
     def test_compare_stage2_failure_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch):
-        cold = allocation.solve
+        cold = allocation.solve_batch
 
-        def unbounded_stage2(problem, max_iterations=None, *, base=None):
-            if base is None:
-                return cold(problem, max_iterations)
-            return LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), 0)
+        def unbounded_stage2(problems, max_iterations=None, *, bases=None):
+            if bases is None:
+                return cold(problems, max_iterations)
+            return [LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(p.n_variables, np.nan), 0) for p in problems]
 
-        monkeypatch.setattr(allocation, "solve", unbounded_stage2)
+        monkeypatch.setattr(allocation, "solve_batch", unbounded_stage2)
         assert main(["compare", "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED
         err = capsys.readouterr().err
         # the no-ISL baseline arm is solved first
@@ -162,14 +162,14 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
     def test_stage2_value_error_exits_4_not_2(self, tmp_path, capsys, monkeypatch, command, arm):
-        cold = allocation.solve
+        cold = allocation.solve_batch
 
-        def refuse_stage2(problem, max_iterations=None, *, base=None):
-            if base is None:
-                return cold(problem, max_iterations)
-            raise ValueError("the appended row cuts off the base optimum")
+        def refuse_stage2(problems, max_iterations=None, *, bases=None):
+            if bases is None:
+                return cold(problems, max_iterations)
+            return [ValueError("the appended row cuts off the base optimum") for _ in problems]
 
-        monkeypatch.setattr(allocation, "solve", refuse_stage2)
+        monkeypatch.setattr(allocation, "solve_batch", refuse_stage2)
         assert main([command, "toy3", "--out", str(tmp_path)]) == EXIT_SOLVER_FAILED
         err = capsys.readouterr().err
         assert f"slot 0 of the {arm} arm, LP stage 2: the appended row cuts off" in err
@@ -202,20 +202,24 @@ class TestSolverFailureInWorker:
         scenario = tmp_path / "toy3.json"
         scenario.write_text(json.dumps(data))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        build_problem, solve = allocation.build_problem, allocation.solve
-        slot = {}
+        build_problem, solve_batch = allocation.build_problem, allocation.solve_batch
+        slot_of = {}  # by the id of a problem's tags, which stage 2's problem shares with stage 1's
 
         def note_slot(graph):
-            slot["index"] = graph.slot_index
-            return build_problem(graph)
+            problem = build_problem(graph)
+            slot_of[id(problem.variable_tags)] = graph.slot_index
+            return problem
 
-        def fail_on_slot_3(problem, max_iterations=None, *, base=None):
-            if slot["index"] == 3 and (base is None) == (stage == 1):
-                raise SimplexIterationError("simplex exceeded 1 iterations")
-            return solve(problem, max_iterations, base=base)
+        def fail_on_slot_3(problems, max_iterations=None, *, bases=None):
+            outcomes = solve_batch(problems, max_iterations, bases=bases)
+            if (bases is None) == (stage == 1):
+                for i, problem in enumerate(problems):
+                    if slot_of[id(problem.variable_tags)] == 3:
+                        outcomes[i] = SimplexIterationError("simplex exceeded 1 iterations")
+            return outcomes
 
         monkeypatch.setattr(allocation, "build_problem", note_slot)
-        monkeypatch.setattr(allocation, "solve", fail_on_slot_3)
+        monkeypatch.setattr(allocation, "solve_batch", fail_on_slot_3)
         out = tmp_path / "out"
         assert main([command, str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED
         err = capsys.readouterr().err
@@ -297,6 +301,31 @@ class TestPlotCommand:
         summary.write_text(json.dumps(doc))
         assert main(["plot", str(run_dir), "histogram"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {run_dir}: results unreadable: ")
+
+    @pytest.mark.parametrize("kind", ["timeseries", "histogram"])
+    @pytest.mark.parametrize("change", [lambda rows: rows[:-1], lambda rows: rows + rows[-1:]], ids=["shorter", "longer"])
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("summary.json", "times_s"),
+            ("summary.json", "rates_bps"),
+            ("summary.json", "t_star_bps"),
+            ("compare.json", "times_s"),
+            ("compare.json", "baseline_rates_bps"),
+            ("compare.json", "treatment_rates_bps"),
+            ("compare.json", "baseline_t_star_bps"),
+            ("compare.json", "treatment_t_star_bps"),
+        ],
+    )
+    def test_series_length_mismatch_exits_2(self, run_dir, compare_dir, capsys, kind, change, name, key):
+        # a times_s cut short used to draw truncated polylines with exit 0
+        results = run_dir if name == "summary.json" else compare_dir
+        doc = json.loads((results / name).read_text())
+        doc["series"][key] = change(doc["series"][key])
+        (results / name).write_text(json.dumps(doc))
+        assert main(["plot", str(results), kind]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: results unreadable: ")
+        assert not list(results.glob("*.svg"))
 
     def test_corrupt_summary_exits_2(self, run_dir, capsys):
         summary = run_dir / "summary.json"

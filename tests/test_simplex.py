@@ -89,6 +89,17 @@ class TestBasics:
         assert s.status == STATUS_OPTIMAL
         assert s.objective_value == pytest.approx(vertex_enumeration_optimum(a, b, c), abs=1e-9)
 
+    @pytest.mark.parametrize("cap,raises", [(0, True), (1, True), (2, False)])
+    def test_cap_is_checked_before_optimality(self, cap, raises):
+        # maximize x st x <= 1 is optimal after one pivot; a cap of one pivot
+        # still raises, since the cap is checked before the optimality test
+        p = LpProblem(np.array([1.0]), [[1.0]], np.array([1.0]))
+        if raises:
+            with pytest.raises(SimplexIterationError, match=f"exceeded {cap} iterations"):
+                solve(p, max_iterations=cap)
+        else:
+            assert solve(p, max_iterations=cap).iteration_count == 1
+
     def test_iteration_cap_raises(self):
         rng = np.random.RandomState(0)
         a = rng.uniform(0.1, 2.0, size=(6, 8))
@@ -152,6 +163,35 @@ class TestContinueFromBase:
             assert warm.objective_value == pytest.approx(expected, abs=1e-9), f"trial {trial}"
         assert 0 < cold_solved < 40
 
+    def test_continued_start_is_built_row_by_row_in_basis_order(self):
+        # under the base's own objective, with a row the base optimum meets
+        # with room to spare, the continued start is already optimal, so its
+        # tableau is the start itself; a loop over the basis rebuilds it bit
+        # for bit
+        rng = np.random.RandomState(21)
+        a, c = rng.uniform(0.1, 2.0, (5, 6)), rng.uniform(0.5, 2.0, 6)
+        p = box_problem(a, rng.uniform(1.0, 5.0, 5), c)
+        base = solve(p)
+        extra = rng.uniform(-1.0, 1.0, 6)
+        q = box_problem(np.vstack([a, extra]), np.append(p.rhs, extra @ base.values + 0.3), c)
+        got = solve(q, base=base)
+        assert got.iteration_count == 0
+        m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
+        coefs, cost = np.zeros(m + width), np.zeros(m + width)
+        coefs[:6], cost[:6] = extra, -c
+        basis = np.append(base.basis, m + width - 1)
+        want = np.zeros((m + 2, width))
+        want[:m] = base.tableau[:m]
+        want[m] = np.append(coefs[base.nonbasic], q.rhs[-1])
+        for i in range(m):
+            if coefs[basis[i]]:
+                want[m] -= coefs[basis[i]] * want[i]
+        want[-1, :-1] = cost[base.nonbasic]
+        for i in range(m + 1):
+            if cost[basis[i]]:
+                want[-1] -= cost[basis[i]] * want[i]
+        assert got.tableau.tobytes() == want.tobytes()
+
     def test_row_that_cuts_off_the_base_optimum_is_refused(self):
         p = LpProblem(np.array([1.0]), [[1.0]], np.array([3.0]))
         q = LpProblem(np.array([1.0]), [[1.0], [1.0]], np.array([3.0, 2.0]))
@@ -168,6 +208,7 @@ class TestContinueFromBase:
         if accepted:
             s = solve(q, base=solve(p))
             assert s.status == STATUS_OPTIMAL and s.values[0] == 1.0
+            assert s.tableau[:-1, -1].min() >= 0.0  # the new row's rhs within FEAS_TOL is clamped to 0
         else:
             with pytest.raises(ValueError, match="cuts off"):
                 solve(q, base=solve(p))
@@ -221,3 +262,99 @@ class TestDeterminism:
         assert s1.objective_value == s2.objective_value
         assert np.array_equal(s1.values, s2.values)
         assert s1.iteration_count == s2.iteration_count
+
+
+def beale():
+    """Beale's cycling instance, degenerate at the start."""
+    a = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    return box_problem(a, [0.0, 0.0, 1.0], [0.75, -150.0, 0.02, -6.0])
+
+
+def mixed_batch():
+    """LPs of many shapes and ends, each with its base (None for a cold solve)."""
+    rng = np.random.RandomState(11)
+    problems = []
+    for m, n in [(6, 8), (3, 2), (9, 5), (1, 1), (12, 14), (2, 7)]:
+        problems.append(box_problem(rng.uniform(0.1, 2.0, (m, n)), rng.uniform(1.0, 5.0, m), rng.uniform(-1.0, 2.0, n)))
+    problems.append(beale())
+    problems.append(box_problem(np.ones((4, 3)), np.ones(4), np.ones(3)))  # every ratio ties
+    unbounded = LpProblem(np.array([1.0, 0.0]), [[0.0, 1.0]], np.array([1.0]))
+    problems.append(unbounded)
+    problems.append(LpProblem(np.array([1.0]), [[-1.0], [1.0]], np.array([-5.0, 3.0])))  # rhs < 0, refused
+    bases = [None] * len(problems)
+    # stage-2 continuations: the first appended row cuts off its base optimum
+    for slack in (-0.5, 0.3, 0.3, 0.3):
+        a = rng.uniform(0.1, 2.0, (5, 6))
+        p = box_problem(a, rng.uniform(1.0, 5.0, 5), rng.uniform(0.5, 2.0, 6))
+        base = solve(p)
+        extra = rng.uniform(-1.0, 1.0, 6)
+        problems.append(box_problem(np.vstack([a, extra]), np.append(p.rhs, extra @ base.values + slack), rng.uniform(-1.0, 2.0, 6)))
+        bases.append(base)
+    # a continuation from an unbounded base, refused
+    problems.append(LpProblem(np.array([1.0, 0.0]), [[0.0, 1.0], [1.0, 1.0]], np.array([1.0, 2.0])))
+    bases.append(solve(unbounded))
+    return problems, bases
+
+
+def alone(problem, max_iterations, base):
+    try:
+        return solve(problem, max_iterations, base=base)
+    except (ValueError, SimplexIterationError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.status, got.objective_value, got.iteration_count) == (want.status, want.objective_value, want.iteration_count)
+    for name in ("values", "tableau", "basis", "nonbasic"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            # bytes, so that the sign of a zero counts
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+def kinds(outcomes):
+    return {type(o).__name__ if isinstance(o, Exception) else o.status for o in outcomes}
+
+
+class TestBatch:
+    # the batch pads to 12 rows and 14 columns, 13 x 15 tableau entries: a
+    # CHUNK_ENTRIES of 1 gives one LP per chunk and 1000 gives five, so chunk
+    # boundaries fall between LPs of every shape; by default all 13 LPs that
+    # are not refused before any pivot share one chunk
+    @pytest.mark.parametrize("chunk_entries, chunk_lps", [(simplex.CHUNK_ENTRIES, 13), (1, 1), (1000, 5)])
+    @pytest.mark.parametrize("max_iterations", [None, 3])
+    def test_batch_equals_each_lp_alone(self, monkeypatch, max_iterations, chunk_entries, chunk_lps):
+        problems, bases = mixed_batch()
+        want = [alone(p, max_iterations, b) for p, b in zip(problems, bases)]
+        expected_kinds = {STATUS_OPTIMAL, STATUS_UNBOUNDED, "ValueError"}
+        assert kinds(want) == expected_kinds | ({"SimplexIterationError"} if max_iterations else set())
+        monkeypatch.setattr(simplex, "CHUNK_ENTRIES", chunk_entries)
+        chunks = []
+        solve_chunk = simplex._solve_chunk
+        monkeypatch.setattr(simplex, "_solve_chunk", lambda lps, starts: chunks.append(len(lps)) or solve_chunk(lps, starts))
+        got = simplex.solve_batch(problems, max_iterations, bases=bases)
+        assert max(chunks) == chunk_lps and sum(chunks) == 13
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+
+    def test_failures_leave_the_other_lps_unchanged(self):
+        problems, bases = mixed_batch()
+        full = simplex.solve_batch(problems, 3, bases=bases)
+        kept = [i for i, o in enumerate(full) if not isinstance(o, Exception) and o.status == STATUS_OPTIMAL]
+        assert 0 < len(kept) < len(problems)
+        only = simplex.solve_batch([problems[i] for i in kept], 3, bases=[bases[i] for i in kept])
+        for i, o in zip(kept, only):
+            assert_same_outcome(full[i], o)
+
+    def test_cold_batch_without_bases(self):
+        problems = [beale(), box_problem(np.ones((4, 3)), np.ones(4), np.ones(3))]
+        for g, p in zip(simplex.solve_batch(problems), problems):
+            assert_same_outcome(g, solve(p))
+
+    def test_empty_batch(self):
+        assert simplex.solve_batch([]) == []

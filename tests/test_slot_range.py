@@ -1,10 +1,12 @@
 """The slot-range path against the per-slot wrappers, bit for bit.
 
 `engine` builds the slot graphs of each process's range at once, in blocks,
-through `range_geometry` and `range_graphs`.  `slot_geometry` and
-`build_slot_graph` are the one-slot entry points of the same code.  Every
-slot graph the engine builds must equal the one the wrappers build, and the
-array link budgets must equal the scalar ones entry by entry.
+through `range_geometry` and `range_graphs`, and solves each block's LPs
+together, in chunks.  `slot_geometry` and `build_slot_graph` are the
+one-slot entry points of the same code.  Every slot graph the engine builds
+must equal the one the wrappers build, the array link budgets must equal
+the scalar ones entry by entry, block and chunk boundaries must not change
+a run, and every no-ISL slot's t* must equal its closed form.
 """
 import dataclasses
 import importlib.util
@@ -15,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meoflow import engine
+from meoflow import engine, simplex
+from meoflow.allocation import build_problem
 from meoflow.channel import fl_capacity_bps, isl_capacity_bps
 from meoflow.geometry import range_geometry, ring_neighbors, slot_geometry
 from meoflow.scenario import parse_scenario
@@ -55,7 +58,7 @@ def scenario(name, policy):
 
 def engine_graphs(monkeypatch, sc, isl_enabled):
     graphs = []
-    monkeypatch.setattr(engine, "solve_allocation", lambda graph, lexicographic: graphs.append(graph))
+    monkeypatch.setattr(engine, "solve_block", lambda block, lexicographic: graphs.extend(block) or [])
     engine._solve_slots(sc, isl_enabled, range(sc.slot_count))
     return graphs
 
@@ -145,3 +148,47 @@ def test_block_boundaries_leave_the_run_unchanged(monkeypatch, slots_per_block):
     assert blocks and all(len(block) <= slots_per_block for block in blocks)
     for got, want in zip(run_arrays(blocked), run_arrays(default)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lps_per_chunk", [1, 7])
+def test_chunk_boundaries_leave_the_run_unchanged(monkeypatch, lps_per_chunk):
+    # CHUNK_ENTRIES of lps_per_chunk stage-2 tableaus of the largest slot LP:
+    # a batch that holds an LP of the largest shape then takes lps_per_chunk
+    # LPs per chunk in both stages
+    sc = scenario("o3b_rain", POLICIES[0])
+    default = engine.run(sc)
+    with monkeypatch.context() as patch:
+        shapes = [build_problem(graph).matrix.shape for graph in engine_graphs(patch, sc, True)]
+    rows, cols = max(r for r, _ in shapes), max(c for _, c in shapes)
+    monkeypatch.setattr(simplex, "CHUNK_ENTRIES", lps_per_chunk * (rows + 2) * (cols + 1))
+    chunks = []
+    solve_chunk = simplex._solve_chunk
+    monkeypatch.setattr(simplex, "_solve_chunk", lambda lps, starts: chunks.append(len(lps)) or solve_chunk(lps, starts))
+    chunked = engine.run(sc)
+    assert max(chunks) == lps_per_chunk
+    for got, want in zip(run_arrays(chunked), run_arrays(default)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_no_isl_t_star_is_the_smallest_feeder_sum(monkeypatch, name):
+    # with no relay route the slot LP separates: a served satellite's rate
+    # is at most the sum of its feeder capacities, each edge used in full,
+    # so t* is the smallest such sum; an independent check of the simplex,
+    # each scenario under its own serving policy
+    sc = parse_scenario(SCENARIOS[name](), name=name)
+    solved = []
+    solve_block = engine.solve_block
+
+    def recorded(graphs, lexicographic):
+        results = solve_block(graphs, lexicographic)
+        solved.extend(zip(graphs, results))
+        return results
+
+    monkeypatch.setattr(engine, "solve_block", recorded)
+    engine._solve_slots(sc, False, range(sc.slot_count))
+    assert len(solved) == sc.slot_count
+    for graph, result in solved:
+        served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
+        closed_form = graph.fl_capacity_bps[served].sum(1).min() if served else 0.0
+        assert abs(result.t_star_bps - closed_form) <= 1e-15 * closed_form, graph.slot_index
