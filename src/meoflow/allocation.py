@@ -31,11 +31,12 @@ tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.
 
-`solve_block` solves a block of slots at once: it builds every slot's
-LP, solves all stage-1 LPs in one `simplex.solve_batch`, then all
-stage-2 LPs in another, and decodes each slot.  A slot's result does not
-depend on the block it is solved in; `solve_allocation` is the one-slot
-case.
+`solve_block` solves a block of slots a group at a time: it builds each
+slot's LP, solves the group's stage-1 LPs in one `simplex.solve_batch`,
+then its stage-2 LPs in another, and decodes each slot.  A group is as
+many consecutive slots as one simplex chunk holds.  A slot's result does
+not depend on the block or group it is solved in; `solve_allocation` is
+the one-slot case.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, solve, solve_batch
+from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, chunks, solve, solve_batch
 from .topology import SlotGraph
 
 SCALE_BPS = 1e6
@@ -309,12 +310,26 @@ def _solve_stage(graphs: Sequence[SlotGraph], stage: int, problems: dict, bases:
 def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list[AllocationResult]:
     """Solve a block of slots end to end: build, optimize, optionally refine, decode.
 
-    Every slot's stage-1 LP is solved in one `solve_batch`, then every
-    stage-2 LP in another, and each slot gets the result it gets alone.
-    Raises the AllocationError, naming the slot and stage, of the first
-    slot whose LP ends other than optimal or whose solve gives up.
+    The slots go in groups of consecutive slots, as many as one simplex
+    chunk of their stage-2 LPs holds: each group's stage-1 LPs in one
+    `solve_batch`, then its stage-2 LPs in another, so that only one
+    group's tableaus are alive at a time.  Each slot gets the result it
+    gets alone.  Raises the AllocationError, naming the slot and stage, of
+    the first slot whose LP ends other than optimal or whose solve gives up.
     """
-    problems = [build_problem(graph) for graph in graphs]
+    built = ((graph, build_problem(graph)) for graph in graphs)
+    results = []
+    # a stage-2 LP is its stage-1 LP and the pin row
+    for group in chunks(built, lambda item: (item[1].matrix.shape[0] + 1, item[1].matrix.shape[1])):
+        results += _solve_group(group, lexicographic)
+    return results
+
+
+def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
+    """`solve_block` of one group of (graph, problem) pairs: one `solve_batch`
+    per stage, then decode."""
+    graphs = [graph for graph, _ in group]
+    problems = [problem for _, problem in group]
     failures: dict = {}
     lps = {i: problem for i, problem in enumerate(problems) if problem.rhs.size}
     stages = [_solve_stage(graphs, 1, lps, None, failures)]

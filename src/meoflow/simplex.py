@@ -37,7 +37,7 @@ others.  `solve` is the one-LP case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,8 @@ PIVOT_EPS = 1e-9
 FEAS_TOL = 1e-8
 
 # The most tableau entries, padding included, of one chunk of LPs pivoted
-# together: 2 MB of float64.  A chunk holds at least one LP.
+# together, and so of the group of slots the allocator solves at once:
+# 2 MB of float64.  A chunk holds at least one LP.
 CHUNK_ENTRIES = 2**18
 
 _NONE = np.iinfo(np.intp).max  # the variable of a padding row or column
@@ -112,8 +113,7 @@ class LpSolution:
     nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-@dataclass
-class _Start:
+class _Start(NamedTuple):
     """One LP set up for `solve_batch`, before any row operation.
 
     rows and rhs are its constraint rows over the nonbasic columns, cost
@@ -217,26 +217,40 @@ def solve_batch(
     or the base to continue from.  Returns, in order, each problem's
     LpSolution or the ValueError or SimplexIterationError that `solve`
     would raise for it; one LP's failure leaves the others' results
-    unchanged.  The LPs are pivoted in chunks of consecutive problems,
-    each padded to its most rows and columns, and a chunk holds as many
-    LPs as CHUNK_ENTRIES allows at the batch's most rows and columns, at
-    least one.
+    unchanged.  The LPs are pivoted in the `chunks` of consecutive
+    problems.
     """
     if bases is None:
         bases = [None] * len(problems)
     outcomes = [_start(problem, base, max_iterations) for problem, base in zip(problems, bases)]
     ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
-    if not ready:
-        return outcomes
-    rows = max(outcomes[i].rows.shape[0] for i in ready)
-    cols = max(outcomes[i].rows.shape[1] for i in ready)
-    step = max(1, CHUNK_ENTRIES // ((rows + 1) * (cols + 1)))
-    for first in range(0, len(ready), step):
-        chunk = ready[first : first + step]
+    for chunk in chunks(ready, lambda i: outcomes[i].rows.shape):
         solved = _solve_chunk([problems[i] for i in chunk], [outcomes[i] for i in chunk])
         for i, outcome in zip(chunk, solved):
             outcomes[i] = outcome
     return outcomes
+
+
+def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
+    """Consecutive runs of `items`, each as many as one chunk of LPs holds.
+
+    shape(item) gives the (constraint rows, nonbasic columns) of the item's
+    LP.  Padded to the run's most rows and columns, a run fills at most
+    CHUNK_ENTRIES tableau entries, cost row and rhs column included, or it
+    is one item.  Items are read only as far as the runs yielded so far.
+    """
+    run: list = []
+    rows = cols = 0
+    for item in items:
+        m, n = shape(item)
+        grown = (max(rows, m), max(cols, n))
+        if run and (len(run) + 1) * (grown[0] + 1) * (grown[1] + 1) > CHUNK_ENTRIES:
+            yield run
+            run, grown = [], (m, n)
+        run.append(item)
+        rows, cols = grown
+    if run:
+        yield run
 
 
 def _solve_chunk(problems: list, starts: list) -> list:

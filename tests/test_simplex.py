@@ -321,11 +321,14 @@ def kinds(outcomes):
 
 
 class TestBatch:
-    # the batch pads to 12 rows and 14 columns, 13 x 15 tableau entries: a
-    # CHUNK_ENTRIES of 1 gives one LP per chunk and 1000 gives five, so chunk
-    # boundaries fall between LPs of every shape; by default all 13 LPs that
-    # are not refused before any pivot share one chunk
-    @pytest.mark.parametrize("chunk_entries, chunk_lps", [(simplex.CHUNK_ENTRIES, 13), (1, 1), (1000, 5)])
+    # the 13 LPs not refused before any pivot share one chunk by default,
+    # take one each at a CHUNK_ENTRIES of 1, and at 1000 split into the five
+    # that pad to 12 rows and 14 columns (5 x 13 x 15 = 975 entries) and
+    # the eight that pad to 6 x 7, so chunk boundaries fall between LPs of
+    # every shape
+    @pytest.mark.parametrize(
+        "chunk_entries, chunk_lps", [(simplex.CHUNK_ENTRIES, [13]), (1, [1] * 13), (1000, [5, 8])]
+    )
     @pytest.mark.parametrize("max_iterations", [None, 3])
     def test_batch_equals_each_lp_alone(self, monkeypatch, max_iterations, chunk_entries, chunk_lps):
         problems, bases = mixed_batch()
@@ -337,7 +340,7 @@ class TestBatch:
         solve_chunk = simplex._solve_chunk
         monkeypatch.setattr(simplex, "_solve_chunk", lambda lps, starts: chunks.append(len(lps)) or solve_chunk(lps, starts))
         got = simplex.solve_batch(problems, max_iterations, bases=bases)
-        assert max(chunks) == chunk_lps and sum(chunks) == 13
+        assert chunks == chunk_lps
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_outcome(g, w)

@@ -151,21 +151,32 @@ def test_block_boundaries_leave_the_run_unchanged(monkeypatch, slots_per_block):
 
 
 @pytest.mark.parametrize("lps_per_chunk", [1, 7])
-def test_chunk_boundaries_leave_the_run_unchanged(monkeypatch, lps_per_chunk):
-    # CHUNK_ENTRIES of lps_per_chunk stage-2 tableaus of the largest slot LP:
-    # a batch that holds an LP of the largest shape then takes lps_per_chunk
-    # LPs per chunk in both stages
+@pytest.mark.parametrize("isl_enabled", [True, False], ids=["isl", "no_isl"])
+def test_chunk_boundaries_leave_the_run_unchanged(monkeypatch, isl_enabled, lps_per_chunk):
+    # CHUNK_ENTRIES of lps_per_chunk stage-2 tableaus of the arm's largest
+    # slot LP: a chunk of LPs of that shape holds lps_per_chunk of them, and
+    # one of smaller LPs may hold more.  Every no-ISL LP of o3b_rain has the
+    # same shape.
     sc = scenario("o3b_rain", POLICIES[0])
-    default = engine.run(sc)
+    default = engine.run(sc, isl_enabled)
     with monkeypatch.context() as patch:
-        shapes = [build_problem(graph).matrix.shape for graph in engine_graphs(patch, sc, True)]
+        shapes = [build_problem(graph).matrix.shape for graph in engine_graphs(patch, sc, isl_enabled)]
     rows, cols = max(r for r, _ in shapes), max(c for _, c in shapes)
-    monkeypatch.setattr(simplex, "CHUNK_ENTRIES", lps_per_chunk * (rows + 2) * (cols + 1))
+    cap = lps_per_chunk * (rows + 2) * (cols + 1)
+    monkeypatch.setattr(simplex, "CHUNK_ENTRIES", cap)
     chunks = []
     solve_chunk = simplex._solve_chunk
-    monkeypatch.setattr(simplex, "_solve_chunk", lambda lps, starts: chunks.append(len(lps)) or solve_chunk(lps, starts))
-    chunked = engine.run(sc)
-    assert max(chunks) == lps_per_chunk
+
+    def recorded(lps, starts):
+        padded = (max(s.rows.shape[0] for s in starts) + 1) * (max(s.rows.shape[1] for s in starts) + 1)
+        chunks.append((len(lps), len(lps) * padded))
+        return solve_chunk(lps, starts)
+
+    monkeypatch.setattr(simplex, "_solve_chunk", recorded)
+    chunked = engine.run(sc, isl_enabled)
+    assert all(count == 1 or entries <= cap for count, entries in chunks)
+    most = max(count for count, _ in chunks)
+    assert most == lps_per_chunk if not isl_enabled else most >= lps_per_chunk
     for got, want in zip(run_arrays(chunked), run_arrays(default)):
         assert np.array_equal(got, want)
 
