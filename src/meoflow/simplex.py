@@ -237,7 +237,8 @@ def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
     shape(item) gives the (constraint rows, nonbasic columns) of the item's
     LP.  Padded to the run's most rows and columns, a run fills at most
     CHUNK_ENTRIES tableau entries, cost row and rhs column included, or it
-    is one item.  Items are read only as far as the runs yielded so far.
+    is one item.  `items` is read lazily: a run is yielded as soon as the
+    next item would overflow it.
     """
     run: list = []
     rows = cols = 0
