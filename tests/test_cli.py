@@ -378,6 +378,9 @@ class TestUnusableOut:
 OUTPUT_SHA256 = {
     "o3b_rain_compare/compare.csv": "81861ebacc3c7a46cc603a38e92f7f5065e26fa79be675027b9f7ae30a794d3c",
     "o3b_rain_compare/compare.json": "02aefca3cc3f47b2dba83eb5af946f5fdd4d3b750a4b310f7f607b81eb1e1eea",
+    "o3b_rain_fractional_run/allocations.json": "93014c94237543e8ac3823c889c7c76e6c2b2fa8dea5ed9dc0a1c7c23adef471",
+    "o3b_rain_fractional_run/results.csv": "e523c2af8d16e43f7491cef6f414eb10f75f3b9bb3d99b179b1bf6dbcd8f97dc",
+    "o3b_rain_fractional_run/summary.json": "f6409068f4af3c1595fd74848ff8e385ff560e3ad9a3d70217a1f09b70e4d3b7",
     "o3b_rain_run/allocations.json": "373657235871d03ce24a4d0e3766eb8450224052bdafa907e4898ca57f8dead4",
     "o3b_rain_run/results.csv": "63dbe7486951ee8c3c6f58b9f01057a6a4f3ed0748df22cb2383b154af316dc6",
     "o3b_rain_run/summary.json": "9bce77ed7ef4c0988ace622f13da575121a496eac0704b5df84c8e0772e31aae",
@@ -405,12 +408,19 @@ OUTPUT_SHA256 = {
 }
 
 
-def test_command_outputs_are_byte_pinned(tmp_path):
+def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
     codes = {}
     # 288 slots: o3b_rain's LPs cross the solver's block and chunk boundaries
     for sc in ("o3b_rain",):
         codes[f"{sc}_run"] = main(["run", sc, "--out", str(tmp_path / f"{sc}_run")])
         codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
+    # o3b_rain under lp-fractional, switched as the benchmark switches it: the
+    # largest allocations.json and the only one whose relay fractions are not 0 or 1
+    text = (resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text()
+    assert text.count('"serving_gs": "best-capacity"') == 1
+    fractional = tmp_path_factory.mktemp("scenario") / "o3b_rain.json"
+    fractional.write_text(text.replace('"serving_gs": "best-capacity"', '"serving_gs": "lp-fractional"'))
+    codes["o3b_rain_fractional_run"] = main(["run", str(fractional), "--out", str(tmp_path / "o3b_rain_fractional_run")])
     for sc in ("toy2", "toy3"):
         codes[f"{sc}_run"] = main(["run", sc, "--out", str(tmp_path / f"{sc}_run")])
         codes[f"{sc}_no_isl"] = main(["run", sc, "--no-isl", "--out", str(tmp_path / f"{sc}_no_isl")])
@@ -420,6 +430,7 @@ def test_command_outputs_are_byte_pinned(tmp_path):
     assert codes == {
         "o3b_rain_run": 0,
         "o3b_rain_compare": 0,
+        "o3b_rain_fractional_run": 0,
         "toy2_run": 3,
         "toy2_no_isl": 3,
         "toy2_compare": 2,  # every toy2 slot is degenerate: nothing to compare
