@@ -100,7 +100,7 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     isl = graph.isl_capacity_bps / SCALE_BPS
 
     tags: list[tuple] = [("t",)]
-    direct_edges = [(k, j) for k in range(k_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
+    direct_edges = list(map(tuple, np.argwhere(fl > 0.0).tolist()))  # k-major, as Python ints
     tags += [("w_direct", k, j) for k, j in direct_edges]
     first_route = len(tags)
     for rt in routes:
@@ -215,8 +215,11 @@ def decode(
     R_k sums satellite k's direct and relayed rates, as its epigraph row
     does; an isolated satellite has neither and gets rate 0.
     """
-    values = solution.values
-    col = {tag: i for i, tag in enumerate(problem.variable_tags)}
+    # Python floats throughout: w and v then hold no numpy scalars, which
+    # are slow to pickle back from a worker process
+    values = solution.values.tolist()
+    fl_capacity = graph.fl_capacity_bps.tolist()
+    isl_capacity = graph.isl_capacity_bps.tolist()
 
     rates = np.zeros(graph.satellite_count)
     direct_rates = np.zeros(graph.satellite_count)
@@ -226,24 +229,22 @@ def decode(
     fl_rates = np.zeros_like(graph.fl_capacity_bps)
     isl_rates = np.zeros_like(graph.isl_capacity_bps)
 
-    for tag in problem.variable_tags:
+    for value, tag in zip(values, problem.variable_tags):
         if tag[0] == "w_direct":
             _, k, j = tag
-            frac = float(values[col[tag]])
-            if frac < 0.0:
-                frac = 0.0
+            frac = 0.0 if value < 0.0 else value
             w[(k, k, j)] = frac
-            direct = frac * graph.fl_capacity_bps[k, j]
+            direct = frac * fl_capacity[k][j]
             fl_rates[k, j] += direct
             rates[k] += direct
             direct_rates[k] += direct
         elif tag[0] == "r":
             _, s, l, j = tag
-            through = float(values[col[tag]]) * SCALE_BPS
+            through = value * SCALE_BPS
             if through < 0.0:
                 through = 0.0
-            c_fl = graph.fl_capacity_bps[l, j]
-            c_isl = graph.isl_capacity_bps[s, l]
+            c_fl = fl_capacity[l][j]
+            c_isl = isl_capacity[s][l]
             w[(s, l, j)] = through / c_fl if c_fl > 0 else 0.0
             v[(s, l, j)] = through / c_isl if c_isl > 0 else 0.0
             relayed[s] += v[(s, l, j)] * c_isl

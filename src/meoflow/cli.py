@@ -4,14 +4,21 @@ Exit codes: 0 success, 1 determinism verification failure, 2 malformed or
 missing input (also a compare in which every slot is degenerate: nothing is
 written), 3 run completed but degenerate slots are present (outputs are
 still written), 4 a slot LP failed to solve (nothing is written).
+
+Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
+`csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
+formatted in bulk here, since the indented JSON encoder is pure Python.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +26,6 @@ import numpy as np
 from .allocation import AllocationError
 from .engine import RunResult, compare, run, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .svgplot import histogram_svg, rain_curves_svg, timeseries_svg
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,43 +71,53 @@ def _series(arms: dict, degenerate_slots) -> dict:
     return series
 
 
-def _allocations_doc(result: RunResult) -> list:
-    ids = result.scenario.station_ids
-    out = []
+def _json_float(x: float) -> str:
+    """`x` as json.dumps writes it: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _allocations_json(result: RunResult) -> str:
+    """The text of allocations.json: a dict per slot of t*, the degenerate flag
+    and a dict per feeder and ISL fraction above FRACTION_FLOOR, sorted by key."""
+    names = [encode_basestring_ascii(s) for s in result.scenario.station_ids]
+    slots = []
     for alloc in result.allocations:
-        out.append(
-            {
-                "slot": alloc.slot_index,
-                "t_star_bps": float(alloc.t_star_bps),
-                "degenerate": alloc.degenerate,
-                "feeder_fractions": [
-                    {"source": s, "transmitter": t, "station": ids[j], "fraction": float(f)}
-                    for (s, t, j), f in sorted(alloc.w.items())
-                    if f > FRACTION_FLOOR
-                ],
-                "isl_fractions": [
-                    {"source": s, "relay": l, "station": ids[j], "fraction": float(f)}
-                    for (s, l, j), f in sorted(alloc.v.items())
-                    if f > FRACTION_FLOOR
-                ],
-            }
+        lists = []
+        for hop, fractions in (("transmitter", alloc.w), ("relay", alloc.v)):
+            rows = [
+                f'{{\n        "source": {s},\n        "{hop}": {t},\n        "station": {names[j]},\n'
+                f'        "fraction": {_json_float(f)}\n      }}'
+                for (s, t, j), f in sorted(fractions.items())
+                if f > FRACTION_FLOOR
+            ]
+            lists.append("[\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "[]")
+        slots.append(
+            f'{{\n    "slot": {alloc.slot_index},\n    "t_star_bps": {_json_float(alloc.t_star_bps)},\n'
+            f'    "degenerate": {"true" if alloc.degenerate else "false"},\n'
+            f'    "feeder_fractions": {lists[0]},\n    "isl_fractions": {lists[1]}\n  }}'
         )
-    return out
+    return "[\n  " + ",\n  ".join(slots) + "\n]\n" if slots else "[]\n"
 
 
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it as one cell of a row: quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
-    """One row per slot and satellite: slot, time_utc, satellite, then `row(n, k)`."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "time_utc", "satellite", *columns])
-        for n in range(result.slot_count):
-            stamp = result.scenario.slot_midpoint(n).isoformat()
-            for k in range(result.satellite_count):
-                writer.writerow([n, stamp, k, *row(n, k)])
+    """One row per slot and satellite: slot, time_utc, satellite, then `row(n, k)`,
+    the rest of the row's text: floats by repr, strings through `_csv_cell`."""
+    lines = [",".join(map(_csv_cell, ["slot", "time_utc", "satellite", *columns]))]
+    for n in range(result.slot_count):
+        stamp = _csv_cell(result.scenario.slot_midpoint(n).isoformat())
+        lines += [f"{n},{stamp},{k},{row(n, k)}" for k in range(result.satellite_count)]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 def _solve_and_write(args, document, files) -> int:
@@ -110,7 +126,7 @@ def _solve_and_write(args, document, files) -> int:
     Solves the command's arms, builds `document(*results)` (twice, and
     compared, with --seedless-deterministic) and writes each `(name, content)`
     of `files(doc, *results)` to --out: a `.csv` name's content is the
-    `(columns, row)` of `_write_csv`, any other name's a JSON document.
+    `(columns, row)` of `_write_csv`, any other name's its text or JSON document.
     """
     try:
         scenario = _load_scenario_arg(args.scenario)
@@ -135,6 +151,8 @@ def _solve_and_write(args, document, files) -> int:
         for name, content in files(doc, *results):
             if name.endswith(".csv"):
                 _write_csv(out / name, results[0], *content)
+            elif isinstance(content, str):
+                (out / name).write_text(content)
             else:
                 _write_json(out / name, content)
     except OSError as exc:
@@ -156,25 +174,21 @@ def cmd_run(args) -> int:
         }
 
     def files(doc, result):
-        ids = result.scenario.station_ids
+        stations = {j: _csv_cell(s) for j, s in enumerate(result.scenario.station_ids)}
+        stations[None] = ""  # unserved
         degenerate = set(result.degenerate_slots)
+        t_star = list(map(repr, result.t_star_bps.tolist()))  # once per slot, not per row
+        rates, direct, relayed = (a.tolist() for a in (result.rates_bps, result.direct_bps, result.relayed_bps))
 
         def row(n, k):
-            j = result.serving[n][k]
-            return [
-                float(result.rates_bps[n, k]),
-                float(result.t_star_bps[n]),
-                ids[j] if j is not None else "",
-                float(result.direct_bps[n, k]),
-                float(result.relayed_bps[n, k]),
-                int(n in degenerate),
-            ]
+            gs = stations[result.serving[n][k]]
+            return f"{rates[n][k]!r},{t_star[n]},{gs},{direct[n][k]!r},{relayed[n][k]!r},{int(n in degenerate)}"
 
         columns = ["rate_bps", "t_star_bps", "serving_gs", "direct_bps", "relayed_bps", "degenerate"]
         return [
             ("results.csv", (columns, row)),
             ("summary.json", doc),
-            ("allocations.json", _allocations_doc(result)),
+            ("allocations.json", _allocations_json(result)),
         ]
 
     return _solve_and_write(args, document, files)
@@ -194,10 +208,11 @@ def cmd_compare(args) -> int:
         }
 
     def files(doc, baseline, treatment):
+        base, treat = baseline.rates_bps.tolist(), treatment.rates_bps.tolist()
+
         def row(n, k):
-            b = float(baseline.rates_bps[n, k])
-            t = float(treatment.rates_bps[n, k])
-            return [b, t, t - b]
+            b, t = base[n][k], treat[n][k]
+            return f"{b!r},{t!r},{t - b!r}"
 
         columns = ["baseline_bps", "treatment_bps", "delta_bps"]
         return [("compare.json", doc), ("compare.csv", (columns, row))]
@@ -220,6 +235,10 @@ def _rain_windows(scenario: Scenario):
 
 
 def cmd_plot(args) -> int:
+    # here, not at the top: only plot draws, and every run or compare would
+    # compile svgplot at start-up when no bytecode is cached
+    from .svgplot import histogram_svg, rain_curves_svg, timeseries_svg
+
     results_dir = Path(args.results_dir)
     try:
         compare_doc = _read_json(results_dir / "compare.json")
