@@ -1,5 +1,6 @@
 """Horizon runs, summaries, and arm comparison."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import meoflow
-from meoflow import engine
+from meoflow import allocation, engine
 from meoflow.engine import RunResult, compare, run, summarize
 from meoflow.scenario import parse_scenario
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
@@ -256,6 +257,47 @@ class TestPivotBudget:
         first = run(dataclasses.replace(scenario, lexicographic=False), isl_enabled=isl_enabled).iterations.sum()
         both = run(scenario, isl_enabled=isl_enabled).iterations.sum()
         assert (first, both - first) == (stage1, stage2)
+
+
+class TestSolverBytes:
+    # sha256 of every optimal LpSolution of the o3b_rain horizon, per stage,
+    # in slot order: values, tableau, basis, nonbasic and pivot count.  The
+    # stage-1 tableau is what stage 2 continues from, and no output file
+    # holds it, so the output pins alone would not see it move.
+    SHA256 = {
+        (POLICY_BEST_CAPACITY, True, 1): "d5edee0d35d9c35695bd09bc7446cd4c6e73ff46562aae8c834963fdadcabeed",
+        (POLICY_BEST_CAPACITY, True, 2): "235f48be18a0fd4ec97557f63f307a2d90c3df5a784aabb1343867f79222ec43",
+        (POLICY_BEST_CAPACITY, False, 1): "8f323d996f6990e4878fcefcfa54257f165d74ebcb50af42203bb032f912ff44",
+        (POLICY_BEST_CAPACITY, False, 2): "9acd27f4a07270c5fc95f6094488031da1d8de417a006f4881c026062838a90d",
+        (POLICY_LP_FRACTIONAL, True, 1): "69ae2ed9413c273f1d9bcc237da7b57eb58451d2db2a2cec30807777c9461ea7",
+        (POLICY_LP_FRACTIONAL, True, 2): "77539e178b70c0f2e8c09c409a1a62fe37250c3e45322fad5bd61d65d0cd9ccf",
+        (POLICY_LP_FRACTIONAL, False, 1): "b27cbb70850fe463d8b40b0062a1cc9bf90ca2ca72c8adecf9b4e5758eaa8850",
+        (POLICY_LP_FRACTIONAL, False, 2): "b203c9092e85cc6af0b312f0ceb93a7dc7fdeadd82a36b8287730a7b65bc0a0a",
+    }
+
+    @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
+    @pytest.mark.parametrize("isl_enabled", [True, False], ids=["isl", "no_isl"])
+    def test_o3b_rain_solutions_are_byte_pinned(self, monkeypatch, policy, isl_enabled):
+        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
+        scenario = dataclasses.replace(
+            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+        )
+        digests = {1: hashlib.sha256(), 2: hashlib.sha256()}
+        solve_batch = allocation.solve_batch
+
+        def recorded(problems, max_iterations=None, *, bases=None):
+            outcomes = solve_batch(problems, max_iterations, bases=bases)
+            digest = digests[1 if bases is None else 2]
+            for solution in outcomes:
+                digest.update(f"{solution.iteration_count} {solution.tableau.shape}".encode())
+                for array in (solution.values, solution.tableau, solution.basis, solution.nonbasic):
+                    digest.update(array.tobytes())
+            return outcomes
+
+        monkeypatch.setattr(allocation, "solve_batch", recorded)
+        engine._solve_slots(scenario, isl_enabled, range(scenario.slot_count))
+        got = {(policy, isl_enabled, stage): digest.hexdigest() for stage, digest in digests.items()}
+        assert got == {key: pin for key, pin in self.SHA256.items() if key[:2] == (policy, isl_enabled)}
 
 
 def manual_result(rates, degenerate=()):
