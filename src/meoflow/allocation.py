@@ -33,10 +33,11 @@ well-conditioned; results are converted back to bit/s on decode.
 
 `solve_block` solves a block of slots a group at a time: it builds each
 slot's LP, solves the group's stage-1 LPs in one `simplex.solve_batch`,
-then its stage-2 LPs in another, and decodes each slot.  A group is as
-many consecutive slots as one simplex chunk holds.  A slot's result does
-not depend on the block or group it is solved in; `solve_allocation` is
-the one-slot case.
+then its stage-2 LPs in another, and decodes each slot.  A group is one
+run of `simplex.chunks` over the slots' stage-2 shapes, which bounds both
+batches, since a stage-1 LP has one row fewer.  A slot's result does not
+depend on the block or group it is solved in; `solve_allocation` is the
+one-slot case.
 """
 from __future__ import annotations
 

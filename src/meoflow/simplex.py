@@ -26,13 +26,15 @@ the same values.
 `solve_batch` solves many LPs together, which is how the allocator solves
 a block of slots: the per-call cost of numpy, not arithmetic, is most of a
 pivot at these sizes, so each call of a step works on every LP that has
-not yet ended.  A chunk of LPs sits in one zero-padded (B, M+1, N+1)
+not yet ended.  Each LP's starting tableau is built whole first, cold or
+continued; the batch then pads them into one zero-padded (B, M+1, N+1)
 array, each LP's constraint rows and columns first, its cost row last and
 its rhs column last.  A zero padding column never improves, a zero
 padding row never leaves, and a pivot updates only the rows with a
 nonzero factor (x - 0 * p is x, up to the sign of a zero), so every LP
-walks the same pivots to the same bits in any chunk, alone or with
-others.  `solve` is the one-LP case.
+walks the same pivots to the same bits in any batch, alone or with
+others.  `solve` is the one-LP case, and `chunks` splits a stream of LPs
+into batches of bounded size.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ PIVOT_EPS = 1e-9
 FEAS_TOL = 1e-8
 
 # The most tableau entries, padding included, of one chunk of LPs pivoted
-# together, and so of the group of slots the allocator solves at once:
-# 2 MB of float64.  A chunk holds at least one LP.
+# together in a `solve_batch`, and so of the group of slots the allocator
+# solves at once: 2 MB of float64.  A chunk holds at least one LP.
 CHUNK_ENTRIES = 2**18
 
 _NONE = np.iinfo(np.intp).max  # the variable of a padding row or column
@@ -114,24 +116,13 @@ class LpSolution:
 
 
 class _Start(NamedTuple):
-    """One LP set up for `solve_batch`, before any row operation.
+    """One LP set up for `solve_batch`: its condensed tableau, the variable
+    of each of its rows and columns, and its pivot cap."""
 
-    rows and rhs are its constraint rows over the nonbasic columns, cost
-    its cost row before pricing, and cap its pivot cap.  A continued solve
-    also has an appended row to eliminate against the basis (`new_row`,
-    which must keep at least `least_rhs`) and a cost to price out over
-    the basis (`price`), each as (rows, coefficients) to subtract in order.
-    """
-
-    rows: np.ndarray
-    rhs: np.ndarray
-    cost: np.ndarray
+    tableau: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
     cap: int
-    new_row: tuple = ((), ())
-    price: tuple = ((), ())
-    least_rhs: Optional[float] = None
 
 
 def _start(problem: LpProblem, base: Optional[LpSolution], max_iterations: Optional[int]):
@@ -140,9 +131,11 @@ def _start(problem: LpProblem, base: Optional[LpSolution], max_iterations: Optio
     if base is None:
         if (problem.rhs < 0.0).any():
             return ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
-        # row i's slack is variable n + i and starts basic; x starts nonbasic
+        # [A | b; -c | 0]: row i's slack is variable n + i and starts basic; x starts nonbasic
+        tableau = np.zeros((m + 1, n + 1))
+        tableau[:m, :n], tableau[:m, n], tableau[m, :n] = problem.matrix, problem.rhs, -problem.objective
         cap = 10 * (m + n) if max_iterations is None else max_iterations
-        return _Start(problem.matrix, problem.rhs, -problem.objective, np.arange(n, n + m), np.arange(n), cap)
+        return _Start(tableau, np.arange(n, n + m), np.arange(n), cap)
     return _continue(problem, base, max_iterations)
 
 
@@ -153,35 +146,39 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     appended last, of either rhs sign, and any objective.  The new row is
     eliminated against the basis and its slack enters it; if the base
     optimum satisfies the new row, that basis is feasible and the simplex
-    runs on from it under the new objective (Chvatal 1983, adding a
-    constraint to a solved LP).  The pivot count and cap cover this solve
-    alone.
+    runs on from it under the new objective, priced out over the basis
+    (Chvatal 1983, adding a constraint to a solved LP).  The pivot count
+    and cap cover this solve alone.
     """
     n = problem.n_variables
     if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
         return ValueError("the base must be an optimal solution over the same variables")
     b = float(problem.rhs[-1])
-    m = base.tableau.shape[0] - 1
-    n_total = m + base.tableau.shape[1]  # the base's variables and the new row's slack
-    # the new row over every variable, then over the nonbasic ones
-    coefs = np.zeros(n_total)
-    coefs[:n] = problem.matrix[-1]
-    cost = np.zeros(n_total)
-    cost[:n] = -problem.objective
-    basis = np.append(base.basis, n_total - 1)
-    eliminate = coefs[base.basis].nonzero()[0]
-    price = cost[basis].nonzero()[0]
-    return _Start(
-        rows=np.vstack([base.tableau[:m, :-1], coefs[base.nonbasic]]),
-        rhs=np.append(base.tableau[:m, -1], b),
-        cost=cost[base.nonbasic],
-        basis=basis,
-        nonbasic=base.nonbasic.copy(),
-        cap=10 * (m + 1 + n) if max_iterations is None else max_iterations,
-        new_row=(eliminate, coefs[base.basis[eliminate]]),
-        price=(price, cost[basis[price]]),
-        least_rhs=-FEAS_TOL * max(1.0, abs(b)),
-    )
+    m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
+    # the new row and the new cost over every variable: the base's and the new row's slack
+    coefs, cost = np.zeros((2, m + width))
+    coefs[:n], cost[:n] = problem.matrix[-1], -problem.objective
+    basis = np.append(base.basis, m + width - 1)
+    tableau = np.empty((m + 2, width))
+    tableau[:m] = base.tableau[:m]
+    tableau[m] = _less_rows(np.append(coefs[base.nonbasic], b), coefs[base.basis], tableau[:m])
+    if tableau[m, -1] < -FEAS_TOL * max(1.0, abs(b)):
+        return ValueError("the appended row cuts off the base optimum")
+    if tableau[m, -1] < 0.0:
+        tableau[m, -1] = 0.0
+    tableau[m + 1] = _less_rows(np.append(cost[base.nonbasic], 0.0), cost[basis], tableau[: m + 1])
+    cap = 10 * (m + 1 + n) if max_iterations is None else max_iterations
+    return _Start(tableau, basis, base.nonbasic.copy(), cap)
+
+
+def _less_rows(target: np.ndarray, coefs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """target less coefs[i] * rows[i] for each nonzero coefs[i], in row order.
+
+    One left fold, so that every entry rounds as a loop of in-place
+    subtractions would.
+    """
+    used = coefs.nonzero()[0]
+    return np.subtract.accumulate(np.vstack([target, coefs[used, None] * rows[used]]))[-1]
 
 
 def solve(
@@ -211,28 +208,59 @@ def solve_batch(
     *,
     bases: Optional[Sequence[Optional[LpSolution]]] = None,
 ) -> list:
-    """`solve` each problem, pivoting many of them per step.
+    """`solve` each problem, pivoting all of them together.
 
     bases, if given, holds one entry per problem: None for a cold solve,
     or the base to continue from.  Returns, in order, each problem's
     LpSolution or the ValueError or SimplexIterationError that `solve`
     would raise for it; one LP's failure leaves the others' results
-    unchanged.  The LPs are pivoted in the `chunks` of consecutive
-    problems.
+    unchanged.  Every LP set up without error is padded into one array, so
+    the caller bounds a batch's size with `chunks`.
     """
     if bases is None:
         bases = [None] * len(problems)
     outcomes = [_start(problem, base, max_iterations) for problem, base in zip(problems, bases)]
     ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
-    for chunk in chunks(ready, lambda i: outcomes[i].rows.shape):
-        solved = _solve_chunk([problems[i] for i in chunk], [outcomes[i] for i in chunk])
-        for i, outcome in zip(chunk, solved):
-            outcomes[i] = outcome
+    starts = [outcomes[i] for i in ready]
+    m = np.array([start.basis.size for start in starts], dtype=int)
+    n = np.array([start.nonbasic.size for start in starts], dtype=int)
+    # at least one row and column, so that no reduction is over nothing
+    rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
+    tableau = np.zeros((len(starts), rows + 1, cols + 1))
+    basis = np.full((len(starts), rows), _NONE)
+    nonbasic = np.full((len(starts), cols), _NONE)
+    for b, start in enumerate(starts):
+        tableau[b, : m[b], : n[b]] = start.tableau[:-1, :-1]
+        tableau[b, : m[b], cols] = start.tableau[:-1, -1]
+        tableau[b, rows, : n[b]] = start.tableau[-1, :-1]
+        tableau[b, rows, cols] = start.tableau[-1, -1]
+        basis[b, : m[b]] = start.basis
+        nonbasic[b, : n[b]] = start.nonbasic
+    ends: list = [None] * len(starts)
+    iterations = _run_simplex(tableau, basis, nonbasic, np.array([start.cap for start in starts], dtype=int), ends)
+    for b, (i, end) in enumerate(zip(ready, ends)):
+        problem = problems[i]
+        if isinstance(end, Exception):
+            outcomes[i] = end
+        elif end == STATUS_UNBOUNDED:
+            outcomes[i] = LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), int(iterations[b]))
+        else:
+            # the LP's own rows and columns, its cost row and rhs column last
+            own = np.empty((m[b] + 1, n[b] + 1))
+            own[:-1, :-1] = tableau[b, : m[b], : n[b]]
+            own[:-1, -1] = tableau[b, : m[b], cols]
+            own[-1, :-1] = tableau[b, rows, : n[b]]
+            own[-1, -1] = tableau[b, rows, cols]
+            own_basis, own_nonbasic = basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy()
+            try:
+                outcomes[i] = _optimal(problem, own, own_basis, own_nonbasic, int(iterations[b]))
+            except SimplexIterationError as exc:
+                outcomes[i] = exc
     return outcomes
 
 
 def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
-    """Consecutive runs of `items`, each as many as one chunk of LPs holds.
+    """Consecutive runs of `items`, each small enough for one `solve_batch`.
 
     shape(item) gives the (constraint rows, nonbasic columns) of the item's
     LP.  Padded to the run's most rows and columns, a run fills at most
@@ -252,75 +280,6 @@ def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
         rows, cols = grown
     if run:
         yield run
-
-
-def _solve_chunk(problems: list, starts: list) -> list:
-    """Pad the LPs into one array, pivot them all to their ends, read each out."""
-    m = np.array([start.rows.shape[0] for start in starts])
-    n = np.array([start.rows.shape[1] for start in starts])
-    # at least one row and column, so that no reduction is over nothing
-    rows, cols = max(1, m.max()), max(1, n.max())
-    tableau = np.zeros((len(starts), rows + 1, cols + 1))
-    basis = np.full((len(starts), rows), _NONE)
-    nonbasic = np.full((len(starts), cols), _NONE)
-    for b, start in enumerate(starts):
-        tableau[b, : m[b], : n[b]] = start.rows
-        tableau[b, : m[b], cols] = start.rhs
-        tableau[b, rows, : n[b]] = start.cost
-        basis[b, : m[b]] = start.basis
-        nonbasic[b, : n[b]] = start.nonbasic
-    _subtract_rows(tableau, m - 1, [start.new_row for start in starts])
-    _subtract_rows(tableau, np.full(len(starts), rows), [start.price for start in starts])
-
-    ends: list = [None] * len(starts)
-    for b, start in enumerate(starts):
-        if start.least_rhs is None:
-            continue
-        new_rhs = tableau[b, m[b] - 1, cols]
-        if new_rhs < start.least_rhs:
-            ends[b] = ValueError("the appended row cuts off the base optimum")
-        elif new_rhs < 0.0:
-            tableau[b, m[b] - 1, cols] = 0.0
-    iterations = _run_simplex(tableau, basis, nonbasic, np.array([start.cap for start in starts]), ends)
-
-    outcomes = []
-    for b, (problem, end) in enumerate(zip(problems, ends)):
-        if isinstance(end, Exception):
-            outcomes.append(end)
-        elif end == STATUS_UNBOUNDED:
-            outcomes.append(LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), int(iterations[b])))
-        else:
-            # the LP's own rows and columns, its cost row and rhs column last
-            own = np.empty((m[b] + 1, n[b] + 1))
-            own[:-1, :-1] = tableau[b, : m[b], : n[b]]
-            own[:-1, -1] = tableau[b, : m[b], cols]
-            own[-1, :-1] = tableau[b, rows, : n[b]]
-            own[-1, -1] = tableau[b, rows, cols]
-            own_basis, own_nonbasic = basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy()
-            try:
-                outcomes.append(_optimal(problem, own, own_basis, own_nonbasic, int(iterations[b])))
-            except SimplexIterationError as exc:
-                outcomes.append(exc)
-    return outcomes
-
-
-def _subtract_rows(tableau: np.ndarray, target: np.ndarray, steps: list) -> None:
-    """Row b of `target` in LP b, less coef * row for each (row, coef) of steps[b].
-
-    The k-th subtraction of every LP is one numpy update, so each LP
-    keeps its own order of subtractions.
-    """
-    counts = np.array([len(rows) for rows, _ in steps])
-    if not counts.any():
-        return
-    rows = np.zeros((len(steps), counts.max()), dtype=int)
-    coefs = np.zeros(rows.shape)
-    for b, (own_rows, own_coefs) in enumerate(steps):
-        rows[b, : counts[b]] = own_rows
-        coefs[b, : counts[b]] = own_coefs
-    for k in range(counts.max()):
-        lps = (counts > k).nonzero()[0]
-        tableau[lps, target[lps]] -= coefs[lps, k, None] * tableau[lps, rows[lps, k]]
 
 
 def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:

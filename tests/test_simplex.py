@@ -321,26 +321,23 @@ def kinds(outcomes):
 
 
 class TestBatch:
-    # the 13 LPs not refused before any pivot share one chunk by default,
-    # take one each at a CHUNK_ENTRIES of 1, and at 1000 split into the five
-    # that pad to 12 rows and 14 columns (5 x 13 x 15 = 975 entries) and
-    # the eight that pad to 6 x 7, so chunk boundaries fall between LPs of
+    # the batch boundaries of each run, as consecutive pieces of the 15
+    # LPs: one batch, one LP per batch, and the five that pad to 12 rows
+    # and 14 columns apart from the ten that pad to 6 x 7 (two of them
+    # refused before any pivot), so batch boundaries fall between LPs of
     # every shape
-    @pytest.mark.parametrize(
-        "chunk_entries, chunk_lps", [(simplex.CHUNK_ENTRIES, [13]), (1, [1] * 13), (1000, [5, 8])]
-    )
+    @pytest.mark.parametrize("pieces", [[15], [1] * 15, [5, 10]])
     @pytest.mark.parametrize("max_iterations", [None, 3])
-    def test_batch_equals_each_lp_alone(self, monkeypatch, max_iterations, chunk_entries, chunk_lps):
+    def test_batch_equals_each_lp_alone(self, max_iterations, pieces):
         problems, bases = mixed_batch()
         want = [alone(p, max_iterations, b) for p, b in zip(problems, bases)]
         expected_kinds = {STATUS_OPTIMAL, STATUS_UNBOUNDED, "ValueError"}
         assert kinds(want) == expected_kinds | ({"SimplexIterationError"} if max_iterations else set())
-        monkeypatch.setattr(simplex, "CHUNK_ENTRIES", chunk_entries)
-        chunks = []
-        solve_chunk = simplex._solve_chunk
-        monkeypatch.setattr(simplex, "_solve_chunk", lambda lps, starts: chunks.append(len(lps)) or solve_chunk(lps, starts))
-        got = simplex.solve_batch(problems, max_iterations, bases=bases)
-        assert chunks == chunk_lps
+        assert sum(pieces) == len(problems)
+        got = []
+        for size in pieces:
+            first = len(got)
+            got += simplex.solve_batch(problems[first : first + size], max_iterations, bases=bases[first : first + size])
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_outcome(g, w)
@@ -361,3 +358,37 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert simplex.solve_batch([]) == []
+
+
+class TestChunks:
+    # shape (255, 255) pads to 256 x 256 entries, a quarter of CHUNK_ENTRIES
+    QUARTER = (255, 255)
+
+    def test_items_are_read_lazily(self):
+        read = []
+
+        def items():
+            for i in range(10):
+                read.append(i)
+                yield i
+
+        runs = simplex.chunks(items(), lambda i: self.QUARTER)
+        assert next(runs) == [0, 1, 2, 3]
+        assert read == [0, 1, 2, 3, 4]  # the fifth item was read to close the run, and no more
+
+    def test_a_run_of_exactly_chunk_entries_is_allowed(self):
+        assert 4 * (self.QUARTER[0] + 1) * (self.QUARTER[1] + 1) == simplex.CHUNK_ENTRIES
+        assert list(simplex.chunks(range(4), lambda i: self.QUARTER)) == [[0, 1, 2, 3]]
+
+    def test_a_run_closes_when_the_next_item_would_overflow_it(self):
+        # three quarters fit; a fourth item one row taller pads all four to
+        # 257 rows, past CHUNK_ENTRIES, so it starts the next run
+        shapes = [self.QUARTER] * 3 + [(256, 255), (1, 1)]
+        assert list(simplex.chunks(range(5), shapes.__getitem__)) == [[0, 1, 2], [3, 4]]
+
+    def test_an_oversize_item_is_a_run_alone(self):
+        shapes = [(1, 1), (1023, 1023), (1, 1), (1, 1)]
+        assert list(simplex.chunks(range(4), shapes.__getitem__)) == [[0], [1], [2, 3]]
+
+    def test_no_items_no_runs(self):
+        assert list(simplex.chunks([], lambda i: self.QUARTER)) == []

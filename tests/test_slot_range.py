@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meoflow import engine, simplex
+from meoflow import allocation, engine, simplex
 from meoflow.allocation import build_problem
 from meoflow.channel import fl_capacity_bps, isl_capacity_bps
 from meoflow.geometry import range_geometry, ring_neighbors, slot_geometry
@@ -165,14 +165,15 @@ def test_chunk_boundaries_leave_the_run_unchanged(monkeypatch, isl_enabled, lps_
     cap = lps_per_chunk * (rows + 2) * (cols + 1)
     monkeypatch.setattr(simplex, "CHUNK_ENTRIES", cap)
     chunks = []
-    solve_chunk = simplex._solve_chunk
+    solve_batch = allocation.solve_batch
 
-    def recorded(lps, starts):
-        padded = (max(s.rows.shape[0] for s in starts) + 1) * (max(s.rows.shape[1] for s in starts) + 1)
-        chunks.append((len(lps), len(lps) * padded))
-        return solve_chunk(lps, starts)
+    def recorded(problems, max_iterations=None, *, bases=None):
+        # a continued LP starts with the rows and columns of its problem, as a cold one does
+        padded = (max(p.matrix.shape[0] for p in problems) + 1) * (max(p.matrix.shape[1] for p in problems) + 1)
+        chunks.append((len(problems), len(problems) * padded))
+        return solve_batch(problems, max_iterations, bases=bases)
 
-    monkeypatch.setattr(simplex, "_solve_chunk", recorded)
+    monkeypatch.setattr(allocation, "solve_batch", recorded)
     chunked = engine.run(sc, isl_enabled)
     assert all(count == 1 or entries <= cap for count, entries in chunks)
     most = max(count for count, _ in chunks)
