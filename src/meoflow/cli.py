@@ -1,9 +1,10 @@
 """Command line surface: run one arm, compare both, render SVG charts.
 
-Exit codes: 0 success, 1 determinism verification failure, 2 malformed or
-missing input (also a compare in which every slot is degenerate: nothing is
-written), 3 run completed but degenerate slots are present (outputs are
-still written), 4 a slot LP failed to solve (nothing is written).
+Exit codes: 0 success, 1 a --seedless-deterministic rerun whose output
+files differ (nothing is written), 2 malformed or missing input (also a
+compare in which every slot is degenerate: nothing is written), 3 run
+completed but degenerate slots are present (outputs are still written), 4 a
+slot LP failed to solve (nothing is written).
 
 Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
 `csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
@@ -110,23 +111,41 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
+def _csv_text(result: RunResult, columns: list, row) -> str:
     """One row per slot and satellite: slot, time_utc, satellite, then `row(n, k)`,
     the rest of the row's text: floats by repr, strings through `_csv_cell`."""
     lines = [",".join(map(_csv_cell, ["slot", "time_utc", "satellite", *columns]))]
     for n in range(result.slot_count):
         stamp = _csv_cell(result.scenario.slot_midpoint(n).isoformat())
         lines += [f"{n},{stamp},{k},{row(n, k)}" for k in range(result.satellite_count)]
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
+    path.write_text(_csv_text(result, columns, row), newline="")
+
+
+def _texts(files, doc, results) -> list:
+    """The name and text of each file that `_solve_and_write` writes."""
+    texts = []
+    for name, content in files(doc, *results):
+        if name.endswith(".csv"):
+            content = _csv_text(results[0], *content)
+        elif not isinstance(content, str):
+            content = json.dumps(content, indent=2) + "\n"
+        texts.append((name, content))
+    return texts
 
 
 def _solve_and_write(args, document, files) -> int:
     """The body of `run` and `compare`.
 
-    Solves the command's arms, builds `document(*results)` (twice, and
-    compared, with --seedless-deterministic) and writes each `(name, content)`
-    of `files(doc, *results)` to --out: a `.csv` name's content is the
-    `(columns, row)` of `_write_csv`, any other name's its text or JSON document.
+    Solves the command's arms, builds `document(*results)` and writes each
+    `(name, content)` of `files(doc, *results)` to --out: a `.csv` name's
+    content is the `(columns, row)` of `_write_csv`, any other name's its
+    text or JSON document.  With --seedless-deterministic the arms are solved
+    twice, and any file whose text differs between the two fails the run
+    before anything is written.
     """
     try:
         scenario = _load_scenario_arg(args.scenario)
@@ -137,8 +156,8 @@ def _solve_and_write(args, document, files) -> int:
         results = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
         doc = document(*results)
         if args.seedless_deterministic:
-            repeat = document(*(_run_arm(scenario, isl_enabled) for isl_enabled in arms))
-            if json.dumps(doc) != json.dumps(repeat):
+            rerun = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
+            if _texts(files, doc, results) != _texts(files, document(*rerun), rerun):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import meoflow
-from meoflow import allocation
+from meoflow import allocation, cli
 from meoflow.cli import EXIT_SOLVER_FAILED, main
+from meoflow.engine import run
 from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
 
 
@@ -83,6 +84,29 @@ class TestRunCommand:
 
     def test_seedless_deterministic_passes(self, tmp_path):
         assert main(["run", "toy3", "--seedless-deterministic", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("change", ["w", "v", "split"])
+    def test_seedless_deterministic_rerun_that_differs_exits_1(self, tmp_path, capsys, monkeypatch, change):
+        # the rerun halves one relayed fraction of satellite 0 (w or v), or
+        # moves 1 bit/s of its rate from direct to relayed; summary.json is
+        # the same either way, allocations.json or results.csv is not
+        results = []
+
+        def rerun_differs(scenario, isl_enabled):
+            results.append(run(scenario, isl_enabled=isl_enabled))
+            if len(results) == 2:
+                if change == "split":
+                    results[1].direct_bps[0, 0] += 1.0
+                    results[1].relayed_bps[0, 0] -= 1.0
+                else:
+                    getattr(results[1].allocations[0], change)[0, 1, 1] /= 2
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run", rerun_differs)
+        out = tmp_path / "out"
+        assert main(["run", "toy3", "--seedless-deterministic", "--out", str(out)]) == 1
+        assert "rerun produced different results" in capsys.readouterr().err
+        assert len(results) == 2 and not out.exists()
 
     def test_summary_reproducible_from_series(self, tmp_path):
         main(["run", "toy3", "--out", str(tmp_path)])
