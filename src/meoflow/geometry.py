@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Sequence
 
 import numpy as np
@@ -164,7 +164,6 @@ class SlotGeometry:
     """
 
     slot_index: int
-    time: datetime
     sat_positions_km: np.ndarray
     gs_positions_km: np.ndarray
     distances_fl_km: np.ndarray
@@ -202,12 +201,9 @@ def slot_geometry(
     slot_index: int = 0,
 ) -> SlotGeometry:
     """Evaluate the full satellite/station geometry at one instant."""
-    if isinstance(time, datetime):
-        seconds = (time - spec.epoch).total_seconds()
-    else:
-        seconds, time = float(time), spec.epoch + timedelta(seconds=float(time))
+    seconds = (time - spec.epoch).total_seconds() if isinstance(time, datetime) else float(time)
     sats, gs, *per_slot = range_geometry(spec, stations, [seconds])
-    return SlotGeometry(slot_index, time, sats[0], gs, *(a[0] for a in per_slot))
+    return SlotGeometry(slot_index, sats[0], gs, *(a[0] for a in per_slot))
 
 
 def ring_neighbors(satellite_count: int) -> tuple[tuple[int, ...], ...]:

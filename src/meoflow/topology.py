@@ -22,7 +22,7 @@ between satellites is not modeled.
 run over arrays of the visible (slot, satellite, station) entries and the
 ring pairs, best-capacity is an argmax over the station axis, and one-hop
 reachability is a boolean product of usable ISLs and lit feeder links.
-`build_slot_graph` and `select_serving_gs` are its N = 1 case.
+`build_slot_graph` is its N = 1 case.
 """
 from __future__ import annotations
 
@@ -105,16 +105,6 @@ def _policy_graphs(slots: Sequence[int], fl: np.ndarray, isl: np.ndarray, neighb
         reachable = tuple(tuple(np.flatnonzero(row).tolist()) for row in reach[n])
         graphs.append(SlotGraph(slot, fl[n], isl[n], neighbors, serving_gs, reachable, tuple(np.flatnonzero(isolated[n]).tolist())))
     return graphs
-
-
-def select_serving_gs(graph: SlotGraph, policy: str = POLICY_BEST_CAPACITY) -> SlotGraph:
-    """Apply the serving-station policy, re-deriving reachability.
-
-    best-capacity masks every non-serving feeder edge to zero;
-    lp-fractional returns the graph with serving_gs cleared.
-    """
-    fl, isl = graph.fl_capacity_bps[None], graph.isl_capacity_bps[None]
-    return _policy_graphs([graph.slot_index], fl, isl, graph.neighbors, policy)[0]
 
 
 def range_graphs(

@@ -28,7 +28,7 @@ from meoflow.allocation import (
 )
 from meoflow.scenario import parse_scenario
 from meoflow.simplex import STATUS_OPTIMAL, LpProblem, solve
-from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, SlotGraph, select_serving_gs
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, _policy_graphs
 from meoflow.geometry import ring_neighbors
 
 MBPS = 1e6
@@ -36,18 +36,9 @@ STEP = 0.005
 
 
 def make_graph(fl_bps, isl_bps, policy=POLICY_BEST_CAPACITY):
-    fl_bps = np.asarray(fl_bps, dtype=float)
-    k = fl_bps.shape[0]
-    g = SlotGraph(
-        slot_index=0,
-        fl_capacity_bps=fl_bps,
-        isl_capacity_bps=np.asarray(isl_bps, dtype=float),
-        neighbors=ring_neighbors(k),
-        serving_gs=(None,) * k,
-        reachable_gs=((),) * k,
-        isolated=(),
-    )
-    return select_serving_gs(g, policy)
+    """Slot 0's graph of these capacities under `policy`, as `range_graphs` builds it."""
+    fl_bps, isl_bps = np.asarray(fl_bps, dtype=float), np.asarray(isl_bps, dtype=float)
+    return _policy_graphs([0], fl_bps[None], isl_bps[None], ring_neighbors(fl_bps.shape[0]), policy)[0]
 
 
 def grid_oracle_t_bps(graph, step=STEP):

@@ -6,33 +6,13 @@ import pytest
 
 from meoflow.channel import FeederLinkParams, IslParams, RainModelParams, fl_capacity_bps
 from meoflow.geometry import ConstellationSpec, GroundStationSpec, ring_neighbors, slot_geometry
-from meoflow.topology import (
-    POLICY_BEST_CAPACITY,
-    POLICY_LP_FRACTIONAL,
-    SlotGraph,
-    build_slot_graph,
-    select_serving_gs,
-)
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
+from test_allocation import make_graph
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 FL = FeederLinkParams()
 ISL = IslParams(fixed_capacity_override_bps=600e6)
 RAIN = RainModelParams(rain_height_km=2.0)
-
-
-def graph_from_caps(fl_bps, isl_bps, policy=POLICY_BEST_CAPACITY):
-    fl_bps = np.asarray(fl_bps, dtype=float)
-    k = fl_bps.shape[0]
-    g = SlotGraph(
-        slot_index=0,
-        fl_capacity_bps=fl_bps,
-        isl_capacity_bps=np.asarray(isl_bps, dtype=float),
-        neighbors=ring_neighbors(k),
-        serving_gs=(None,) * k,
-        reachable_gs=((),) * k,
-        isolated=(),
-    )
-    return select_serving_gs(g, policy)
 
 
 def o3b_setup():
@@ -117,7 +97,7 @@ class TestBuild:
         assert np.array_equal(rainy.fl_capacity_bps[:, others], clear_alt.fl_capacity_bps[:, others])
 
     def test_two_sat_ring_has_two_directed_isl_edges(self):
-        g = graph_from_caps([[100e6], [0.0]], [[0, 500e6], [500e6, 0]])
+        g = make_graph([[100e6], [0.0]], [[0, 500e6], [500e6, 0]])
         assert g.neighbors == ((1,), (0,))
         assert g.isl_capacity_bps[0, 1] > 0 and g.isl_capacity_bps[1, 0] > 0
 
@@ -125,7 +105,7 @@ class TestBuild:
 class TestServingPolicy:
     def test_argmax_with_tie_to_lowest_index(self):
         fl = [[200e6, 300e6, 300e6], [100e6, 50e6, 20e6]]
-        g = graph_from_caps(fl, np.zeros((2, 2)))
+        g = make_graph(fl, np.zeros((2, 2)))
         assert g.serving_gs == (1, 0)  # tie between 1 and 2 goes to 1
         assert g.fl_capacity_bps[0, 0] == 0.0 and g.fl_capacity_bps[0, 2] == 0.0
         assert g.fl_capacity_bps[0, 1] == 300e6
@@ -160,9 +140,8 @@ class TestServingPolicy:
         assert all(len(s) > 1 for s in seen)
 
     def test_unknown_policy_rejected(self):
-        g = graph_from_caps([[1e6], [1e6]], np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            select_serving_gs(g, "nearest")
+        with pytest.raises(ValueError, match="unknown policy 'nearest'"):
+            make_graph([[1e6], [1e6]], np.zeros((2, 2)), "nearest")
 
 
 class TestReachability:
@@ -176,7 +155,7 @@ class TestReachability:
                 for n in ring_neighbors(k)[s]:
                     if rng.rand() < 0.8:
                         isl[s, n] = 400e6
-            g = graph_from_caps(fl, isl, POLICY_LP_FRACTIONAL)
+            g = make_graph(fl, isl, POLICY_LP_FRACTIONAL)
             for s in range(k):
                 expected = sorted(
                     {
@@ -190,17 +169,17 @@ class TestReachability:
                 assert list(g.reachable_gs[s]) == expected
 
     def test_relay_only_satellite_not_isolated(self):
-        g = graph_from_caps([[250e6], [0.0]], [[0, 600e6], [600e6, 0]])
+        g = make_graph([[250e6], [0.0]], [[0, 600e6], [600e6, 0]])
         assert g.isolated == ()
         assert g.reachable_gs[1] == (0,)
         assert g.serving_gs == (0, None)
 
     def test_isolation_with_isl_down(self):
-        g = graph_from_caps([[250e6], [0.0]], np.zeros((2, 2)))
+        g = make_graph([[250e6], [0.0]], np.zeros((2, 2)))
         assert g.isolated == (1,)
 
     def test_isolation_when_neighbors_dark_too(self):
-        g = graph_from_caps([[0.0], [0.0], [250e6]], np.zeros((3, 3)))
+        g = make_graph([[0.0], [0.0], [250e6]], np.zeros((3, 3)))
         assert set(g.isolated) == {0, 1}
 
     def test_determinism(self):
