@@ -156,17 +156,18 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     b = float(problem.rhs[-1])
     m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
     # the new row and the new cost over every variable: the base's and the new row's slack
-    coefs, cost = np.zeros((2, m + width))
-    coefs[:n], cost[:n] = problem.matrix[-1], -problem.objective
+    new = np.zeros((2, m + width))
+    new[0, :n], new[1, :n] = problem.matrix[-1], -problem.objective
     basis = np.append(base.basis, m + width - 1)
     tableau = np.empty((m + 2, width))
     tableau[:m] = base.tableau[:m]
-    tableau[m] = _less_rows(np.append(coefs[base.nonbasic], b), coefs[base.basis], tableau[:m])
+    tableau[m:, :-1], tableau[m:, -1] = new[:, base.nonbasic], (b, 0.0)
+    tableau[m] = _less_rows(tableau[m], new[0, base.basis], tableau[:m])
     if tableau[m, -1] < -FEAS_TOL * max(1.0, abs(b)):
         return ValueError("the appended row cuts off the base optimum")
     if tableau[m, -1] < 0.0:
         tableau[m, -1] = 0.0
-    tableau[m + 1] = _less_rows(np.append(cost[base.nonbasic], 0.0), cost[basis], tableau[: m + 1])
+    tableau[m + 1] = _less_rows(tableau[m + 1], new[1, basis], tableau[: m + 1])
     cap = 10 * (m + 1 + n) if max_iterations is None else max_iterations
     return _Start(tableau, basis, base.nonbasic.copy(), cap)
 
@@ -178,7 +179,7 @@ def _less_rows(target: np.ndarray, coefs: np.ndarray, rows: np.ndarray) -> np.nd
     subtractions would.
     """
     used = coefs.nonzero()[0]
-    return np.subtract.accumulate(np.vstack([target, coefs[used, None] * rows[used]]))[-1]
+    return np.subtract.accumulate(np.concatenate((target[None], coefs[used, None] * rows[used])))[-1]
 
 
 def solve(

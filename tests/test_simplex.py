@@ -321,11 +321,10 @@ def kinds(outcomes):
 
 
 class TestBatch:
-    # the batch boundaries of each run, as consecutive pieces of the 15
-    # LPs: one batch, one LP per batch, and the five that pad to 12 rows
-    # and 14 columns apart from the ten that pad to 6 x 7 (two of them
-    # refused before any pivot), so batch boundaries fall between LPs of
-    # every shape
+    # the 15 LPs in consecutive batches: all in one, one per batch, and the
+    # five that pad to 12 rows and 14 columns apart from the ten that pad to
+    # 6 x 7 (three of them refused before any pivot), so batch boundaries
+    # fall between LPs of every shape
     @pytest.mark.parametrize("pieces", [[15], [1] * 15, [5, 10]])
     @pytest.mark.parametrize("max_iterations", [None, 3])
     def test_batch_equals_each_lp_alone(self, max_iterations, pieces):
