@@ -21,6 +21,7 @@ import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -125,16 +126,14 @@ def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
     path.write_text(_csv_text(result, columns, row), newline="")
 
 
-def _texts(files, doc, results) -> list:
+def _texts(files, doc, results) -> Iterator[tuple]:
     """The name and text of each file that `_solve_and_write` writes."""
-    texts = []
     for name, content in files(doc, *results):
         if name.endswith(".csv"):
             content = _csv_text(results[0], *content)
         elif not isinstance(content, str):
             content = json.dumps(content, indent=2) + "\n"
-        texts.append((name, content))
-    return texts
+        yield name, content
 
 
 def _solve_and_write(args, document, files) -> int:
@@ -157,7 +156,7 @@ def _solve_and_write(args, document, files) -> int:
         doc = document(*results)
         if args.seedless_deterministic:
             rerun = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
-            if _texts(files, doc, results) != _texts(files, document(*rerun), rerun):
+            if list(_texts(files, doc, results)) != list(_texts(files, document(*rerun), rerun)):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
