@@ -101,10 +101,6 @@ def _allocations_json(result: RunResult) -> str:
     return "[\n  " + ",\n  ".join(slots) + "\n]\n" if slots else "[]\n"
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _csv_cell(text: str) -> str:
     """`text` as csv.writer writes it as one cell of a row: quoted where it must be."""
     buf = io.StringIO()
@@ -122,12 +118,10 @@ def _csv_text(result: RunResult, columns: list, row) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def _write_csv(path: Path, result: RunResult, columns: list, row) -> None:
-    path.write_text(_csv_text(result, columns, row), newline="")
-
-
 def _texts(files, doc, results) -> Iterator[tuple]:
-    """The name and text of each file that `_solve_and_write` writes."""
+    """The name and text of each file that `_solve_and_write` writes: a `.csv`
+    name's content is the `(columns, row)` of `_csv_text`, any other name's
+    its text or a document for `json.dumps`."""
     for name, content in files(doc, *results):
         if name.endswith(".csv"):
             content = _csv_text(results[0], *content)
@@ -139,12 +133,10 @@ def _texts(files, doc, results) -> Iterator[tuple]:
 def _solve_and_write(args, document, files) -> int:
     """The body of `run` and `compare`.
 
-    Solves the command's arms, builds `document(*results)` and writes each
-    `(name, content)` of `files(doc, *results)` to --out: a `.csv` name's
-    content is the `(columns, row)` of `_write_csv`, any other name's its
-    text or JSON document.  With --seedless-deterministic the arms are solved
-    twice, and any file whose text differs between the two fails the run
-    before anything is written.
+    Solves the command's arms, builds `document(*results)` and writes the
+    `_texts` of `files(doc, *results)` to --out.  With --seedless-deterministic
+    the arms are solved twice, and any file whose text differs between the
+    two fails the run before anything is written.
     """
     try:
         scenario = _load_scenario_arg(args.scenario)
@@ -154,9 +146,11 @@ def _solve_and_write(args, document, files) -> int:
     try:
         results = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
         doc = document(*results)
+        texts = _texts(files, doc, results)  # rendered one file at a time as it is written
         if args.seedless_deterministic:
             rerun = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
-            if list(_texts(files, doc, results)) != list(_texts(files, document(*rerun), rerun)):
+            texts = list(texts)
+            if texts != list(_texts(files, document(*rerun), rerun)):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
@@ -166,13 +160,8 @@ def _solve_and_write(args, document, files) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, content in files(doc, *results):
-            if name.endswith(".csv"):
-                _write_csv(out / name, results[0], *content)
-            elif isinstance(content, str):
-                (out / name).write_text(content)
-            else:
-                _write_json(out / name, content)
+        for name, text in texts:
+            (out / name).write_text(text, newline="")
     except OSError as exc:
         return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
     if doc["series"]["degenerate_slots"]:
