@@ -200,8 +200,9 @@ def route_scan_problem(graph):
     capacity_rows = len(rows)
     for s, j in direct:
         rows.append({col[("w_direct", s, j)]: 1.0, **{col[("w_relay", *rt)]: 1.0 for rt in routes if rt[1:] == (s, j)}})
-    for edge in sorted({rt[1:] for rt in routes} - set(direct)):
-        rows.append({col[("w_relay", *rt)]: 1.0 for rt in routes if rt[1:] == edge})
+    # a relay's feeder edge is lit, so it is also a direct edge of the relay:
+    # no packing row is left for edges that only relays use
+    assert not {rt[1:] for rt in routes} - set(direct)
     for link in sorted({rt[:2] for rt in routes}):
         rows.append({col[("v", *rt)]: 1.0 for rt in routes if rt[:2] == link})
     rhs = [0.0] * capacity_rows + [1.0] * (len(rows) - capacity_rows)

@@ -9,6 +9,7 @@ the scalar ones entry by entry, block and chunk boundaries must not change
 a run, and every no-ISL slot's t* must equal its closed form.
 """
 import dataclasses
+import hashlib
 import importlib.util
 import json
 from importlib import resources
@@ -223,3 +224,32 @@ def test_no_isl_stage2_rates_are_the_feeder_sums(monkeypatch, name):
     for graph, result in no_isl_slots(monkeypatch, sc):
         closed_form = graph.fl_capacity_bps.sum(1)
         assert np.all(np.abs(result.rates_bps - closed_form) <= 1e-15 * closed_form), graph.slot_index
+
+
+def lp_digest(graphs):
+    """sha256 over every slot's `build_problem`: its tags, matrix, rhs and objective."""
+    h = hashlib.sha256()
+    for graph in graphs:
+        problem = build_problem(graph)
+        h.update(repr(problem.variable_tags).encode())
+        for a in (problem.matrix, problem.rhs, problem.objective):
+            h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+# the slot LPs of every slot, by (scenario, serving policy, arm)
+LP_SHA256 = {
+    ("o3b_rain", "best-capacity", "isl"): "314813f0e890c2a44e70d0a2b3736e7c9c4491e35bfe9125c49e348f48866683",
+    ("o3b_rain", "best-capacity", "no_isl"): "5b4d9ed9381de3997038c48a9a357172b361eee72eefa684528c59a92f34e311",
+    ("o3b_rain", "lp-fractional", "isl"): "e026fcd8423cfe20757cce039b96b136776026485d1506f7abb9252b06384f73",
+    ("o3b_rain", "lp-fractional", "no_isl"): "61a591cd22ad7d5c8cbe6a9c6d37c5e1584c3798959889e79bf3038a64e2f14b",
+    ("dense_ground", "best-capacity", "isl"): "bdf00196c0518c32b23892a243ee06f2cd5d2703f2bce9c94f323b4f0be63235",
+    ("dense_ground", "best-capacity", "no_isl"): "71b2adf680e7ed1f8c93c49e1126013c1199e1ca381ff3076433e1c7c8082b1f",
+}
+
+
+@pytest.mark.parametrize("case", LP_SHA256, ids="-".join)
+def test_slot_lps_keep_their_bytes(monkeypatch, case):
+    name, policy, arm = case
+    graphs = engine_graphs(monkeypatch, scenario(name, policy), arm == "isl")
+    assert lp_digest(graphs) == LP_SHA256[case]
