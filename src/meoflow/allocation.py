@@ -15,12 +15,16 @@ links.  One LP per slot maximizes the minimum rate:
 
 The first row is the epigraph t <= R_k with satellite k's rate R_k, its
 direct share plus everything it relays, written out in place.
-`build_problem` writes these rows, in this order, as the dense matrix A
-of `maximize c.x s.t. A.x <= b, x >= 0`.  Every row has rhs 0 or 1, so
-x = 0 is feasible and the solver starts there.  An isolated satellite
-(no feeder link and no usable neighbor) has no epigraph row: it would
-pin t to 0.  It is reported at rate 0 and the slot is flagged
-degenerate.
+`build_problem` writes these rows as the dense matrix A of
+`maximize c.x s.t. A.x <= b, x >= 0`, in this order: the epigraph rows,
+two leg caps per route, one packing row per lit feeder edge in k-major
+order, then one per directed ISL.  A feeder edge is lit when its capacity
+is positive, topology's own test; a route's feeder edge is lit, so it is
+also a direct edge of the relay and every packing row belongs to one
+link.  Every row has rhs 0 or 1, so x = 0 is feasible and the solver
+starts there.  An isolated satellite (no feeder link and no usable
+neighbor) has no epigraph row: it would pin t to 0.  It is reported at
+rate 0 and the slot is flagged degenerate.
 
 The min() of the two relay legs is linearized through the shared
 throughput variable r.  A second, lexicographic stage maximizes
@@ -30,14 +34,6 @@ tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.
-
-`solve_block` solves a block of slots a group at a time: it builds each
-slot's LP, solves the group's stage-1 LPs in one `simplex.solve_batch`,
-then its stage-2 LPs in another, and decodes each slot.  A group is one
-run of `simplex.chunks` over the slots' stage-2 shapes, which bounds both
-batches, since a stage-1 LP has one row fewer.  A slot's result does not
-depend on the block or group it is solved in; `solve_allocation` is the
-one-slot case.
 """
 from __future__ import annotations
 
@@ -53,66 +49,41 @@ SCALE_BPS = 1e6
 LEXICO_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Route:
-    """One relay path: `source`'s traffic over the ISL to `relay`, then
-    down relay's feeder link to station `gs`."""
-
-    source: int
-    relay: int
-    gs: int
-
-
-def enumerate_routes(graph: SlotGraph) -> list[Route]:
-    """All usable relay routes, ordered by (source, relay, gs).
-
-    A route needs positive capacity on both legs; traffic is never
-    relayed to the source's own serving station.
-    """
-    routes = []
-    for k in range(graph.satellite_count):
-        own = graph.serving_gs[k]
-        for l in graph.neighbors[k]:
-            if graph.isl_capacity_bps[k, l] <= 0.0:
-                continue
-            for j in range(graph.station_count):
-                if graph.fl_capacity_bps[l, j] <= 0.0:
-                    continue
-                if own is not None and j == own:
-                    continue
-                routes.append(Route(k, l, j))
-    return routes
-
-
 def build_problem(graph: SlotGraph) -> LpProblem:
     """Assemble the per-slot max-min LP over the non-isolated satellites.
 
-    The rows come in the order of the module docstring: one epigraph row
-    per served satellite, two leg caps per route, one packing row per
-    feeder edge (direct edges first, then the edges only relays use) and
-    one per directed ISL.  Isolated satellites get no epigraph row; they
-    have no feeder edge and no route either, so the LP is the one the
-    served satellites alone would give.
+    The rows come in the order of the module docstring.  A relay route
+    (source k, relay l, station j), ordered by (k, l, j), needs a usable
+    ISL from k to l and a lit feeder edge from l to j; traffic is never
+    relayed to k's own serving station.  Isolated satellites get no
+    epigraph row; they have no feeder edge and no route either, so the LP
+    is the one the served satellites alone would give.
     """
-    k_count = graph.satellite_count
-    served = [k for k in range(k_count) if k not in graph.isolated]
-    routes = enumerate_routes(graph)
+    served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
+    lit = graph.fl_capacity_bps > 0.0
+    direct_edges = list(map(tuple, np.argwhere(lit).tolist()))  # k-major, as Python ints
+    routes = [
+        (k, l, j)
+        for k in range(graph.satellite_count)
+        for l in graph.neighbors[k]
+        if graph.isl_capacity_bps[k, l] > 0.0
+        for j in range(graph.station_count)
+        if lit[l, j] and j != graph.serving_gs[k]
+    ]
     fl = graph.fl_capacity_bps / SCALE_BPS
     isl = graph.isl_capacity_bps / SCALE_BPS
 
     tags: list[tuple] = [("t",)]
-    direct_edges = list(map(tuple, np.argwhere(fl > 0.0).tolist()))  # k-major, as Python ints
     tags += [("w_direct", k, j) for k, j in direct_edges]
     first_route = len(tags)
-    for rt in routes:
-        tags += [("v", rt.source, rt.relay, rt.gs), ("w_relay", rt.source, rt.relay, rt.gs), ("r", rt.source, rt.relay, rt.gs)]
+    for route in routes:
+        tags += [("v", *route), ("w_relay", *route), ("r", *route)]
 
     # the row of each satellite's epigraph, feeder edge and directed ISL
     epigraph_row = {k: i for i, k in enumerate(served)}
     packing = len(served) + 2 * len(routes)  # the first packing row
-    relay_edges = sorted({(rt.relay, rt.gs) for rt in routes} - set(direct_edges))
-    feeder_row = {edge: i for i, edge in enumerate(direct_edges + relay_edges, start=packing)}
-    isl_links = sorted({(rt.source, rt.relay) for rt in routes})
+    feeder_row = {edge: i for i, edge in enumerate(direct_edges, start=packing)}
+    isl_links = sorted({route[:2] for route in routes})
     isl_row = {link: i for i, link in enumerate(isl_links, start=packing + len(feeder_row))}
     matrix = np.zeros((packing + len(feeder_row) + len(isl_row), len(tags)))
 
@@ -122,18 +93,18 @@ def build_problem(graph: SlotGraph) -> LpProblem:
     for w_col, (k, j) in enumerate(direct_edges, start=1):
         matrix[epigraph_row[k], w_col] = -fl[k, j]
         matrix[feeder_row[k, j], w_col] = 1.0
-    for i, rt in enumerate(routes):
+    for i, (k, l, j) in enumerate(routes):
         v_col = first_route + 3 * i  # then w_relay, then r, as tagged above
-        matrix[epigraph_row[rt.source], v_col + 2] = -1.0
+        matrix[epigraph_row[k], v_col + 2] = -1.0
         # per-route leg capacities
         leg = len(served) + 2 * i
         matrix[leg, v_col + 2] = matrix[leg + 1, v_col + 2] = 1.0
-        matrix[leg, v_col] = -isl[rt.source, rt.relay]
-        matrix[leg + 1, v_col + 1] = -fl[rt.relay, rt.gs]
+        matrix[leg, v_col] = -isl[k, l]
+        matrix[leg + 1, v_col + 1] = -fl[l, j]
         # packing: the relayed share on the relay's feeder edge, and the
         # ISL fraction over all commodities on the directed ISL
-        matrix[feeder_row[rt.relay, rt.gs], v_col + 1] = 1.0
-        matrix[isl_row[rt.source, rt.relay], v_col] = 1.0
+        matrix[feeder_row[l, j], v_col + 1] = 1.0
+        matrix[isl_row[k, l], v_col] = 1.0
 
     objective = np.zeros(len(tags))
     objective[0] = 1.0
@@ -244,11 +215,10 @@ def decode(
             through = value * SCALE_BPS
             if through < 0.0:
                 through = 0.0
-            c_fl = fl_capacity[l][j]
-            c_isl = isl_capacity[s][l]
-            w[(s, l, j)] = through / c_fl if c_fl > 0 else 0.0
-            v[(s, l, j)] = through / c_isl if c_isl > 0 else 0.0
-            relayed[s] += v[(s, l, j)] * c_isl
+            # both legs of a route have positive capacity
+            w[(s, l, j)] = through / fl_capacity[l][j]
+            v[(s, l, j)] = through / isl_capacity[s][l]
+            relayed[s] += v[(s, l, j)] * isl_capacity[s][l]
             fl_rates[l, j] += through
             isl_rates[s, l] += through
             rates[s] += through
@@ -289,8 +259,9 @@ class AllocationError(RuntimeError):
         return type(self), (self.slot, self.stage, self.reason), self.__dict__
 
 
-def _solve_stage(graphs: Sequence[SlotGraph], stage: int, problems: dict, bases: Optional[dict], failures: dict) -> dict:
-    """Solve one stage's LPs of a block, keyed by block position, in one batch.
+def _solve_stage(group: list, stage: int, problems: dict, bases: Optional[dict], failures: dict) -> dict:
+    """Solve one stage's LPs of a group of (graph, problem) pairs, keyed by
+    position in the group, in one batch.
 
     Returns the optimal solutions by position.  Any other end is recorded
     in `failures` as the AllocationError that names its slot and stage.
@@ -299,11 +270,12 @@ def _solve_stage(graphs: Sequence[SlotGraph], stage: int, problems: dict, bases:
     outcomes = solve_batch([problems[i] for i in keys], bases=None if bases is None else [bases[i] for i in keys])
     solved = {}
     for i, outcome in zip(keys, outcomes):
+        slot = group[i][0].slot_index
         if isinstance(outcome, Exception):
-            failures[i] = AllocationError(graphs[i].slot_index, stage, str(outcome))
+            failures[i] = AllocationError(slot, stage, str(outcome))
             failures[i].__cause__ = outcome
         elif outcome.status != STATUS_OPTIMAL:
-            failures[i] = AllocationError(graphs[i].slot_index, stage, f"LP {outcome.status}")
+            failures[i] = AllocationError(slot, stage, f"LP {outcome.status}")
         else:
             solved[i] = outcome
     return solved
@@ -317,41 +289,27 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
     `solve_batch`, then its stage-2 LPs in another, so that only one
     group's tableaus are alive at a time.  Each slot gets the result it
     gets alone.  Raises the AllocationError, naming the slot and stage, of
-    the first slot whose LP ends other than optimal or whose solve gives up.
+    the group's first slot whose LP ends other than optimal or whose solve
+    gives up, in either stage.
     """
     built = ((graph, build_problem(graph)) for graph in graphs)
     results = []
     # a stage-2 LP is its stage-1 LP and the pin row
     for group in chunks(built, lambda item: (item[1].matrix.shape[0] + 1, item[1].matrix.shape[1])):
-        results += _solve_group(group, lexicographic)
-    return results
-
-
-def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
-    """`solve_block` of one group of (graph, problem) pairs: one `solve_batch`
-    per stage, then decode."""
-    graphs = [graph for graph, _ in group]
-    problems = [problem for _, problem in group]
-    failures: dict = {}
-    lps = {i: problem for i, problem in enumerate(problems) if problem.rhs.size}
-    stages = [_solve_stage(graphs, 1, lps, None, failures)]
-    chosen = {i: (problems[i], solution) for i, solution in stages[0].items()}
-    if lexicographic:
-        refined = {i: _pinned(problems[i], solution.objective_value) for i, solution in stages[0].items()}
-        stages.append(_solve_stage(graphs, 2, refined, stages[0], failures))
-        chosen = {i: (refined[i], solution) for i, solution in stages[1].items()}
-    if failures:
-        raise failures[min(failures)]
-    results = []
-    for i, graph in enumerate(graphs):
-        if i not in chosen:
-            # every satellite is isolated: no LP to solve, t* and all rates are 0
-            empty = LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0)
-            results.append(decode(graph, problems[i], empty, 0.0, 0))
-            continue
-        problem, solution = chosen[i]
-        iterations = sum(stage[i].iteration_count for stage in stages)
-        results.append(decode(graph, problem, solution, stages[0][i].objective_value, iterations))
+        failures: dict = {}
+        lps = {i: problem for i, (_, problem) in enumerate(group) if problem.rhs.size}
+        first = last = _solve_stage(group, 1, lps, None, failures)
+        if lexicographic:
+            refined = {i: _pinned(lps[i], solution.objective_value) for i, solution in first.items()}
+            last = _solve_stage(group, 2, refined, first, failures)
+        if failures:
+            raise failures[min(failures)]
+        for i, (graph, problem) in enumerate(group):
+            if i not in first:  # every satellite is isolated: no LP to solve, t* and all rates are 0
+                results.append(decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0))
+                continue
+            iterations = first[i].iteration_count + (last[i].iteration_count if lexicographic else 0)
+            results.append(decode(graph, problem, last[i], first[i].objective_value, iterations))
     return results
 
 

@@ -19,10 +19,8 @@ from meoflow.allocation import (
     LEXICO_SLACK,
     SCALE_BPS,
     AllocationError,
-    Route,
     build_problem,
     decode,
-    enumerate_routes,
     lexicographic_refine,
     solve_allocation,
 )
@@ -41,9 +39,24 @@ def make_graph(fl_bps, isl_bps, policy=POLICY_BEST_CAPACITY):
     return _policy_graphs([0], fl_bps[None], isl_bps[None], ring_neighbors(fl_bps.shape[0]), policy)[0]
 
 
+def relay_routes(graph):
+    """(source, relay, station) of every relay route, scanned from the
+    capacities alone, as perfbench/check.py's oracle does: a usable ISL, a
+    feeder link at the relay and never the source's own serving station."""
+    k_count, i_count = graph.fl_capacity_bps.shape
+    return [
+        (k, l, j)
+        for k in range(k_count)
+        for l in range(k_count)
+        if graph.isl_capacity_bps[k, l] > 0.0
+        for j in range(i_count)
+        if graph.fl_capacity_bps[l, j] > 0.0 and j != graph.serving_gs[k]
+    ]
+
+
 def grid_oracle_t_bps(graph, step=STEP):
     """Exhaustive scan over route shares; returns the best min rate found."""
-    routes = enumerate_routes(graph)
+    routes = relay_routes(graph)
     assert len(routes) <= 3, "oracle only handles up to three free dimensions"
     k = graph.satellite_count
     own_cap = np.array(
@@ -51,7 +64,7 @@ def grid_oracle_t_bps(graph, step=STEP):
     )
     # each directed ISL edge must carry at most one route for the
     # share-per-route parameterization to cover the feasible set
-    edges = [(r.source, r.relay) for r in routes]
+    edges = [r[:2] for r in routes]
     assert len(edges) == len(set(edges))
     if not routes:
         return float(own_cap.min())
@@ -61,14 +74,14 @@ def grid_oracle_t_bps(graph, step=STEP):
     rates = []
     for s in range(k):
         taken = 0.0
-        for r, a in zip(routes, grids):
-            if r.relay == s:
+        for (_, relay, _), a in zip(routes, grids):
+            if relay == s:
                 taken = taken + a
         r_s = own_cap[s] * np.maximum(0.0, 1.0 - taken)
-        for r, a in zip(routes, grids):
-            if r.source == s:
-                leg_fl = a * graph.fl_capacity_bps[r.relay, r.gs]
-                r_s = r_s + np.minimum(leg_fl, graph.isl_capacity_bps[r.source, r.relay])
+        for (source, relay, gs), a in zip(routes, grids):
+            if source == s:
+                leg_fl = a * graph.fl_capacity_bps[relay, gs]
+                r_s = r_s + np.minimum(leg_fl, graph.isl_capacity_bps[source, relay])
         # mask share combinations that oversubscribe a feeder edge
         if np.ndim(taken):
             r_s = np.where(taken <= 1.0 + 1e-12, r_s, -np.inf)
@@ -161,20 +174,25 @@ class TestTwoSatRelay:
         assert not res.fl_rates_bps.any() and not res.isl_rates_bps.any()
 
 
+def route_tags(graph):
+    """(source, relay, station) of each relay route of `build_problem`, from its r columns."""
+    return [tag[1:] for tag in build_problem(graph).variable_tags if tag[0] == "r"]
+
+
 class TestRouteEnumeration:
     def test_routes_skip_own_serving_station(self):
         # both satellites see the same station; relaying to your own serving
         # station is pointless and excluded
         g = make_graph([[300e6], [200e6]], [[0, 600e6], [600e6, 0]])
-        assert enumerate_routes(g) == []
+        assert route_tags(g) == []
 
     def test_routes_present_for_cross_stations(self):
         g = make_graph([[300e6, 0.0], [0.0, 200e6]], [[0, 600e6], [600e6, 0]])
-        assert set(enumerate_routes(g)) == {Route(0, 1, 1), Route(1, 0, 0)}
+        assert route_tags(g) == [(0, 1, 1), (1, 0, 0)]
 
     def test_route_needs_both_legs(self):
         g = make_graph([[300e6, 0.0], [0.0, 200e6]], [[0, 600e6], [0.0, 0]])
-        assert enumerate_routes(g) == [Route(0, 1, 1)]
+        assert route_tags(g) == [(0, 1, 1)]
 
 
 def route_scan_problem(graph):
@@ -182,7 +200,7 @@ def route_scan_problem(graph):
     routes as a {column: coefficient} dict: the reference for its build."""
     fl = graph.fl_capacity_bps / SCALE_BPS
     isl = graph.isl_capacity_bps / SCALE_BPS
-    routes = [(rt.source, rt.relay, rt.gs) for rt in enumerate_routes(graph)]
+    routes = relay_routes(graph)
     served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
     direct = [(k, j) for k in range(graph.satellite_count) for j in range(graph.station_count) if fl[k, j] > 0.0]
     tags = [("t",)] + [("w_direct", k, j) for k, j in direct]
