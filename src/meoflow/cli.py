@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a --seedless-deterministic rerun whose output
 files differ (nothing is written), 2 malformed or missing input (also a
 compare in which every slot is degenerate: nothing is written), 3 run
 completed but degenerate slots are present (outputs are still written), 4 a
-slot LP failed to solve (nothing is written).
+slot LP failed to solve or a worker process died without a result (nothing
+is written).
 
 Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
 `csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
@@ -26,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .allocation import AllocationError
-from .engine import RunResult, compare, run, summarize
+from .engine import RunResult, WorkerDiedError, compare, run, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
 def _run_arm(scenario: Scenario, isl_enabled: bool) -> RunResult:
     try:
         return run(scenario, isl_enabled=isl_enabled)
-    except AllocationError as exc:
+    except (AllocationError, WorkerDiedError) as exc:
         exc.arm = "ISL" if isl_enabled else "no-ISL"
         raise
 
@@ -157,6 +158,8 @@ def _solve_and_write(args, document, files) -> int:
     except AllocationError as exc:  # name the slot, the arm `_run_arm` set and the stage
         reason = f"slot {exc.slot} of the {exc.arm} arm, LP stage {exc.stage}: {exc.reason}"
         return _fail(f"solver failed on {reason}", EXIT_SOLVER_FAILED)
+    except WorkerDiedError as exc:
+        return _fail(f"{exc}, in the {exc.arm} arm", EXIT_SOLVER_FAILED)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

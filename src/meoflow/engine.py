@@ -36,6 +36,10 @@ HISTOGRAM_BIN_WIDTH_BPS = 5e6  # summary histograms and the histogram charts
 BLOCK_ENTRIES = 2**20
 
 
+class WorkerDiedError(RuntimeError):
+    """A forked worker that exited without sending its slots' result."""
+
+
 @dataclass
 class RunResult:
     scenario: Optional[Scenario]
@@ -112,7 +116,8 @@ def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResu
 
     This process solves the first range while forked workers solve the
     others, each sending its outcome back over its own pipe.  A worker that
-    dies without sending shows up here as end-of-file, never as a wait.
+    dies without sending shows up here as end-of-file, never as a wait, and
+    is raised as a WorkerDiedError.
     Fork, not spawn: a worker starts with the parsed scenario and the
     imported modules, where spawn would import numpy and meoflow again.
     """
@@ -139,7 +144,7 @@ def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResu
                 ok, payload = receiver.recv()
             except EOFError:
                 worker.join()
-                raise RuntimeError(
+                raise WorkerDiedError(
                     f"worker for slots {slots[0]}-{slots[-1]} exited with code {worker.exitcode} and no result"
                 ) from None
             if not ok:

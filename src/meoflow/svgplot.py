@@ -51,7 +51,13 @@ def _tick_label(v):
     return f"{v:g}"
 
 
+def _escape(text):
+    """`text` as SVG character data: a station id may hold `&`, `<` or `>`."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _axes(frame, title, x_label, y_label):
+    title, x_label, y_label = map(_escape, (title, x_label, y_label))
     parts = []
     left, right = frame.x(frame.x0), frame.x(frame.x1)
     top, bottom = frame.y(frame.y1), frame.y(frame.y0)
@@ -103,7 +109,7 @@ def _legend(entries):
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(yy)}" x2="{_fmt(x + 18)}" y2="{_fmt(yy)}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{_fmt(x + 23)}" y="{_fmt(yy + 3)}" font-size="10">{label}</text>')
+        parts.append(f'<text x="{_fmt(x + 23)}" y="{_fmt(yy + 3)}" font-size="10">{_escape(label)}</text>')
     return parts
 
 
@@ -132,7 +138,7 @@ def timeseries_svg(times_s, series_mbps, title, baseline_mbps=None, rain_windows
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(y1 - y0)}" fill="{SHADE_COLOR}" fill-opacity="0.35">'
-            f"<title>{label}</title></rect>"
+            f"<title>{_escape(label)}</title></rect>"
         )
     parts.extend(_axes(frame, title, "time [h]", "rate [Mbit/s]"))
     entries = []

@@ -8,12 +8,13 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import meoflow
-from meoflow import allocation, cli
+from meoflow import allocation, cli, engine
 from meoflow.cli import EXIT_SOLVER_FAILED, main
 from meoflow.engine import run
 from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
@@ -214,18 +215,24 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+def four_toy3_slots_on_two_cores(tmp_path, monkeypatch):
+    """A toy3 file of four slots, run as on two cores: this process solves
+    slots 0-1, a forked worker 2-3."""
+    data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+    data["time"]["duration_s"] = 1200
+    scenario = tmp_path / "toy3.json"
+    scenario.write_text(json.dumps(data))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return scenario
+
+
 class TestSolverFailureInWorker:
     """A slot LP failing in a forked worker reports like one failing here."""
 
     @pytest.mark.parametrize("stage", [1, 2])
     @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
     def test_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch, deadline, command, arm, stage):
-        # four toy3 slots on two cores: this process solves 0-1, a worker 2-3
-        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
-        data["time"]["duration_s"] = 1200
-        scenario = tmp_path / "toy3.json"
-        scenario.write_text(json.dumps(data))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        scenario = four_toy3_slots_on_two_cores(tmp_path, monkeypatch)
         build_problem, solve_batch = allocation.build_problem, allocation.solve_batch
         slot_of = {}  # by the id of a problem's tags, which stage 2's problem shares with stage 1's
 
@@ -248,6 +255,25 @@ class TestSolverFailureInWorker:
         assert main([command, str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED
         err = capsys.readouterr().err
         assert f"error: solver failed on slot 3 of the {arm} arm, LP stage {stage}: simplex exceeded 1 iterations" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
+    def test_worker_that_dies_exits_4_naming_slots_and_arm(self, tmp_path, capsys, monkeypatch, deadline, command, arm):
+        scenario = four_toy3_slots_on_two_cores(tmp_path, monkeypatch)
+        parent = os.getpid()
+        solve_slots = engine._solve_slots
+
+        def dies_in_worker(scenario, isl_enabled, slots):
+            if os.getpid() != parent:
+                os._exit(7)
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", dies_in_worker)
+        out = tmp_path / "out"
+        assert main([command, str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        assert f"error: worker for slots 2-3 exited with code 7 and no result, in the {arm} arm" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -285,6 +311,19 @@ class TestPlotCommand:
         assert main(["plot", str(compare_dir), "rain-attenuation"]) == 0
         text = (compare_dir / "rain_attenuation.svg").read_text()
         assert text.count("<polyline") == 3
+
+    def test_every_chart_is_well_formed_xml_with_markup_in_a_station_id(self, tmp_path):
+        # the rained station's id reaches the rain window's <title> as text
+        text = (resources.files("meoflow") / "scenarios" / "toy3.json").read_text()
+        scenario = tmp_path / "toy3.json"
+        scenario.write_text(text.replace('"equator0"', json.dumps("A&B <1>")))
+        assert main(["compare", str(scenario), "--out", str(tmp_path)]) == 0
+        for kind in ("timeseries", "histogram", "rain-attenuation"):
+            assert main(["plot", str(tmp_path), kind]) == 0
+        charts = sorted(tmp_path.glob("*.svg"))
+        assert len(charts) == 7
+        titles = [el.text for chart in charts for el in ElementTree.parse(chart).iter("{http://www.w3.org/2000/svg}title")]
+        assert "A&B <1> 16.5 mm/h" in titles
 
     def test_plot_from_single_run_dir(self, run_dir):
         assert main(["plot", str(run_dir), "timeseries"]) == 0
