@@ -289,8 +289,8 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
     `solve_batch`, then its stage-2 LPs in another, so that only one
     group's tableaus are alive at a time.  Each slot gets the result it
     gets alone.  Raises the AllocationError, naming the slot and stage, of
-    the group's first slot whose LP ends other than optimal or whose solve
-    gives up, in either stage.
+    the first slot whose LP ends other than optimal or whose solve gives up,
+    in either stage.
     """
     built = ((graph, build_problem(graph)) for graph in graphs)
     results = []
