@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from meoflow import engine
+from meoflow import allocation, engine
 from meoflow.allocation import (
     LEXICO_SLACK,
     SCALE_BPS,
@@ -256,6 +256,44 @@ class TestBuildProblem:
         for graph in graphs:
             assert_built_as_route_scan(graph)
         assert len(graphs) == 288
+
+
+def negative_zeros(a):
+    return int((np.signbit(a) & (a == 0.0)).sum())
+
+
+@pytest.mark.parametrize(
+    "name,policy,isl_enabled",
+    [
+        ("o3b_rain", POLICY_BEST_CAPACITY, True),
+        ("o3b_rain", POLICY_BEST_CAPACITY, False),
+        ("o3b_rain", POLICY_LP_FRACTIONAL, True),
+        ("o3b_rain", POLICY_LP_FRACTIONAL, False),
+        ("dense_ground", POLICY_BEST_CAPACITY, True),
+        ("dense_ground", POLICY_BEST_CAPACITY, False),
+    ],
+)
+def test_no_constraint_row_ever_holds_a_negative_zero(monkeypatch, name, policy, isl_enabled):
+    # the simplex kernel skips the columns where the pivot row is zero, which
+    # keeps the bytes only while no constraint row holds a -0.0: neither A
+    # and b of any slot LP, nor any row but the cost row of a final tableau
+    from test_slot_range import scenario
+
+    solve_batch = allocation.solve_batch
+    seen = {1: 0, 2: 0}
+
+    def checked(problems, max_iterations=None, *, bases=None):
+        outcomes = solve_batch(problems, max_iterations, bases=bases)
+        for problem, solution in zip(problems, outcomes):
+            assert negative_zeros(problem.matrix) == negative_zeros(problem.rhs) == 0
+            assert negative_zeros(solution.tableau[:-1]) == 0
+        seen[1 if bases is None else 2] += len(problems)
+        return outcomes
+
+    monkeypatch.setattr(allocation, "solve_batch", checked)
+    sc = scenario(name, policy)
+    engine._solve_slots(sc, isl_enabled, range(sc.slot_count))
+    assert seen == {1: sc.slot_count, 2: sc.slot_count if sc.lexicographic else 0}
 
 
 class TestGridOracle:

@@ -74,6 +74,15 @@ class TestBasics:
         assert s.status == STATUS_OPTIMAL and s.iteration_count == pivots
         assert s.values[0] == float(pivots)
 
+    @pytest.mark.parametrize("gap,basis,x", [(PIVOT_EPS / 2, [0, 2], 1.0 + PIVOT_EPS / 2), (2 * PIVOT_EPS, [1, 0], 1.0)])
+    def test_pivot_eps_decides_whether_two_ratios_tie(self, gap, basis, x):
+        # maximize x st x <= 1 + gap (slack 1), x <= 1 (slack 2): the larger
+        # ratio is on the row of the smaller basis index, so it leaves only
+        # when the two ratios tie within PIVOT_EPS * max(1, |best|)
+        s = solve(LpProblem(np.array([1.0]), [[1.0], [1.0]], np.array([1.0 + gap, 1.0])))
+        assert s.status == STATUS_OPTIMAL and s.iteration_count == 1
+        assert s.basis.tolist() == basis and s.values[0] == x
+
     def test_degenerate_beale_terminates(self):
         # classic cycling instance for naive pivoting; Bland must finish
         a = np.array(
@@ -357,6 +366,111 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert simplex.solve_batch([]) == []
+
+
+def reference_solve(problem, max_iterations=None):
+    """A cold solve as a plain loop over one LP's condensed tableau: Bland's
+    entering and leaving rules, the solver's ratio test and tie window, and
+    every row but the pivot row updated at every column.  Returns the
+    SimplexIterationError of a capped solve, or (status, pivots, tableau,
+    basis, nonbasic, values)."""
+    (m, n), c = problem.matrix.shape, problem.objective
+    t = np.zeros((m + 1, n + 1))
+    t[:m, :n], t[:m, n], t[m, :n] = problem.matrix, problem.rhs, -c
+    basis, nonbasic = np.arange(n, n + m), np.arange(n)
+    cap = 10 * (m + n) if max_iterations is None else max_iterations
+    pivots = 0
+    while True:
+        if pivots >= cap:
+            return SimplexIterationError(f"simplex exceeded {cap} iterations")
+        improving = [j for j in range(n) if t[m, j] < -PIVOT_EPS]
+        if not improving:
+            y = np.zeros(m + n)
+            y[basis] = t[:m, n]
+            return STATUS_OPTIMAL, pivots, t, basis, nonbasic, y[:n]
+        e = min(improving, key=lambda j: nonbasic[j])
+        rows = [i for i in range(m) if t[i, e] > PIVOT_EPS]
+        if not rows:
+            return STATUS_UNBOUNDED, pivots, None, None, None, None
+        ratios = {i: t[i, n] / t[i, e] for i in rows}
+        best = min(ratios.values())
+        r = min((i for i in rows if ratios[i] <= best + PIVOT_EPS * max(1.0, abs(best))), key=lambda i: basis[i])
+        factors = t[:, e].copy()
+        # the leaving variable's column, a unit vector, takes the entering slot
+        t[:, e] = 0.0
+        t[r, e] = 1.0
+        t[r] = t[r] / factors[r]
+        for i in range(m + 1):
+            if i != r:
+                t[i] = t[i] - factors[i] * t[r]
+        basis[r], nonbasic[e] = nonbasic[e], basis[r]
+        pivots += 1
+
+
+def sparse_problem(rng, m, n, plant_negative_zero=False):
+    """A cold LP with a sparse A of both signs, some zero rhs (degenerate
+    starts) and some zero costs (a -0.0 in the cost row); no -0.0 in A or b
+    unless one is planted."""
+    a = np.where(rng.rand(m, n) < 0.3, rng.uniform(-1.0, 2.0, (m, n)), 0.0)
+    b = np.where(rng.rand(m) < 0.8, rng.uniform(0.0, 5.0, m), 0.0)
+    c = np.where(rng.rand(n) < 0.8, rng.uniform(-1.0, 2.0, n), 0.0)
+    if plant_negative_zero:
+        a[rng.randint(m), rng.randint(n)] = -0.0
+    return box_problem(a, b, c)
+
+
+def sparse_problems(plant_negative_zero=False):
+    rng = np.random.RandomState(13)
+    return [sparse_problem(rng, m, n, plant_negative_zero) for m, n in [(6, 8), (12, 10), (3, 9), (20, 25), (9, 4)] * 8]
+
+
+def has_negative_zero(a):
+    return bool((np.signbit(a) & (a == 0.0)).any())
+
+
+def assert_matches_reference(got, problem, max_iterations, exact=True):
+    want = reference_solve(problem, max_iterations)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    status, pivots, tableau, basis, nonbasic, values = want
+    assert (got.status, got.iteration_count) == (status, pivots)
+    if status == STATUS_OPTIMAL:
+        for name, w in [("tableau", tableau), ("basis", basis), ("nonbasic", nonbasic), ("values", values)]:
+            g = getattr(got, name)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            if exact:
+                assert g.tobytes() == w.tobytes(), name
+            else:
+                assert np.array_equal(g, w), name
+
+
+class TestReferenceKernel:
+    # The batch kernel against `reference_solve`.  Without a -0.0 in A or b
+    # no constraint row ever holds one, so the bytes must match, sign of
+    # every zero included; with one planted, the values must.
+    @pytest.mark.parametrize("max_iterations", [None, 5])
+    def test_each_lp_alone_matches_the_reference(self, max_iterations):
+        problems = sparse_problems()
+        assert not any(has_negative_zero(p.matrix) or has_negative_zero(p.rhs) for p in problems)
+        outcomes = [alone(p, max_iterations, None) for p in problems]
+        assert kinds(outcomes) >= {STATUS_OPTIMAL, STATUS_UNBOUNDED}
+        for got, problem in zip(outcomes, problems):
+            assert_matches_reference(got, problem, max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [None, 5])
+    def test_each_lp_in_a_mixed_batch_matches_the_reference(self, max_iterations):
+        problems = sparse_problems()
+        others, bases = mixed_batch()
+        outcomes = simplex.solve_batch(others + problems, max_iterations, bases=bases + [None] * len(problems))
+        for got, problem in zip(outcomes[len(others) :], problems):
+            assert_matches_reference(got, problem, max_iterations)
+
+    def test_a_planted_negative_zero_leaves_the_values_equal(self):
+        problems = sparse_problems(plant_negative_zero=True)
+        assert all(has_negative_zero(p.matrix) for p in problems)
+        for got, problem in zip(simplex.solve_batch(problems), problems):
+            assert_matches_reference(got, problem, None, exact=False)
 
 
 class TestChunks:
