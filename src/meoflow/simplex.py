@@ -27,14 +27,25 @@ the same values.
 a block of slots: the per-call cost of numpy, not arithmetic, is most of a
 pivot at these sizes, so each call of a step works on every LP that has
 not yet ended.  Each LP's starting tableau is built whole first, cold or
-continued; the batch then pads them into one zero-padded (B, M+1, N+1)
-array, each LP's constraint rows and columns first, its cost row last and
-its rhs column last.  A zero padding column never improves, a zero
-padding row never leaves, and a pivot updates only the rows with a
-nonzero factor (x - 0 * p is x, up to the sign of a zero), so every LP
-walks the same pivots to the same bits in any batch, alone or with
-others.  `solve` is the one-LP case, and `chunks` splits a stream of LPs
-into batches of bounded size.
+continued; the batch then pads them into one zero-padded array stored
+column-major, (B, N+1, M+1), so that each tableau column is one
+contiguous array row: each LP's nonbasic columns first and its rhs
+column last, and in each column its constraint rows first and its cost
+row last.  A pivot rewrites the cost row at every column, and the
+constraint rows only at the columns where the normalized pivot row is
+nonzero (see `_pivot`).  A zero padding column never improves and a zero
+padding row never leaves, so every LP walks the same pivots to the same
+bits in any batch, alone or with others.  `solve` is the one-LP case, and
+`chunks` splits a stream of LPs into batches of bounded size.
+
+Skipping an entry x where the full update would compute x - f * 0 keeps
+its bits unless x = -0.0 and f * 0 = -0.0, which gives +0.0.  A
+constraint row never holds -0.0 when A and b hold none, as the slot LPs of
+`allocation.build_problem` do not: an update x - f * p rounds to -0.0
+only from x = -0.0, a pivot row divided by a positive pivot keeps its
+signs of zero (barring an underflow, far below the magnitudes here), and
+`_continue`'s fold and clamp write +0.0.  Only the cost row starts with
+-0.0 (from -c), and it is updated at every column.
 """
 from __future__ import annotations
 
@@ -227,14 +238,14 @@ def solve_batch(
     n = np.array([start.nonbasic.size for start in starts], dtype=int)
     # at least one row and column, so that no reduction is over nothing
     rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
-    tableau = np.zeros((len(starts), rows + 1, cols + 1))
+    tableau = np.zeros((len(starts), cols + 1, rows + 1))  # column-major: [lp, column, row]
     basis = np.full((len(starts), rows), _NONE)
     nonbasic = np.full((len(starts), cols), _NONE)
     for b, start in enumerate(starts):
-        tableau[b, : m[b], : n[b]] = start.tableau[:-1, :-1]
-        tableau[b, : m[b], cols] = start.tableau[:-1, -1]
-        tableau[b, rows, : n[b]] = start.tableau[-1, :-1]
-        tableau[b, rows, cols] = start.tableau[-1, -1]
+        tableau[b, : n[b], : m[b]] = start.tableau[:-1, :-1].T
+        tableau[b, cols, : m[b]] = start.tableau[:-1, -1]
+        tableau[b, : n[b], rows] = start.tableau[-1, :-1]
+        tableau[b, cols, rows] = start.tableau[-1, -1]
         basis[b, : m[b]] = start.basis
         nonbasic[b, : n[b]] = start.nonbasic
     ends: list = [None] * len(starts)
@@ -248,10 +259,10 @@ def solve_batch(
         else:
             # the LP's own rows and columns, its cost row and rhs column last
             own = np.empty((m[b] + 1, n[b] + 1))
-            own[:-1, :-1] = tableau[b, : m[b], : n[b]]
-            own[:-1, -1] = tableau[b, : m[b], cols]
-            own[-1, :-1] = tableau[b, rows, : n[b]]
-            own[-1, -1] = tableau[b, rows, cols]
+            own[:-1, :-1] = tableau[b, : n[b], : m[b]].T
+            own[:-1, -1] = tableau[b, cols, : m[b]]
+            own[-1, :-1] = tableau[b, : n[b], rows]
+            own[-1, -1] = tableau[b, cols, rows]
             own_basis, own_nonbasic = basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy()
             try:
                 outcomes[i] = _optimal(problem, own, own_basis, own_nonbasic, int(iterations[b]))
@@ -300,14 +311,14 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
                 ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations")
             live = live[~capped]
         # Bland: the improving column of the smallest variable index
-        candidates = np.where(tableau[live, m, :n] < -PIVOT_EPS, nonbasic[live], _NONE)
+        candidates = np.where(tableau[live, :n, m] < -PIVOT_EPS, nonbasic[live], _NONE)
         entering = candidates.argmin(1)
         optimal = candidates.min(1) == _NONE
         if optimal.any():
             for b in live[optimal]:
                 ends[b] = STATUS_OPTIMAL
             live, entering = live[~optimal], entering[~optimal]
-        col = tableau[live, :m, entering]
+        col = tableau[live, entering, :m]
         positive = col > PIVOT_EPS
         bounded = positive.any(1)
         if not bounded.all():
@@ -316,7 +327,7 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
             live, entering, col, positive = live[bounded], entering[bounded], col[bounded], positive[bounded]
         if not live.size:
             break
-        ratios = np.divide(tableau[live, :m, n], col, out=np.full(col.shape, np.inf), where=positive)
+        ratios = np.divide(tableau[live, n, :m], col, out=np.full(col.shape, np.inf), where=positive)
         best = ratios.min(1, keepdims=True)
         # Bland tie-break: among minimal ratios leave the smallest basis index
         tied = ratios <= best + PIVOT_EPS * np.maximum(1.0, np.abs(best))
@@ -328,23 +339,29 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
 
 
 def _pivot(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Pivot LP lps[i] of the padded tableau on (rows[i], cols[i]), for every i.
+    """Pivot LP lps[i] of the column-major padded tableau on (rows[i], cols[i]), for every i.
 
     The entering column's slot takes the leaving variable's column, which
     is a unit vector before the update, so each stored entry goes through
-    the same operations as in the full tableau.  Only the rows with a
-    nonzero factor are updated; a zero of the full tableau may differ here
-    in its sign, and the two compare equal.
+    the same operations as in the full tableau.  The cost row (the last
+    entry of each column) is updated at every column, in one strided
+    update.  The constraint rows are updated only at the (lp, column)
+    pairs where the normalized pivot row is nonzero, each pair as one
+    whole column vector; the rest would be x - f * 0.  That keeps every
+    bit of the full update as long as no constraint row holds -0.0, which
+    the module docstring shows for A and b without -0.0; otherwise a zero
+    may differ in its sign, and the two compare equal.
     """
-    pivot = tableau[lps, rows, cols]
-    factors = tableau[lps, :, cols]
+    pivot = tableau[lps, cols, rows]
+    factors = tableau[lps, cols]
     factors[np.arange(lps.size), rows] = 0.0
-    tableau[lps, :, cols] = 0.0
-    tableau[lps, rows, cols] = 1.0
-    pivot_rows = tableau[lps, rows] / pivot[:, None]
-    tableau[lps, rows] = pivot_rows
-    lp, row = factors.nonzero()
-    tableau[lps[lp], row] -= factors[lp, row, None] * pivot_rows[lp]
+    tableau[lps, cols] = 0.0
+    tableau[lps, cols, rows] = 1.0
+    pivot_rows = tableau[lps, :, rows] / pivot[:, None]
+    tableau[lps, :, rows] = pivot_rows
+    tableau[lps, :, -1] -= factors[:, -1, None] * pivot_rows
+    lp, col = pivot_rows.nonzero()
+    tableau[lps[lp], col, :-1] -= factors[lp, :-1] * pivot_rows[lp, col, None]
 
 
 def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int) -> LpSolution:
