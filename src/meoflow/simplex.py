@@ -27,25 +27,22 @@ the same values.
 a block of slots: the per-call cost of numpy, not arithmetic, is most of a
 pivot at these sizes, so each call of a step works on every LP that has
 not yet ended.  Each LP's starting tableau is built whole first, cold or
-continued; the batch then pads them into one zero-padded array stored
-column-major, (B, N+1, M+1), so that each tableau column is one
-contiguous array row: each LP's nonbasic columns first and its rhs
-column last, and in each column its constraint rows first and its cost
-row last.  A pivot rewrites the cost row at every column, and the
-constraint rows only at the columns where the normalized pivot row is
-nonzero (see `_pivot`).  A zero padding column never improves and a zero
-padding row never leaves, so every LP walks the same pivots to the same
-bits in any batch, alone or with others.  `solve` is the one-LP case, and
-`chunks` splits a stream of LPs into batches of bounded size.
+continued; the batch then pads them into one zero-padded (B, N+1, M+1)
+array, column-major so that each tableau column is one contiguous array
+row: each LP's columns first and its rhs column last, each column's
+constraint rows first and its cost row last.  A zero padding column never
+improves and a zero padding row never leaves, so every LP walks the same
+pivots to the same bits in any batch, alone or with others.  `solve` is
+the one-LP case, and `chunks` splits a stream of LPs into batches of
+bounded size.
 
-Skipping an entry x where the full update would compute x - f * 0 keeps
-its bits unless x = -0.0 and f * 0 = -0.0, which gives +0.0.  A
-constraint row never holds -0.0 when A and b hold none, as the slot LPs of
-`allocation.build_problem` do not: an update x - f * p rounds to -0.0
-only from x = -0.0, a pivot row divided by a positive pivot keeps its
-signs of zero (barring an underflow, far below the magnitudes here), and
-`_continue`'s fold and clamp write +0.0.  Only the cost row starts with
--0.0 (from -c), and it is updated at every column.
+A pivot skips the entries x of the constraint rows where the pivot row
+is zero; x - f * 0 would keep x's bits unless x = -0.0 and f * 0 = -0.0.
+No constraint row holds -0.0 when A and b hold none, as `build_problem`'s
+do not: x - f * p is -0.0 only for x = -0.0, a row divided by a positive
+pivot keeps its signs of zero (barring underflow), and `_continue`'s fold
+and clamp write +0.0.  Only the cost row holds -0.0 (from -c), and it is
+updated at every column.
 """
 from __future__ import annotations
 
@@ -343,14 +340,12 @@ def _pivot(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndar
 
     The entering column's slot takes the leaving variable's column, which
     is a unit vector before the update, so each stored entry goes through
-    the same operations as in the full tableau.  The cost row (the last
-    entry of each column) is updated at every column, in one strided
-    update.  The constraint rows are updated only at the (lp, column)
-    pairs where the normalized pivot row is nonzero, each pair as one
-    whole column vector; the rest would be x - f * 0.  That keeps every
-    bit of the full update as long as no constraint row holds -0.0, which
-    the module docstring shows for A and b without -0.0; otherwise a zero
-    may differ in its sign, and the two compare equal.
+    the same operations as in the full tableau.  The cost row is updated
+    at every column, in one strided update; the constraint rows only at
+    the (lp, column) pairs where the normalized pivot row is nonzero, each
+    as one whole column vector.  Without -0.0 in any constraint row (see
+    the module docstring) that keeps every bit of the full update; with
+    one, a zero may differ in its sign, and the two compare equal.
     """
     pivot = tableau[lps, cols, rows]
     factors = tableau[lps, cols]

@@ -258,10 +258,6 @@ class TestBuildProblem:
         assert len(graphs) == 288
 
 
-def negative_zeros(a):
-    return int((np.signbit(a) & (a == 0.0)).sum())
-
-
 @pytest.mark.parametrize(
     "name,policy,isl_enabled",
     [
@@ -277,6 +273,7 @@ def test_no_constraint_row_ever_holds_a_negative_zero(monkeypatch, name, policy,
     # the simplex kernel skips the columns where the pivot row is zero, which
     # keeps the bytes only while no constraint row holds a -0.0: neither A
     # and b of any slot LP, nor any row but the cost row of a final tableau
+    from test_simplex import has_negative_zero
     from test_slot_range import scenario
 
     solve_batch = allocation.solve_batch
@@ -285,8 +282,8 @@ def test_no_constraint_row_ever_holds_a_negative_zero(monkeypatch, name, policy,
     def checked(problems, max_iterations=None, *, bases=None):
         outcomes = solve_batch(problems, max_iterations, bases=bases)
         for problem, solution in zip(problems, outcomes):
-            assert negative_zeros(problem.matrix) == negative_zeros(problem.rhs) == 0
-            assert negative_zeros(solution.tableau[:-1]) == 0
+            assert not has_negative_zero(problem.matrix) and not has_negative_zero(problem.rhs)
+            assert not has_negative_zero(solution.tableau[:-1])
         seen[1 if bases is None else 2] += len(problems)
         return outcomes
 
