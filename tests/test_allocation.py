@@ -194,6 +194,15 @@ class TestRouteEnumeration:
         g = make_graph([[300e6, 0.0], [0.0, 200e6]], [[0, 600e6], [0.0, 0]])
         assert route_tags(g) == [(0, 1, 1)]
 
+    def test_any_positive_isl_is_usable_off_the_ring_too(self):
+        # 0-2 is no ring pair of four satellites; a positive capacity makes
+        # it usable all the same, as it is to both oracles
+        isl = np.zeros((4, 4))
+        isl[0, 2] = isl[2, 0] = isl[2, 3] = isl[3, 2] = 500e6
+        g = make_graph([[300e6, 0.0], [0.0, 0.0], [0.0, 200e6], [0.0, 0.0]], isl, POLICY_LP_FRACTIONAL)
+        assert route_tags(g) == relay_routes(g) == [(0, 2, 1), (2, 0, 0), (3, 2, 1)]
+        assert g.isolated == (1,)
+
 
 def route_scan_problem(graph):
     """build_problem's columns and rows, each row made by one scan over all
