@@ -54,19 +54,17 @@ def build_problem(graph: SlotGraph) -> LpProblem:
 
     The rows come in the order of the module docstring.  A relay route
     (source k, relay l, station j), ordered by (k, l, j), needs a usable
-    ISL from k to l and a lit feeder edge from l to j; traffic is never
-    relayed to k's own serving station.  Isolated satellites get no
-    epigraph row; they have no feeder edge and no route either, so the LP
-    is the one the served satellites alone would give.
+    ISL from k to l, one of positive capacity, and a lit feeder edge from
+    l to j; traffic is never relayed to k's own serving station.  Isolated
+    satellites get no epigraph row; they have no feeder edge and no route
+    either, so the LP is the one the served satellites alone would give.
     """
     served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
     lit = graph.fl_capacity_bps > 0.0
     direct_edges = list(map(tuple, np.argwhere(lit).tolist()))  # k-major, as Python ints
     routes = [
         (k, l, j)
-        for k in range(graph.satellite_count)
-        for l in graph.neighbors[k]
-        if graph.isl_capacity_bps[k, l] > 0.0
+        for k, l in np.argwhere(graph.isl_capacity_bps > 0.0).tolist()  # usable ISLs, k-major
         for j in range(graph.station_count)
         if lit[l, j] and j != graph.serving_gs[k]
     ]

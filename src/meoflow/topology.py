@@ -50,12 +50,14 @@ class SlotGraph:
     """Capacities and adjacency for one time slot.
 
     fl_capacity_bps: (K, I), zero where invisible or masked by policy.
-    isl_capacity_bps: (K, K), zero off the ring or when ISLs are disabled.
-    neighbors: ring adjacency per satellite.
+    isl_capacity_bps: (K, K), zero off the ring or when ISLs are disabled;
+        the only adjacency: an ISL is usable where its entry is positive.
+    neighbors: the ring per satellite that `range_graphs` put ISLs on.
     serving_gs: chosen station per satellite (None when the policy keeps
         all edges, or the satellite sees nothing).
-    reachable_gs: stations reachable through exactly one ISL hop,
-        destination for relayed traffic.
+    reachable_gs: (K, I) boolean mask of the stations each satellite
+        reaches through exactly one usable ISL hop.  Unlike the relay
+        routes, it includes the satellite's own serving station.
     isolated: satellites with no feeder link and no usable neighbor path.
     """
 
@@ -64,7 +66,7 @@ class SlotGraph:
     isl_capacity_bps: np.ndarray
     neighbors: tuple[tuple[int, ...], ...]
     serving_gs: tuple[Optional[int], ...]
-    reachable_gs: tuple[tuple[int, ...], ...]
+    reachable_gs: np.ndarray
     isolated: tuple[int, ...]
 
     @property
@@ -80,7 +82,8 @@ def _policy_graphs(slots: Sequence[int], fl: np.ndarray, isl: np.ndarray, neighb
     """The serving policy over a slot range, from (N, K, I) feeder and (N, K, K) ISL capacities.
 
     best-capacity masks every non-serving feeder edge to zero; lp-fractional
-    keeps every edge and leaves serving_gs at None.
+    keeps every edge and leaves serving_gs at None.  `neighbors` only fills
+    the SlotGraph field: the ISL capacities alone say which ISLs are usable.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -94,16 +97,12 @@ def _policy_graphs(slots: Sequence[int], fl: np.ndarray, isl: np.ndarray, neighb
         fl = np.where(serves[..., None], kept, fl)
         lit = fl > 0.0
         serving = np.where(serves, best[..., 0], -1)
-    ring = np.zeros(isl.shape[1:], dtype=bool)
-    for s, nbrs in enumerate(neighbors):
-        ring[s, list(nbrs)] = True
-    reach = (ring & (isl > 0.0)) @ lit  # (N, K, I): stations one usable ISL hop away
+    reach = (isl > 0.0) @ lit  # (N, K, I): stations one usable ISL hop away
     isolated = ~serves & ~reach.any(axis=2)
     graphs = []
     for n, slot in enumerate(slots):
         serving_gs = tuple(None if j < 0 else j for j in serving[n].tolist())
-        reachable = tuple(tuple(np.flatnonzero(row).tolist()) for row in reach[n])
-        graphs.append(SlotGraph(slot, fl[n], isl[n], neighbors, serving_gs, reachable, tuple(np.flatnonzero(isolated[n]).tolist())))
+        graphs.append(SlotGraph(slot, fl[n], isl[n], neighbors, serving_gs, reach[n], tuple(np.flatnonzero(isolated[n]).tolist())))
     return graphs
 
 

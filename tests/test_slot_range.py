@@ -90,7 +90,7 @@ def test_engine_graphs_equal_the_per_slot_wrappers(monkeypatch, name, policy, is
         assert np.array_equal(graph.fl_capacity_bps, one.fl_capacity_bps), graph.slot_index
         assert np.array_equal(graph.isl_capacity_bps, one.isl_capacity_bps), graph.slot_index
         assert graph.serving_gs == one.serving_gs
-        assert graph.reachable_gs == one.reachable_gs
+        assert np.array_equal(graph.reachable_gs, one.reachable_gs)
         assert graph.isolated == one.isolated
     if isl_enabled:
         assert any(g.isl_capacity_bps.any() for g in graphs)
