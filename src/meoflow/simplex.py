@@ -124,16 +124,14 @@ class LpSolution:
 
 
 class _Start(NamedTuple):
-    """One LP set up for `solve_batch`: its condensed tableau, the variable
-    of each of its rows and columns, and its pivot cap."""
+    """One LP set up for `solve_batch`: its condensed tableau and the variable of each row and column."""
 
     tableau: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
-    cap: int
 
 
-def _start(problem: LpProblem, base: Optional[LpSolution], max_iterations: Optional[int]):
+def _start(problem: LpProblem, base: Optional[LpSolution]):
     """The `_Start` of one LP, or the ValueError that refuses it."""
     m, n = problem.matrix.shape
     if base is None:
@@ -142,12 +140,11 @@ def _start(problem: LpProblem, base: Optional[LpSolution], max_iterations: Optio
         # [A | b; -c | 0]: row i's slack is variable n + i and starts basic; x starts nonbasic
         tableau = np.zeros((m + 1, n + 1))
         tableau[:m, :n], tableau[:m, n], tableau[m, :n] = problem.matrix, problem.rhs, -problem.objective
-        cap = 10 * (m + n) if max_iterations is None else max_iterations
-        return _Start(tableau, np.arange(n, n + m), np.arange(n), cap)
-    return _continue(problem, base, max_iterations)
+        return _Start(tableau, np.arange(n, n + m), np.arange(n))
+    return _continue(problem, base)
 
 
-def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int]):
+def _continue(problem: LpProblem, base: LpSolution):
     """Set up `problem` to continue from `base`'s optimal tableau.
 
     `problem` must be the LP that `base` solved with one more row
@@ -156,7 +153,7 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     optimum satisfies the new row, that basis is feasible and the simplex
     runs on from it under the new objective, priced out over the basis
     (Chvatal 1983, adding a constraint to a solved LP).  The pivot count
-    and cap cover this solve alone.
+    and cap cover this solve alone, the new row counted.
     """
     n = problem.n_variables
     if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
@@ -176,8 +173,7 @@ def _continue(problem: LpProblem, base: LpSolution, max_iterations: Optional[int
     if tableau[m, -1] < 0.0:
         tableau[m, -1] = 0.0
     tableau[m + 1] = _less_rows(tableau[m + 1], new[1, basis], tableau[: m + 1])
-    cap = 10 * (m + 1 + n) if max_iterations is None else max_iterations
-    return _Start(tableau, basis, base.nonbasic.copy(), cap)
+    return _Start(tableau, basis, base.nonbasic.copy())
 
 
 def _less_rows(target: np.ndarray, coefs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -228,7 +224,7 @@ def solve_batch(
     """
     if bases is None:
         bases = [None] * len(problems)
-    outcomes = [_start(problem, base, max_iterations) for problem, base in zip(problems, bases)]
+    outcomes = [_start(problem, base) for problem, base in zip(problems, bases)]
     ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
     starts = [outcomes[i] for i in ready]
     m = np.array([start.basis.size for start in starts], dtype=int)
@@ -246,7 +242,8 @@ def solve_batch(
         basis[b, : m[b]] = start.basis
         nonbasic[b, : n[b]] = start.nonbasic
     ends: list = [None] * len(starts)
-    iterations = _run_simplex(tableau, basis, nonbasic, np.array([start.cap for start in starts], dtype=int), ends)
+    caps = 10 * (m + n) if max_iterations is None else np.full(len(starts), max_iterations)
+    iterations = _run_simplex(tableau, basis, nonbasic, caps, ends)
     for b, (i, end) in enumerate(zip(ready, ends)):
         problem = problems[i]
         if isinstance(end, Exception):
