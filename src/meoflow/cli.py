@@ -275,6 +275,8 @@ def cmd_plot(args) -> int:
         for key in [arm + name for arm in arms for name in ("rates_bps", "t_star_bps")]:
             if len(series[key]) != len(times):
                 raise ValueError(f"{key} has {len(series[key])} rows for {len(times)} times_s")
+            if not np.isfinite(np.asarray(series[key], dtype=float)).all():
+                raise ValueError(f"{key} holds a value that is not finite")
         treatment = np.asarray(series[arms[0] + "rates_bps"], dtype=float)
         baseline = np.asarray(series["baseline_rates_bps"], dtype=float) if compare_doc is not None else None
         included = np.ones(treatment.shape[0], dtype=bool)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import RAIN_CLASS_RATES_MM_H, RainModelParams, rain_attenuation_db
-from .engine import HISTOGRAM_BIN_WIDTH_BPS
+from .engine import HISTOGRAM_BIN_WIDTH_BPS, histogram_edges
 
 WIDTH = 720
 HEIGHT = 340
@@ -21,7 +21,6 @@ BASELINE_COLOR = "#888888"
 TREATMENT_COLOR = "#1f77b4"
 SHADE_COLOR = "#9ecae1"
 CURVE_COLORS = ("#d62728", "#ff7f0e", "#2ca02c")
-BIN_WIDTH_MBPS = HISTOGRAM_BIN_WIDTH_BPS / 1e6
 
 
 class _Frame:
@@ -158,16 +157,13 @@ def histogram_svg(series_mbps, title, baseline_mbps=None):
     if baseline_mbps is not None:
         arms.insert(0, (np.asarray(baseline_mbps, dtype=float), BASELINE_COLOR, 0.45))
     top_rate = max((float(a.max()) for a, _, _ in arms if a.size), default=1.0)
-    n_bins = max(1, int(np.ceil((top_rate + 1e-9) / BIN_WIDTH_MBPS)))
-    edges = np.arange(n_bins + 1) * BIN_WIDTH_MBPS
+    edges = histogram_edges(top_rate, HISTOGRAM_BIN_WIDTH_BPS / 1e6)
     counts = [np.histogram(a, bins=edges)[0] for a, _, _ in arms]
     top_count = max((float(c.max()) for c in counts if c.size), default=1.0)
     frame = _Frame(0.0, float(edges[-1]), 0.0, max(top_count, 1.0) * 1.1)
     parts = _axes(frame, title, "rate [Mbit/s]", "slots")
     for (arm, color, opacity), cnt in zip(arms, counts):
-        for b in range(n_bins):
-            if cnt[b] == 0:
-                continue
+        for b in np.flatnonzero(cnt):
             x0, x1 = frame.x(edges[b]), frame.x(edges[b + 1])
             y0, y1 = frame.y(float(cnt[b])), frame.y(0.0)
             parts.append(

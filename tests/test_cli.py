@@ -278,6 +278,31 @@ class TestSolverFailureInWorker:
         assert not out.exists()
 
 
+class TestHistogramBound:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_rate_past_the_bin_bound_exits_2_writing_nothing(self, tmp_path, capsys, command):
+        # an accepted 3 THz, 100 dBW budget gives 1.1e13 bit/s: 2.2 million
+        # 5 Mbit/s bins per satellite, refused before any is allocated
+        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": 100.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: histogram top ")
+        assert not out.exists()
+
+    def test_plot_histogram_past_the_bin_bound_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "run"
+        assert main(["run", "toy3", "--out", str(results)]) == 0
+        doc = json.loads((results / "summary.json").read_text())
+        doc["series"]["rates_bps"][0][0] = 1e15
+        (results / "summary.json").write_text(json.dumps(doc))
+        assert main(["plot", str(results), "histogram"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: results unreadable: ValueError('histogram top ")
+        assert not list(results.glob("*.svg"))
+
+
 class TestPlotCommand:
     @pytest.fixture()
     def compare_dir(self, tmp_path):
@@ -385,6 +410,25 @@ class TestPlotCommand:
         results = run_dir if name == "summary.json" else compare_dir
         doc = json.loads((results / name).read_text())
         doc["series"][key] = change(doc["series"][key])
+        (results / name).write_text(json.dumps(doc))
+        assert main(["plot", str(results), kind]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {results}: results unreadable: ")
+        assert not list(results.glob("*.svg"))
+
+    @pytest.mark.parametrize("kind", ["timeseries", "histogram"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key", ["rates_bps", "t_star_bps", "baseline_rates_bps", "treatment_t_star_bps"])
+    def test_non_finite_rate_exits_2(self, run_dir, compare_dir, capsys, kind, value, key):
+        # an Infinity rate used to end histogram in an OverflowError (exit 1)
+        # and draw nan coordinates into a timeseries with exit 0
+        results = run_dir if key in ("rates_bps", "t_star_bps") else compare_dir
+        name = "summary.json" if results == run_dir else "compare.json"
+        doc = json.loads((results / name).read_text())
+        rows = doc["series"][key]
+        if isinstance(rows[0], list):
+            rows[0][-1] = value
+        else:
+            rows[0] = value
         (results / name).write_text(json.dumps(doc))
         assert main(["plot", str(results), kind]) == 2
         assert capsys.readouterr().err.startswith(f"error: {results}: results unreadable: ")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -338,6 +339,26 @@ class TestSummarize:
         hist = s["per_satellite"][0]["histogram"]
         assert hist["bin_width_bps"] == 5e6
         assert hist["counts"] == [1, 1, 1]
+
+    @pytest.mark.parametrize("top", [float("inf"), float("nan"), (engine.MAX_HISTOGRAM_BINS + 1) * 5e6, 2.13e14])
+    def test_histogram_refuses_a_top_before_allocating_its_bins(self, top):
+        # 2.13e14 bit/s is the feeder capacity of an accepted 3 THz, 300 dBW
+        # budget: 42.6 million bins, were they allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="histogram top"):
+                engine._histogram(np.array([1e6, top]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_histogram_takes_up_to_the_bound(self):
+        top = engine.MAX_HISTOGRAM_BINS * 5e6
+        counts = summarize(manual_result([[1e6], [top]]))["per_satellite"][0]["histogram"]["counts"]
+        assert len(counts) == engine.MAX_HISTOGRAM_BINS
+        assert counts[0] == counts[-1] == 1 and sum(counts) == 2
+        assert engine.histogram_edges(0.0, 5.0).tolist() == [0.0, 5.0]
 
     def test_degenerate_slots_excluded(self):
         res = manual_result([[100e6], [900e6]], degenerate=(1,))
