@@ -109,6 +109,17 @@ class TestBasics:
         else:
             assert solve(p, max_iterations=cap).iteration_count == 1
 
+    def test_default_caps_count_each_lps_rows_and_variables(self, monkeypatch):
+        # 10 * (rows + variables), a continued solve's appended row counted
+        seen = []
+        run = simplex._run_simplex
+        monkeypatch.setattr(simplex, "_run_simplex", lambda *args: seen.append(args[3].tolist()) or run(*args))
+        p = box_problem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5], [1.0, 1.0])
+        pinned = LpProblem(p.objective, np.vstack([p.matrix, [-1.0, 0.0]]), np.append(p.rhs, -0.25))
+        simplex.solve_batch([p, pinned], bases=[None, solve(p)])
+        simplex.solve_batch([p, p], 7)
+        assert seen[1:] == [[10 * (3 + 2), 10 * (4 + 2)], [7, 7]]
+
     def test_iteration_cap_raises(self):
         rng = np.random.RandomState(0)
         a = rng.uniform(0.1, 2.0, size=(6, 8))
