@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 a --seedless-deterministic rerun whose output
 files differ (nothing is written), 2 malformed or missing input (also a
-compare in which every slot is degenerate: nothing is written), 3 run
-completed but degenerate slots are present (outputs are still written), 4 a
-slot LP failed to solve or a worker process died without a result (nothing
-is written).
+compare in which every slot is degenerate, or a rate past the histogram
+bound: nothing is written), 3 run completed but degenerate slots are
+present (outputs are still written), 4 a slot LP failed to solve or a
+worker process died without a result (nothing is written).
 
 Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
 `csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
@@ -272,7 +272,7 @@ def cmd_plot(args) -> int:
         series = doc["series"]
         times = series["times_s"]
         arms = ("treatment_", "baseline_") if compare_doc is not None else ("",)
-        for key in [arm + name for arm in arms for name in ("rates_bps", "t_star_bps")]:
+        for key in ["times_s"] + [arm + name for arm in arms for name in ("rates_bps", "t_star_bps")]:
             if len(series[key]) != len(times):
                 raise ValueError(f"{key} has {len(series[key])} rows for {len(times)} times_s")
             if not np.isfinite(np.asarray(series[key], dtype=float)).all():

@@ -124,7 +124,8 @@ class LpSolution:
 
 
 class _Start(NamedTuple):
-    """One LP set up for `solve_batch`: its condensed tableau and the variable of each row and column."""
+    """One LP set up for `solve_batch`: its condensed tableau and the
+    variable of each of its rows and columns."""
 
     tableau: np.ndarray
     basis: np.ndarray

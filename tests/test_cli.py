@@ -417,11 +417,11 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("kind", ["timeseries", "histogram"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-    @pytest.mark.parametrize("key", ["rates_bps", "t_star_bps", "baseline_rates_bps", "treatment_t_star_bps"])
-    def test_non_finite_rate_exits_2(self, run_dir, compare_dir, capsys, kind, value, key):
+    @pytest.mark.parametrize("key", ["times_s", "rates_bps", "t_star_bps", "baseline_rates_bps", "treatment_t_star_bps"])
+    def test_non_finite_series_value_exits_2(self, run_dir, compare_dir, capsys, kind, value, key):
         # an Infinity rate used to end histogram in an OverflowError (exit 1)
         # and draw nan coordinates into a timeseries with exit 0
-        results = run_dir if key in ("rates_bps", "t_star_bps") else compare_dir
+        results = run_dir if key in ("times_s", "rates_bps", "t_star_bps") else compare_dir
         name = "summary.json" if results == run_dir else "compare.json"
         doc = json.loads((results / name).read_text())
         rows = doc["series"][key]
