@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 a --seedless-deterministic rerun whose output
 files differ (nothing is written), 2 malformed or missing input (also a
 compare in which every slot is degenerate, or a rate past the histogram
-bound: nothing is written), 3 run completed but degenerate slots are
-present (outputs are still written), 4 a slot LP failed to solve or a
-worker process died without a result (nothing is written).
+bound: nothing is written, by `plot` either, which draws every chart
+before it writes one), 3 run completed but degenerate slots are present
+(outputs are still written), 4 a slot LP failed to solve or a worker
+process died without a result (nothing is written).
 
 Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
 `csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
@@ -22,7 +23,6 @@ import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -119,25 +119,24 @@ def _csv_text(result: RunResult, columns: list, row) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def _texts(files, doc, results) -> Iterator[tuple]:
-    """The name and text of each file that `_solve_and_write` writes: a `.csv`
-    name's content is the `(columns, row)` of `_csv_text`, any other name's
-    its text or a document for `json.dumps`."""
-    for name, content in files(doc, *results):
-        if name.endswith(".csv"):
-            content = _csv_text(results[0], *content)
-        elif not isinstance(content, str):
-            content = json.dumps(content, indent=2) + "\n"
-        yield name, content
+def _write(out: Path, texts) -> int:
+    """Write each `(name, text)` of `texts` to `out`, made first if missing; exit 2 on an OSError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts:
+            (out / name).write_text(text, newline="")
+    except OSError as exc:
+        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
+    return EXIT_OK
 
 
 def _solve_and_write(args, document, files) -> int:
     """The body of `run` and `compare`.
 
     Solves the command's arms, builds `document(*results)` and writes the
-    `_texts` of `files(doc, *results)` to --out.  With --seedless-deterministic
-    the arms are solved twice, and any file whose text differs between the
-    two fails the run before anything is written.
+    `(name, text)` pairs of `files(doc, *results)` to --out.  With
+    --seedless-deterministic the arms are solved twice, and any file whose
+    text differs between the two fails the run before anything is written.
     """
     try:
         scenario = _load_scenario_arg(args.scenario)
@@ -147,11 +146,11 @@ def _solve_and_write(args, document, files) -> int:
     try:
         results = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
         doc = document(*results)
-        texts = _texts(files, doc, results)  # rendered one file at a time as it is written
+        texts = files(doc, *results)  # rendered one file at a time as it is written
         if args.seedless_deterministic:
             rerun = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
             texts = list(texts)
-            if texts != list(_texts(files, document(*rerun), rerun)):
+            if texts != list(files(document(*rerun), *rerun)):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
@@ -160,17 +159,11 @@ def _solve_and_write(args, document, files) -> int:
         return _fail(f"solver failed on {reason}", EXIT_SOLVER_FAILED)
     except WorkerDiedError as exc:
         return _fail(f"{exc}, in the {exc.arm} arm", EXIT_SOLVER_FAILED)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in texts:
-            (out / name).write_text(text, newline="")
-    except OSError as exc:
-        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
-    if doc["series"]["degenerate_slots"]:
+    code = _write(Path(args.out), texts)
+    if code == EXIT_OK and doc["series"]["degenerate_slots"]:
         print(f"degenerate slots: {doc['series']['degenerate_slots']}", file=sys.stderr)
         return EXIT_DEGENERATE
-    return EXIT_OK
+    return code
 
 
 def cmd_run(args) -> int:
@@ -195,11 +188,9 @@ def cmd_run(args) -> int:
             return f"{rates[n][k]!r},{t_star[n]},{gs},{direct[n][k]!r},{relayed[n][k]!r},{int(n in degenerate)}"
 
         columns = ["rate_bps", "t_star_bps", "serving_gs", "direct_bps", "relayed_bps", "degenerate"]
-        return [
-            ("results.csv", (columns, row)),
-            ("summary.json", doc),
-            ("allocations.json", _allocations_json(result)),
-        ]
+        yield "results.csv", _csv_text(result, columns, row)
+        yield "summary.json", json.dumps(doc, indent=2) + "\n"
+        yield "allocations.json", _allocations_json(result)
 
     return _solve_and_write(args, document, files)
 
@@ -224,8 +215,8 @@ def cmd_compare(args) -> int:
             b, t = base[n][k], treat[n][k]
             return f"{b!r},{t!r},{t - b!r}"
 
-        columns = ["baseline_bps", "treatment_bps", "delta_bps"]
-        return [("compare.json", doc), ("compare.csv", (columns, row))]
+        yield "compare.json", json.dumps(doc, indent=2) + "\n"
+        yield "compare.csv", _csv_text(baseline, ["baseline_bps", "treatment_bps", "delta_bps"], row)
 
     return _solve_and_write(args, document, files)
 
@@ -262,13 +253,9 @@ def cmd_plot(args) -> int:
     except (KeyError, TypeError, ScenarioError) as exc:
         return _fail(f"embedded scenario unreadable: {exc}")
     out = Path(args.out) if args.out else results_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        if args.kind == "rain-attenuation":
-            svg = rain_curves_svg(scenario.rain_model)
-            (out / "rain_attenuation.svg").write_text(svg)
-            return EXIT_OK
-
+    if args.kind == "rain-attenuation":
+        return _write(out, [("rain_attenuation.svg", rain_curves_svg(scenario.rain_model))])
+    try:  # every chart is checked and drawn before any is written
         series = doc["series"]
         times = series["times_s"]
         arms = ("treatment_", "baseline_") if compare_doc is not None else ("",)
@@ -285,24 +272,18 @@ def cmd_plot(args) -> int:
             raise ValueError(f"degenerate_slots {slots}: each must be an integer in [0, {len(included)})")
         included[slots] = False
         windows = _rain_windows(scenario)
+        texts = []
         for k in range(treatment.shape[1]):
             base_col = baseline[:, k] / 1e6 if baseline is not None else None
             if args.kind == "timeseries":
-                svg = timeseries_svg(
-                    times, treatment[:, k] / 1e6, f"Satellite {k}", base_col, windows
-                )
-                (out / f"timeseries_sat{k}.svg").write_text(svg)
+                svg = timeseries_svg(times, treatment[:, k] / 1e6, f"Satellite {k}", base_col, windows)
             else:
                 base_inc = base_col[included] if base_col is not None else None
-                svg = histogram_svg(
-                    treatment[included, k] / 1e6, f"Satellite {k}", base_inc
-                )
-                (out / f"histogram_sat{k}.svg").write_text(svg)
-    except OSError as exc:
-        return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
+                svg = histogram_svg(treatment[included, k] / 1e6, f"Satellite {k}", base_inc)
+            texts.append((f"{args.kind}_sat{k}.svg", svg))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         return _fail(f"{results_dir}: results unreadable: {exc!r}")
-    return EXIT_OK
+    return _write(out, texts)
 
 
 def main(argv=None) -> int:

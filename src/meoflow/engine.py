@@ -181,14 +181,14 @@ def _series_stats(values: np.ndarray) -> dict:
     }
 
 
-def histogram_edges(top: float, width: float) -> np.ndarray:
-    """Edges of the bins of `width` from 0 past `top`, at least one bin; a ValueError,
-    before allocating, for a top that is not finite or needs over MAX_HISTOGRAM_BINS bins."""
+def histogram_edges(top: float, width: float, unit: str = "bit/s") -> np.ndarray:
+    """Edges of the bins of `width` from 0 past `top`, both in `unit`, at least one bin; a
+    ValueError, before allocating, for a top that is not finite or needs over MAX_HISTOGRAM_BINS bins."""
     if not np.isfinite(top):
         raise ValueError(f"histogram top {top} is not finite")
     n_bins = max(1, int(np.ceil((top + 1e-9) / width)))
     if n_bins > MAX_HISTOGRAM_BINS:
-        raise ValueError(f"histogram top {top:g} needs more than {MAX_HISTOGRAM_BINS} bins of {width:g}")
+        raise ValueError(f"histogram top {top:g} {unit} needs more than {MAX_HISTOGRAM_BINS} bins of {width:g} {unit}")
     return np.arange(n_bins + 1) * width
 
 

@@ -367,15 +367,20 @@ def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int) -> L
 
 
 def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:
-    """Defensive post-solve feasibility audit (absolute tolerance)."""
+    """Defensive post-solve feasibility audit.
+
+    Row i may exceed b_i by FEAS_TOL * max(1, |b_i|, (|A|.|x|)_i), the size
+    of the terms it sums, so the tolerance scales with the capacities in A;
+    x may fall below 0 by FEAS_TOL * max(1, max |b|).
+    """
     rhs = problem.rhs
-    scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
-    tol = FEAS_TOL * scale
     v = problem.matrix @ x
+    tol = FEAS_TOL * np.maximum(np.maximum(1.0, np.abs(rhs)), np.abs(problem.matrix) @ np.abs(x))
     bad = (v > rhs + tol).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise SimplexIterationError(f"residual violation: {v[i]} <= {rhs[i]}")
-    bad = (x < -tol).nonzero()[0]
+    scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
+    bad = (x < -FEAS_TOL * scale).nonzero()[0]
     if bad.size:
         raise SimplexIterationError(f"bound violation on column {bad[0]}")

@@ -157,7 +157,7 @@ def histogram_svg(series_mbps, title, baseline_mbps=None):
     if baseline_mbps is not None:
         arms.insert(0, (np.asarray(baseline_mbps, dtype=float), BASELINE_COLOR, 0.45))
     top_rate = max((float(a.max()) for a, _, _ in arms if a.size), default=1.0)
-    edges = histogram_edges(top_rate, HISTOGRAM_BIN_WIDTH_BPS / 1e6)
+    edges = histogram_edges(top_rate, HISTOGRAM_BIN_WIDTH_BPS / 1e6, "Mbit/s")
     counts = [np.histogram(a, bins=edges)[0] for a, _, _ in arms]
     top_count = max((float(c.max()) for c in counts if c.size), default=1.0)
     frame = _Frame(0.0, float(edges[-1]), 0.0, max(top_count, 1.0) * 1.1)

@@ -394,6 +394,13 @@ class TestSolutionStructure:
         b = solve_allocation(g2)
         assert b.t_star_bps == pytest.approx(2 * a.t_star_bps, rel=1e-9)
 
+    def test_capacities_scaled_by_1e8_solve(self):
+        # 3e10 Mbit/s entries in A leave rounding residuals far above an
+        # absolute 1e-8, which the audit must not take for infeasibility
+        big = (np.full((3, 3), 600e6) - np.diag([600e6] * 3)) * 1e8
+        g = make_graph(np.diag([300e6, 300e6, 150e6]) * 1e8, big)
+        assert solve_allocation(g).t_star_bps == pytest.approx(250e6 * 1e8, rel=1e-9)
+
 
 class TestLexicographic:
     def spare_capacity_graph(self):

@@ -302,6 +302,29 @@ class TestHistogramBound:
         assert capsys.readouterr().err.startswith(f"error: {results}: results unreadable: ValueError('histogram top ")
         assert not list(results.glob("*.svg"))
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_refusal_of_run_and_compare_names_bit_per_second(self, tmp_path, capsys, command):
+        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": 100.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert " bit/s needs more than 100000 bins of 5e+06 bit/s\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [None, "charts"])
+    def test_plot_refused_at_a_later_satellite_writes_nothing(self, tmp_path, capsys, out):
+        # satellites 0 and 1 are drawn before satellite 2's rate is refused
+        results = tmp_path / "run"
+        assert main(["run", "toy3", "--out", str(results)]) == 0
+        doc = json.loads((results / "summary.json").read_text())
+        doc["series"]["rates_bps"][0][2] = 1e15
+        (results / "summary.json").write_text(json.dumps(doc))
+        redirect = ["--out", str(tmp_path / out)] if out else []
+        assert main(["plot", str(results), "histogram", *redirect]) == 2
+        assert "histogram top 1e+09 Mbit/s needs more than 100000 bins of 5 Mbit/s" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.svg"))
+        assert out is None or not (tmp_path / out).exists()
+
 
 class TestPlotCommand:
     @pytest.fixture()

@@ -120,7 +120,7 @@ def written(command, *results):
 
 
 def bulk_csv(path, result, content):
-    path.write_text(cli._csv_text(result, *content), newline="")
+    path.write_text(content, newline="")
     return path.read_bytes()
 
 

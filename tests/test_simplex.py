@@ -270,6 +270,22 @@ class TestResidualAudit:
             with pytest.raises(SimplexIterationError, match=error):
                 audit()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+    def test_row_tolerance_scales_with_the_terms_of_the_row(self, scale, factor, accepted):
+        # t - c w <= 0 at w = 1 sums terms of size c, so the row may exceed
+        # 0 by FEAS_TOL * (t + c w), about 2 * FEAS_TOL * c; at c = 3e8 that
+        # is 6, where the rounding of a large capacity lands
+        c = 3.0 * scale
+        tol = 2 * FEAS_TOL * c
+        p = LpProblem(np.zeros(2), [[1.0, -c]], np.array([0.0]))
+        audit = lambda: simplex._check_residuals(p, np.array([c + factor * tol, 1.0]))
+        if accepted:
+            audit()
+        else:
+            with pytest.raises(SimplexIterationError, match=r"residual violation: .* <= 0\.0"):
+                audit()
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
