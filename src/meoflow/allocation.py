@@ -15,16 +15,17 @@ links.  One LP per slot maximizes the minimum rate:
 
 The first row is the epigraph t <= R_k with satellite k's rate R_k, its
 direct share plus everything it relays, written out in place.
-`build_problem` writes these rows as the dense matrix A of
-`maximize c.x s.t. A.x <= b, x >= 0`, in this order: the epigraph rows,
-two leg caps per route, one packing row per lit feeder edge in k-major
-order, then one per directed ISL.  A feeder edge is lit when its capacity
-is positive, topology's own test; a route's feeder edge is lit, so it is
-also a direct edge of the relay and every packing row belongs to one
-link.  Every row has rhs 0 or 1, so x = 0 is feasible and the solver
-starts there.  An isolated satellite (no feeder link and no usable
-neighbor) has no epigraph row: it would pin t to 0.  It is reported at
-rate 0 and the slot is flagged degenerate.
+`build_chunks` writes these rows as the dense matrix A of
+`maximize c.x s.t. A.x <= b, x >= 0`, for a block of slots at once, one
+group of slots per simplex chunk (`build_problem` is its one-slot case),
+in this order: the epigraph rows, two leg caps per route, one packing row
+per lit feeder edge in k-major order, then one per directed ISL.  A
+feeder edge is lit when its capacity is positive, topology's own test; a
+route's feeder edge is lit, so it is also a direct edge of the relay and
+every packing row belongs to one link.  Every row has rhs 0 or 1, so
+x = 0 is feasible and the solver starts there.  An isolated satellite (no
+feeder link and no usable neighbor) has no epigraph row: it would pin t
+to 0.  It is reported at rate 0 and the slot is flagged degenerate.
 
 The min() of the two relay legs is linearized through the shared
 throughput variable r.  A second, lexicographic stage maximizes
@@ -38,7 +39,7 @@ well-conditioned; results are converted back to bit/s on decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,66 +50,88 @@ SCALE_BPS = 1e6
 LEXICO_SLACK = 1e-9
 
 
-def build_problem(graph: SlotGraph) -> LpProblem:
-    """Assemble the per-slot max-min LP over the non-isolated satellites.
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, run together: each entry's index within its slot."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    The rows come in the order of the module docstring.  A relay route
-    (source k, relay l, station j), ordered by (k, l, j), needs a usable
-    ISL from k to l, one of positive capacity, and a lit feeder edge from
-    l to j; traffic is never relayed to k's own serving station.  Isolated
-    satellites get no epigraph row; they have no feeder edge and no route
-    either, so the LP is the one the served satellites alone would give.
+
+def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, LpProblem]]]:
+    """The slot LPs of a block as (graph, problem) pairs, in groups of consecutive
+    slots: as many as one simplex chunk of their stage-2 LPs (one row more) holds.
+
+    A relay route (source k, relay l, station j), ordered by (k, l, j), needs a
+    usable ISL from k to l, one of positive capacity, and a lit feeder edge from
+    l to j, and never ends at k's own serving station.  Isolated satellites get
+    no epigraph row, and have no feeder edge or route.  Each slot's shape is
+    counted first, from the stacked (N, K, I) feeder and (N, K, K) ISL
+    capacities; then each group's LPs are allocated as one buffer, filled in one
+    fancy-index write, so that only the groups being built and solved hold LPs.
     """
-    served = [k for k in range(graph.satellite_count) if k not in graph.isolated]
-    lit = graph.fl_capacity_bps > 0.0
-    direct_edges = list(map(tuple, np.argwhere(lit).tolist()))  # k-major, as Python ints
-    routes = [
-        (k, l, j)
-        for k, l in np.argwhere(graph.isl_capacity_bps > 0.0).tolist()  # usable ISLs, k-major
-        for j in range(graph.station_count)
-        if lit[l, j] and j != graph.serving_gs[k]
-    ]
-    fl = graph.fl_capacity_bps / SCALE_BPS
-    isl = graph.isl_capacity_bps / SCALE_BPS
+    if not graphs:
+        return
+    fl_bps, isl_bps = np.array([g.fl_capacity_bps for g in graphs]), np.array([g.isl_capacity_bps for g in graphs])
+    fl, isl, lit = fl_bps / SCALE_BPS, isl_bps / SCALE_BPS, fl_bps > 0.0
+    serving = np.array([[-1 if j is None else j for j in graph.serving_gs] for graph in graphs])
+    served = np.ones(serving.shape, dtype=bool)
+    for n, graph in enumerate(graphs):
+        served[n, list(graph.isolated)] = False
 
-    tags: list[tuple] = [("t",)]
-    tags += [("w_direct", k, j) for k, j in direct_edges]
-    first_route = len(tags)
-    for route in routes:
-        tags += [("v", *route), ("w_relay", *route), ("r", *route)]
+    edge_n, edge_k, edge_j = lit.nonzero()  # feeder edges, slot- then k-major
+    pair_n, pair_k, pair_l = (isl_bps > 0.0).nonzero()  # usable ISLs, likewise
+    ends = lit[pair_n, pair_l] & (np.arange(lit.shape[2]) != serving[pair_n, pair_k, None])  # each ISL's route stations
+    route_isl, route_j = ends.nonzero()  # routes, in (slot, k, l, j) order
+    route_n, route_k, route_l = pair_n[route_isl], pair_k[route_isl], pair_l[route_isl]
+    linked = ends.any(1)  # the ISLs some route takes, one packing row each
+    n_edges, n_routes, n_links = (np.bincount(x, minlength=len(graphs)) for x in (edge_n, route_n, pair_n[linked]))
+    n_served = served.sum(1)
+    packing = n_served + 2 * n_routes  # each slot's first packing row
+    rows, cols = packing + n_edges + n_links, 1 + n_edges + 3 * n_routes
+    # each entry's place within its slot
+    epigraph_row, edge_rank, route_rank = np.cumsum(served, 1) - 1, _ranks(n_edges), _ranks(n_routes)
+    edge_row, link_rank = np.zeros(lit.shape, dtype=int), np.zeros(linked.size, dtype=int)
+    edge_row[lit], link_rank[linked] = edge_rank, _ranks(n_links)
 
-    # the row of each satellite's epigraph, feeder edge and directed ISL
-    epigraph_row = {k: i for i, k in enumerate(served)}
-    packing = len(served) + 2 * len(routes)  # the first packing row
-    feeder_row = {edge: i for i, edge in enumerate(direct_edges, start=packing)}
-    isl_links = sorted({route[:2] for route in routes})
-    isl_row = {link: i for i, link in enumerate(isl_links, start=packing + len(feeder_row))}
-    matrix = np.zeros((packing + len(feeder_row) + len(isl_row), len(tags)))
+    for run in chunks(range(len(graphs)), lambda n: (rows[n] + 1, cols[n])):
+        a, b = run[0], run[-1] + 1
+        e, r = (slice(*np.searchsorted(slot_of, (a, b))) for slot_of in (edge_n, route_n))  # both sorted by slot
+        en, ek, ej, ei = edge_n[e], edge_k[e], edge_j[e], edge_rank[e]
+        rn, rk, rl, rj, ri = route_n[r], route_k[r], route_l[r], route_j[r], route_rank[r]
+        t_n = np.repeat(np.arange(a, b), n_served[a:b])
+        v_col, leg = 1 + n_edges[rn] + 3 * ri, n_served[rn] + 2 * ri  # then w_relay and r; two leg caps
+        units = np.ones(t_n.size + ei.size + 4 * ri.size)
+        # (slot, row, column, value) of every nonzero entry, the +1s first: t;
+        # w_direct in its packing row; r in both leg caps; w_relay and v in their
+        # packing rows; then r, w_direct, v and w_relay in their other rows
+        slot = np.concatenate((t_n, en, *[rn] * 5, en, rn, rn))
+        row = np.concatenate((
+            _ranks(n_served[a:b]), packing[en] + ei, leg, leg + 1, packing[rn] + edge_row[rn, rl, rj],
+            packing[rn] + n_edges[rn] + link_rank[route_isl[r]], epigraph_row[rn, rk], epigraph_row[en, ek], leg, leg + 1,
+        ))
+        col = np.concatenate((0 * t_n, 1 + ei, v_col + 2, v_col + 2, v_col + 1, v_col, v_col + 2, 1 + ei, v_col, v_col + 1))
+        value = np.concatenate((units, -units[: ri.size], -fl[en, ek, ej], -isl[rn, rk, rl], -fl[rn, rl, rj]))
+        size, ones = rows[a:b] * cols[a:b], n_edges[a:b] + n_links[a:b]  # entries; packing rows, of rhs 1
+        matrices, objectives, rhs = np.zeros(size.sum()), np.zeros(cols[a:b].sum()), np.zeros(rows[a:b].sum())
+        matrices[(np.cumsum(size) - size)[slot - a] + row * cols[slot] + col] = value
+        objectives[np.cumsum(cols[a:b]) - cols[a:b]] = 1.0  # maximize t, column 0
+        rhs[np.repeat(np.cumsum(rows[a:b]) - rows[a:b] + packing[a:b], ones) + _ranks(ones)] = 1.0
 
-    # epigraph t <= R_k, R_k being k's direct and relayed rates; feeder-edge
-    # packing: owner's share plus every relayed share <= 1
-    matrix[: len(served), 0] = 1.0  # t is column 0
-    for w_col, (k, j) in enumerate(direct_edges, start=1):
-        matrix[epigraph_row[k], w_col] = -fl[k, j]
-        matrix[feeder_row[k, j], w_col] = 1.0
-    for i, (k, l, j) in enumerate(routes):
-        v_col = first_route + 3 * i  # then w_relay, then r, as tagged above
-        matrix[epigraph_row[k], v_col + 2] = -1.0
-        # per-route leg capacities
-        leg = len(served) + 2 * i
-        matrix[leg, v_col + 2] = matrix[leg + 1, v_col + 2] = 1.0
-        matrix[leg, v_col] = -isl[k, l]
-        matrix[leg + 1, v_col + 1] = -fl[l, j]
-        # packing: the relayed share on the relay's feeder edge, and the
-        # ISL fraction over all commodities on the directed ISL
-        matrix[feeder_row[l, j], v_col + 1] = 1.0
-        matrix[isl_row[k, l], v_col] = 1.0
+        w_tags = [("w_direct", k, j) for k, j in zip(ek.tolist(), ej.tolist())]
+        r_tags = [
+            tag for k, l, j in zip(rk.tolist(), rl.tolist(), rj.tolist()) for tag in (("v", k, l, j), ("w_relay", k, l, j), ("r", k, l, j))
+        ]
+        at = [[0, *np.cumsum(x).tolist()] for x in (n_edges[a:b], 3 * n_routes[a:b], size, cols[a:b], rows[a:b])]
+        yield [
+            (graphs[n], LpProblem(
+                objectives[at[3][i] : at[3][i + 1]], matrices[at[2][i] : at[2][i + 1]].reshape(rows[n], cols[n]),
+                rhs[at[4][i] : at[4][i + 1]], (("t",), *w_tags[at[0][i] : at[0][i + 1]], *r_tags[at[1][i] : at[1][i + 1]]),
+            ))
+            for i, n in enumerate(range(a, b))
+        ]
 
-    objective = np.zeros(len(tags))
-    objective[0] = 1.0
-    rhs = np.zeros(matrix.shape[0])
-    rhs[packing:] = 1.0
-    return LpProblem(objective=objective, matrix=matrix, rhs=rhs, variable_tags=tuple(tags))
+
+def build_problem(graph: SlotGraph) -> LpProblem:
+    """The max-min LP of one slot: `build_chunks` of that slot alone."""
+    return next(build_chunks([graph]))[0][1]
 
 
 def _pinned(problem: LpProblem, t_star: float) -> LpProblem:
@@ -282,32 +305,36 @@ def _solve_stage(group: list, stage: int, problems: dict, bases: Optional[dict],
 def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list[AllocationResult]:
     """Solve a block of slots end to end: build, optimize, optionally refine, decode.
 
-    The slots go in groups of consecutive slots, as many as one simplex
-    chunk of their stage-2 LPs holds: each group's stage-1 LPs in one
-    `solve_batch`, then its stage-2 LPs in another, so that only one
-    group's tableaus are alive at a time.  Each slot gets the result it
-    gets alone.  Raises the AllocationError, naming the slot and stage, of
-    the first slot whose LP ends other than optimal or whose solve gives up,
-    in either stage.
+    The slots go in the groups of `build_chunks`: each group's stage-1 LPs
+    in one `solve_batch`, then its stage-2 LPs in another, so that only one
+    group's tableaus are alive at a time.  Each slot gets the result it gets
+    alone.  Raises the AllocationError, naming the slot and stage, of the
+    first slot whose LP ends other than optimal or whose solve gives up, in
+    either stage.
     """
-    built = ((graph, build_problem(graph)) for graph in graphs)
     results = []
-    # a stage-2 LP is its stage-1 LP and the pin row
-    for group in chunks(built, lambda item: (item[1].matrix.shape[0] + 1, item[1].matrix.shape[1])):
-        failures: dict = {}
-        lps = {i: problem for i, (_, problem) in enumerate(group) if problem.rhs.size}
-        first = last = _solve_stage(group, 1, lps, None, failures)
-        if lexicographic:
-            refined = {i: _pinned(lps[i], solution.objective_value) for i, solution in first.items()}
-            last = _solve_stage(group, 2, refined, first, failures)
-        if failures:
-            raise failures[min(failures)]
-        for i, (graph, problem) in enumerate(group):
-            if i not in first:  # every satellite is isolated: no LP to solve, t* and all rates are 0
-                results.append(decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0))
-                continue
-            iterations = first[i].iteration_count + (last[i].iteration_count if lexicographic else 0)
-            results.append(decode(graph, problem, last[i], first[i].objective_value, iterations))
+    for group in build_chunks(graphs):
+        results += _solve_group(group, lexicographic)
+    return results
+
+
+def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
+    """`solve_block` of one group of (graph, problem) pairs."""
+    failures: dict = {}
+    lps = {i: problem for i, (_, problem) in enumerate(group) if problem.rhs.size}
+    first = last = _solve_stage(group, 1, lps, None, failures)
+    if lexicographic:
+        refined = {i: _pinned(lps[i], solution.objective_value) for i, solution in first.items()}
+        last = _solve_stage(group, 2, refined, first, failures)
+    if failures:
+        raise failures[min(failures)]
+    results = []
+    for i, (graph, problem) in enumerate(group):
+        if i not in first:  # every satellite is isolated: no LP to solve, t* and all rates are 0
+            results.append(decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0))
+            continue
+        iterations = first[i].iteration_count + (last[i].iteration_count if lexicographic else 0)
+        results.append(decode(graph, problem, last[i], first[i].objective_value, iterations))
     return results
 
 

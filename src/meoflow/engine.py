@@ -3,8 +3,9 @@
 Slots are independent: each depends only on the scenario, its index and
 the arm.  `run` splits the horizon into one contiguous slot range per core
 this process may run on (`os.sched_getaffinity`, which `taskset` limits).
-The calling process solves the first range and forked worker processes
-solve the others; the results are put back in slot order.  Every slot runs
+The calling process solves the first range and worker processes, bare
+`os.fork`s each with one pipe, solve the others and send back their
+results pickled; the results are put back in slot order.  Every slot runs
 the same deterministic code in whichever process solves it, so the results
 are bit-identical to a single-process run, and reruns are bit-identical.
 Each process computes the geometry, link budgets and serving policy of its
@@ -18,8 +19,10 @@ at zero; it is excluded from rate statistics.
 from __future__ import annotations
 
 import os
+import pickle
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -118,9 +121,10 @@ def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResu
     """`_solve_slots` over the whole horizon, one contiguous range per process.
 
     This process solves the first range while forked workers solve the
-    others, each sending its outcome back over its own pipe.  A worker that
-    dies without sending shows up here as end-of-file, never as a wait, and
-    is raised as a WorkerDiedError.
+    others, each writing its pickled outcome to its own pipe and exiting.
+    A worker that dies without sending shows up here as end-of-file, never
+    as a wait, and is raised as a WorkerDiedError with its exit code.
+    Whatever is raised, every worker not yet reaped is killed and reaped.
     Fork, not spawn: a worker starts with the parsed scenario and the
     imported modules, where spawn would import numpy and meoflow again.
     """
@@ -129,45 +133,59 @@ def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResu
     workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
     if workers <= 1:
         return _solve_slots(scenario, isl_enabled, range(n))
-    import multiprocessing  # here, not at the top: importing it costs every run's start-up
-
-    context = multiprocessing.get_context("fork")
     ranges = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-    forked = []
+    forked = []  # (pid, read end of its pipe, slots) of each worker not yet reaped
     try:
         for slots in ranges[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_slots, args=(sender, scenario, isl_enabled, slots), daemon=True)
-            worker.start()
-            sender.close()
-            forked.append((worker, receiver, slots))
-        solved = _solve_slots(scenario, isl_enabled, ranges[0])
-        for worker, receiver, slots in forked:
+            read, write = os.pipe()
             try:
-                ok, payload = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise WorkerDiedError(
-                    f"worker for slots {slots[0]}-{slots[-1]} exited with code {worker.exitcode} and no result"
-                ) from None
+                pid = os.fork()
+            except OSError:  # say, out of processes: the pipe goes with it
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _send_slots(write, scenario, isl_enabled, slots)
+            os.close(write)
+            forked.append((pid, read, slots))
+        solved = _solve_slots(scenario, isl_enabled, ranges[0])
+        while forked:
+            pid, read, slots = forked[0]
+            with open(read, "rb", closefd=False) as pipe:
+                outcome = pipe.read()  # to end of file: the worker has exited
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(forked.pop(0)[1])
+            if code != 0:  # a worker exits 0 only once its whole outcome is written
+                raise WorkerDiedError(f"worker for slots {slots[0]}-{slots[-1]} exited with code {code} and no result")
+            ok, payload = pickle.loads(outcome)
             if not ok:
                 raise payload
             solved += payload
     finally:
-        for worker, receiver, _ in forked:
-            receiver.close()
-            worker.terminate()
-            worker.join()
+        for pid, read, _ in forked:
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every run's start-up
+            os.waitpid(pid, 0)
     return solved
 
 
-def _send_slots(sender, scenario: Scenario, isl_enabled: bool, slots: range) -> None:
-    """Worker process body: solve `slots` and send (ok, result or exception)."""
+def _send_slots(write: int, scenario: Scenario, isl_enabled: bool, slots: range) -> NoReturn:
+    """Worker process body: write (ok, result or exception) of `slots`
+    pickled to the pipe and leave through os._exit, 0 once all is written."""
+    code = 1
     try:
-        outcome = (True, _solve_slots(scenario, isl_enabled, slots))
-    except Exception as exc:  # raised again in the parent, e.g. an AllocationError
-        outcome = (False, exc)
-    sender.send(outcome)
+        try:
+            outcome = (True, _solve_slots(scenario, isl_enabled, slots))
+        except Exception as exc:  # raised again in the parent, e.g. an AllocationError
+            outcome = (False, exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:  # not sent: reported as an uncaught exception would be, then exit 1
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
 
 
 def _series_stats(values: np.ndarray) -> dict:

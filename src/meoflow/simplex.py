@@ -32,13 +32,15 @@ array, column-major so that each tableau column is one contiguous array
 row: each LP's columns first and its rhs column last, each column's
 constraint rows first and its cost row last.  A zero padding column never
 improves and a zero padding row never leaves, so every LP walks the same
-pivots to the same bits in any batch, alone or with others.  `solve` is
-the one-LP case, and `chunks` splits a stream of LPs into batches of
-bounded size.
+pivots to the same bits in any batch, alone or with others.  An LP whose
+start has no improving column takes no pivot, as every ISL-arm stage-2 LP
+of o3b_rain does: it is read out and audited where it starts, to the same
+bits, and never padded in.  `solve` is the one-LP case, and `chunks`
+splits a stream of LPs into batches of bounded size.
 
 A pivot skips the entries x of the constraint rows where the pivot row
 is zero; x - f * 0 would keep x's bits unless x = -0.0 and f * 0 = -0.0.
-No constraint row holds -0.0 when A and b hold none, as `build_problem`'s
+No constraint row holds -0.0 when A and b hold none, as `build_chunks`'s
 do not: x - f * p is -0.0 only for x = -0.0, a row divided by a positive
 pivot keeps its signs of zero (barring underflow), and `_continue`'s fold
 and clamp write +0.0.  Only the cost row holds -0.0 (from -c), and it is
@@ -220,13 +222,24 @@ def solve_batch(
     or the base to continue from.  Returns, in order, each problem's
     LpSolution or the ValueError or SimplexIterationError that `solve`
     would raise for it; one LP's failure leaves the others' results
-    unchanged.  Every LP set up without error is padded into one array, so
-    the caller bounds a batch's size with `chunks`.
+    unchanged.  Every LP set up without error whose start has an improving
+    column is padded into one array, so the caller bounds a batch's size
+    with `chunks`; one with none is read out and audited where it starts.
     """
     if bases is None:
         bases = [None] * len(problems)
     outcomes = [_start(problem, base) for problem, base in zip(problems, bases)]
-    ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
+    ready, caps = [], []
+    for i, start in enumerate(outcomes):
+        if isinstance(start, _Start):
+            cap = 10 * (start.basis.size + start.nonbasic.size) if max_iterations is None else max_iterations
+            if cap <= 0:  # checked first, as in `_run_simplex`
+                outcomes[i] = SimplexIterationError(f"simplex exceeded {cap} iterations")
+            elif (start.tableau[-1, :-1] < -PIVOT_EPS).any():
+                ready.append(i)
+                caps.append(cap)
+            else:  # no improving column: optimal where it starts, so it is not padded into the batch
+                outcomes[i] = _optimal(problems[i], *start, 0)
     starts = [outcomes[i] for i in ready]
     m = np.array([start.basis.size for start in starts], dtype=int)
     n = np.array([start.nonbasic.size for start in starts], dtype=int)
@@ -243,8 +256,7 @@ def solve_batch(
         basis[b, : m[b]] = start.basis
         nonbasic[b, : n[b]] = start.nonbasic
     ends: list = [None] * len(starts)
-    caps = 10 * (m + n) if max_iterations is None else np.full(len(starts), max_iterations)
-    iterations = _run_simplex(tableau, basis, nonbasic, caps, ends)
+    iterations = _run_simplex(tableau, basis, nonbasic, np.array(caps, dtype=int), ends)
     for b, (i, end) in enumerate(zip(ready, ends)):
         problem = problems[i]
         if isinstance(end, Exception):
@@ -258,11 +270,7 @@ def solve_batch(
             own[:-1, -1] = tableau[b, cols, : m[b]]
             own[-1, :-1] = tableau[b, : n[b], rows]
             own[-1, -1] = tableau[b, cols, rows]
-            own_basis, own_nonbasic = basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy()
-            try:
-                outcomes[i] = _optimal(problem, own, own_basis, own_nonbasic, int(iterations[b]))
-            except SimplexIterationError as exc:
-                outcomes[i] = exc
+            outcomes[i] = _optimal(problem, own, basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy(), int(iterations[b]))
     return outcomes
 
 
@@ -357,12 +365,16 @@ def _pivot(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndar
     tableau[lps[lp], col, :-1] -= factors[lp, :-1] * pivot_rows[lp, col, None]
 
 
-def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int) -> LpSolution:
-    """Read the basic solution, audit it and keep the tableau to continue from."""
+def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int):
+    """Read the basic solution, audit it and keep the tableau to continue
+    from: the LpSolution, or the SimplexIterationError of a failed audit."""
     y = np.zeros(basis.shape[0] + nonbasic.shape[0])
     y[basis] = tableau[:-1, -1]
     x = y[: problem.n_variables]
-    _check_residuals(problem, x)
+    try:
+        _check_residuals(problem, x)
+    except SimplexIterationError as exc:
+        return exc
     return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
 
 

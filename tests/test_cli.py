@@ -233,13 +233,14 @@ class TestSolverFailureInWorker:
     @pytest.mark.parametrize("command, arm", [("run", "ISL"), ("compare", "no-ISL")])
     def test_exits_4_naming_slot_arm_stage(self, tmp_path, capsys, monkeypatch, deadline, command, arm, stage):
         scenario = four_toy3_slots_on_two_cores(tmp_path, monkeypatch)
-        build_problem, solve_batch = allocation.build_problem, allocation.solve_batch
+        build_chunks, solve_batch = allocation.build_chunks, allocation.solve_batch
         slot_of = {}  # by the id of a problem's tags, which stage 2's problem shares with stage 1's
 
-        def note_slot(graph):
-            problem = build_problem(graph)
-            slot_of[id(problem.variable_tags)] = graph.slot_index
-            return problem
+        def note_slot(graphs):
+            for group in build_chunks(graphs):
+                for graph, problem in group:
+                    slot_of[id(problem.variable_tags)] = graph.slot_index
+                yield group
 
         def fail_on_slot_3(problems, max_iterations=None, *, bases=None):
             outcomes = solve_batch(problems, max_iterations, bases=bases)
@@ -249,7 +250,7 @@ class TestSolverFailureInWorker:
                         outcomes[i] = SimplexIterationError("simplex exceeded 1 iterations")
             return outcomes
 
-        monkeypatch.setattr(allocation, "build_problem", note_slot)
+        monkeypatch.setattr(allocation, "build_chunks", note_slot)
         monkeypatch.setattr(allocation, "solve_batch", fail_on_slot_3)
         out = tmp_path / "out"
         assert main([command, str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED

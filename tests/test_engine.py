@@ -1,10 +1,13 @@
 """Horizon runs, summaries, and arm comparison."""
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -499,11 +502,82 @@ class TestWorkerProcesses:
         with pytest.raises(RuntimeError, match="worker for slots 2-3 exited with code 7"):
             self.run_on(2, monkeypatch, bundled("toy2"))
 
-    def test_single_slot_run_never_imports_multiprocessing(self, tmp_path):
-        # one slot means one process; the import would only cost start-up
+    @pytest.mark.parametrize("worker", ["succeeds", "raises", "exits 7", "is killed"])
+    def test_workers_leave_no_descriptor_or_child_behind(self, monkeypatch, worker):
+        parent = os.getpid()
+        solve_slots = engine._solve_slots
+
+        def in_worker(scenario, isl_enabled, slots):
+            if os.getpid() != parent:
+                if worker == "raises":
+                    raise ValueError("no slots today")
+                if worker == "exits 7":
+                    os._exit(7)
+                if worker == "is killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", in_worker)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        raised = {"succeeds": None, "raises": ValueError, "exits 7": engine.WorkerDiedError, "is killed": engine.WorkerDiedError}
+        if raised[worker] is None:
+            self.run_on(2, monkeypatch, bundled("toy2"))
+        else:
+            with pytest.raises(raised[worker]) as excinfo:
+                self.run_on(2, monkeypatch, bundled("toy2"))
+            if worker == "is killed":
+                assert "worker for slots 2-3 exited with code -9 and no result" in str(excinfo.value)
+            del excinfo  # its traceback holds the frames of the run, in cycles
+        self.assert_nothing_left(descriptors)
+
+    def test_a_fork_that_fails_leaves_no_descriptor_or_child_behind(self, monkeypatch):
+        # three processes: the second fork fails, after the first worker started
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            self.run_on(3, monkeypatch, bundled("toy2"))
+        self.assert_nothing_left(descriptors)
+
+    def test_a_failure_here_kills_the_workers_still_running(self, monkeypatch):
+        parent = os.getpid()
+
+        def fails_here_while_the_worker_sleeps(scenario, isl_enabled, slots):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("no slots here")
+
+        monkeypatch.setattr(engine, "_solve_slots", fails_here_while_the_worker_sleeps)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no slots here"):
+            self.run_on(2, monkeypatch, bundled("toy2"))
+        assert time.monotonic() - start < 30
+        self.assert_nothing_left(descriptors)
+
+    @staticmethod
+    def assert_nothing_left(descriptors):
+        gc.collect()
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child, reaped or not, is left
+
+    def test_two_process_compare_never_imports_multiprocessing(self, tmp_path):
+        # workers are bare forks; the import would only cost start-up
+        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data["time"]["duration_s"] = 1200  # four slots, two per process
+        scenario = tmp_path / "toy3.json"
+        scenario.write_text(json.dumps(data))
         code = (
-            "import sys; from meoflow.cli import main; "
-            f"code = main(['run', 'toy3', '--out', {str(tmp_path)!r}]); "
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from meoflow.cli import main; "
+            f"code = main(['compare', {str(scenario)!r}, '--out', {str(tmp_path / 'out')!r}]); "
             "print(code, 'multiprocessing' in sys.modules)"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(meoflow.__file__).parents[1]))

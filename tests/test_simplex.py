@@ -110,12 +110,13 @@ class TestBasics:
             assert solve(p, max_iterations=cap).iteration_count == 1
 
     def test_default_caps_count_each_lps_rows_and_variables(self, monkeypatch):
-        # 10 * (rows + variables), a continued solve's appended row counted
+        # 10 * (rows + variables), a continued solve's appended row counted;
+        # the continued LP maximizes y, so it has an improving column and is batched
         seen = []
         run = simplex._run_simplex
         monkeypatch.setattr(simplex, "_run_simplex", lambda *args: seen.append(args[3].tolist()) or run(*args))
         p = box_problem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5], [1.0, 1.0])
-        pinned = LpProblem(p.objective, np.vstack([p.matrix, [-1.0, 0.0]]), np.append(p.rhs, -0.25))
+        pinned = LpProblem([0.0, 1.0], np.vstack([p.matrix, [-1.0, 0.0]]), np.append(p.rhs, -0.25))
         simplex.solve_batch([p, pinned], bases=[None, solve(p)])
         simplex.solve_batch([p, p], 7)
         assert seen[1:] == [[10 * (3 + 2), 10 * (4 + 2)], [7, 7]]
@@ -393,6 +394,58 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert simplex.solve_batch([]) == []
+
+
+def padded_path(problem, base):
+    """`problem` continued from `base` through `_run_simplex` in a padded
+    batch of one: the path of every LP whose start has an improving column."""
+    start = simplex._start(problem, base)
+    m, n = start.basis.size, start.nonbasic.size
+    tableau = start.tableau.T[None].copy()  # column-major, with no padding
+    basis, nonbasic, ends = start.basis[None].copy(), start.nonbasic[None].copy(), [None]
+    iterations = simplex._run_simplex(tableau, basis, nonbasic, np.array([10 * (m + n)]), ends)
+    assert ends == [STATUS_OPTIMAL]
+    return simplex._optimal(problem, tableau[0].T.copy(), basis[0], nonbasic[0], int(iterations[0]))
+
+
+class TestStage2ThatCannotMove:
+    """A stage-2 LP whose start has no improving column is read out where it
+    starts, not padded into the batch, with the same bytes."""
+
+    @staticmethod
+    def batch():
+        # the stuck LP pins what its base optimum already meets and keeps its
+        # objective; two cold LPs and one continued LP pivot beside it
+        rng = np.random.RandomState(3)
+        a = rng.uniform(0.1, 2.0, (5, 6))
+        p = box_problem(a, rng.uniform(1.0, 5.0, 5), rng.uniform(0.5, 2.0, 6))
+        base = solve(p)
+        stuck = box_problem(np.vstack([a, -np.eye(6)[0]]), np.append(p.rhs, -base.values[0] + 0.25), p.objective)
+        moving = box_problem(np.vstack([a, -np.eye(6)[0]]), np.append(p.rhs, -base.values[0] + 0.25), rng.uniform(0.5, 2.0, 6))
+        problems = [beale(), stuck, p, moving]
+        return problems, [None, base, None, base]
+
+    def test_reads_out_the_padded_paths_bytes(self, monkeypatch):
+        problems, bases = self.batch()
+        batched = []
+        run = simplex._run_simplex
+        monkeypatch.setattr(simplex, "_run_simplex", lambda *args: batched.append(args[0].shape[0]) or run(*args))
+        got = simplex.solve_batch(problems, bases=bases)
+        assert batched == [3]  # the stuck LP is not padded in
+        assert got[1].iteration_count == 0
+        assert_same_outcome(got[1], padded_path(problems[1], bases[1]))
+
+    def test_the_cap_comes_first(self):
+        problems, bases = self.batch()
+        got = simplex.solve_batch(problems, 0, bases=bases)
+        assert all(isinstance(o, SimplexIterationError) and str(o) == "simplex exceeded 0 iterations" for o in got)
+
+    def test_the_other_lps_are_unchanged(self):
+        problems, bases = self.batch()
+        got = simplex.solve_batch(problems, bases=bases)
+        assert all(o.iteration_count > 0 for i, o in enumerate(got) if i != 1)
+        for i in (0, 2, 3):
+            assert_same_outcome(got[i], solve(problems[i], base=bases[i]))
 
 
 def reference_solve(problem, max_iterations=None):
