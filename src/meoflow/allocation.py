@@ -34,7 +34,11 @@ it is on by default.  It continues from the first stage's optimal
 tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
-well-conditioned; results are converted back to bit/s on decode.
+well-conditioned; results are converted back to bit/s on decode.  A slot
+whose largest capacity reaches MAX_LP_CAPACITY Mbit/s enters them in the
+least power-of-two multiple of Mbit/s that brings it below, an exact
+scaling: at cost-row entries of 1e9, rounding passes the simplex's
+absolute PIVOT_EPS.  Every bundled slot keeps the unit 1 Mbit/s.
 """
 from __future__ import annotations
 
@@ -48,6 +52,13 @@ from .topology import SlotGraph
 
 SCALE_BPS = 1e6
 LEXICO_SLACK = 1e-9
+MAX_LP_CAPACITY = 2.0**20  # Mbit/s, 1 Tbit/s: far above any bundled link, far below 1e9
+
+
+def _units(fl_bps: np.ndarray, isl_bps: np.ndarray) -> np.ndarray:
+    """Each slot's LP unit in Mbit/s: the least power of two, 1 or more, that brings its largest capacity below."""
+    top = np.maximum(fl_bps.max((-2, -1), initial=0.0), isl_bps.max((-2, -1), initial=0.0)) / SCALE_BPS
+    return np.ldexp(1.0, np.maximum(np.frexp(top / MAX_LP_CAPACITY)[1], 0))
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -70,7 +81,8 @@ def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, 
     if not graphs:
         return
     fl_bps, isl_bps = np.array([g.fl_capacity_bps for g in graphs]), np.array([g.isl_capacity_bps for g in graphs])
-    fl, isl, lit = fl_bps / SCALE_BPS, isl_bps / SCALE_BPS, fl_bps > 0.0
+    units = _units(fl_bps, isl_bps)[:, None, None]
+    fl, isl, lit = fl_bps / SCALE_BPS / units, isl_bps / SCALE_BPS / units, fl_bps > 0.0
     serving = np.array([[-1 if j is None else j for j in graph.serving_gs] for graph in graphs])
     served = np.ones(serving.shape, dtype=bool)
     for n, graph in enumerate(graphs):
@@ -211,6 +223,7 @@ def decode(
     # Python floats throughout: w and v then hold no numpy scalars, which
     # are slow to pickle back from a worker process
     values = solution.values.tolist()
+    unit_bps = SCALE_BPS * float(_units(graph.fl_capacity_bps, graph.isl_capacity_bps))  # of one LP unit
     fl_capacity = graph.fl_capacity_bps.tolist()
     isl_capacity = graph.isl_capacity_bps.tolist()
 
@@ -233,7 +246,7 @@ def decode(
             direct_rates[k] += direct
         elif tag[0] == "r":
             _, s, l, j = tag
-            through = value * SCALE_BPS
+            through = value * unit_bps
             if through < 0.0:
                 through = 0.0
             # both legs of a route have positive capacity
@@ -245,7 +258,7 @@ def decode(
             rates[s] += through
     return AllocationResult(
         slot_index=graph.slot_index,
-        t_star_bps=t_star * SCALE_BPS,
+        t_star_bps=t_star * unit_bps,
         rates_bps=rates,
         w=w,
         v=v,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import AllocationError
-from .engine import RunResult, WorkerDiedError, compare, run, summarize
+from .engine import RunResult, WorkerDiedError, compare, run, run_arms, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 EXIT_OK = 0
@@ -42,14 +42,6 @@ FRACTION_FLOOR = 1e-12
 def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _run_arm(scenario: Scenario, isl_enabled: bool) -> RunResult:
-    try:
-        return run(scenario, isl_enabled=isl_enabled)
-    except (AllocationError, WorkerDiedError) as exc:
-        exc.arm = "ISL" if isl_enabled else "no-ISL"
-        raise
 
 
 def _load_scenario_arg(arg: str) -> Scenario:
@@ -133,8 +125,9 @@ def _write(out: Path, texts) -> int:
 def _solve_and_write(args, document, files) -> int:
     """The body of `run` and `compare`.
 
-    Solves the command's arms, builds `document(*results)` and writes the
-    `(name, text)` pairs of `files(doc, *results)` to --out.  With
+    Solves the command's arms, one through `run` or both through `run_arms`
+    (forking once), builds `document(*results)` and writes the `(name,
+    text)` pairs of `files(doc, *results)` to --out.  With
     --seedless-deterministic the arms are solved twice, and any file whose
     text differs between the two fails the run before anything is written.
     """
@@ -143,18 +136,19 @@ def _solve_and_write(args, document, files) -> int:
     except ScenarioError as exc:
         return _fail(str(exc))
     arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
+    solve = (lambda: run_arms(scenario, arms)) if len(arms) > 1 else (lambda: [run(scenario, arms[0])])
     try:
-        results = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
+        results = solve()
         doc = document(*results)
         texts = files(doc, *results)  # rendered one file at a time as it is written
         if args.seedless_deterministic:
-            rerun = [_run_arm(scenario, isl_enabled) for isl_enabled in arms]
+            rerun = solve()
             texts = list(texts)
             if texts != list(files(document(*rerun), *rerun)):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)
     except ValueError as exc:
         return _fail(str(exc))
-    except AllocationError as exc:  # name the slot, the arm `_run_arm` set and the stage
+    except AllocationError as exc:  # name the slot, the arm the engine set and the stage
         reason = f"slot {exc.slot} of the {exc.arm} arm, LP stage {exc.stage}: {exc.reason}"
         return _fail(f"solver failed on {reason}", EXIT_SOLVER_FAILED)
     except WorkerDiedError as exc:
@@ -227,12 +221,10 @@ def _read_json(path: Path):
 
 
 def _rain_windows(scenario: Scenario):
-    windows = []
-    for event in scenario.rain_events:
-        start_h = (event.start - scenario.start).total_seconds() / 3600.0
-        end_h = (event.end - scenario.start).total_seconds() / 3600.0
-        windows.append((start_h, end_h, f"{event.station_id} {event.rain_rate_mm_h:g} mm/h"))
-    return windows
+    def hours(t):
+        return (t - scenario.start).total_seconds() / 3600.0
+
+    return [(hours(e.start), hours(e.end), f"{e.station_id} {e.rain_rate_mm_h:g} mm/h") for e in scenario.rain_events]
 
 
 def cmd_plot(args) -> int:

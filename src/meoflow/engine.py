@@ -1,11 +1,11 @@
 """Horizon orchestration: per-slot solves, summaries, arm comparison.
 
 Slots are independent: each depends only on the scenario, its index and
-the arm.  `run` splits the horizon into one contiguous slot range per core
-this process may run on (`os.sched_getaffinity`, which `taskset` limits).
-The calling process solves the first range and worker processes, bare
-`os.fork`s each with one pipe, solve the others and send back their
-results pickled; the results are put back in slot order.  Every slot runs
+the arm.  `run_arms` splits the horizon into one contiguous slot range per
+core this process may run on (`os.sched_getaffinity`, which `taskset`
+limits).  The calling process solves the first range and worker processes,
+bare `os.fork`s each with one pipe, solve the others, each range for every
+arm in turn, and send back their results pickled, put back in slot order.  Every slot runs
 the same deterministic code in whichever process solves it, so the results
 are bit-identical to a single-process run, and reruns are bit-identical.
 Each process computes the geometry, link budgets and serving policy of its
@@ -18,11 +18,12 @@ at zero; it is excluded from rate statistics.
 """
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import sys
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -74,26 +75,35 @@ class RunResult:
 
 
 def run(scenario: Scenario, isl_enabled: Optional[bool] = None) -> RunResult:
-    """Solve every slot of the horizon.
+    """Solve every slot of the horizon: `run_arms` of one arm.
 
     isl_enabled overrides the scenario policy; the baseline arm of a
     comparison is the same scenario with ISL capacities forced to zero.
-    Raises the AllocationError of the first slot that fails to solve.
     """
-    enabled = scenario.isl_enabled if isl_enabled is None else bool(isl_enabled)
-    allocations = _solve_horizon(scenario, enabled)
-    return RunResult(
-        scenario=scenario,
-        isl_enabled=enabled,
-        rates_bps=np.array([a.rates_bps for a in allocations]),
-        t_star_bps=np.array([a.t_star_bps for a in allocations]),
-        direct_bps=np.array([a.direct_bps for a in allocations]),
-        relayed_bps=np.array([a.relayed_bps for a in allocations]),
-        serving=tuple(a.serving_gs for a in allocations),
-        allocations=allocations,
-        degenerate_slots=tuple(slot for slot, a in enumerate(allocations) if a.degenerate),
-        iterations=np.array([a.iterations for a in allocations]),
-    )
+    return run_arms(scenario, [bool(scenario.isl_enabled if isl_enabled is None else isl_enabled)])[0]
+
+
+def run_arms(scenario: Scenario, arms: Sequence[bool]) -> list[RunResult]:
+    """The RunResult of each arm, given by its ISL switch, all solved by one set of processes.
+
+    Raises the AllocationError of the first failing arm's first failing
+    slot, or a WorkerDiedError, with that arm ("ISL" or "no-ISL") as `arm`.
+    """
+    results = []
+    for enabled, allocations in zip(arms, _solve_horizon(scenario, arms)):
+        results.append(RunResult(
+            scenario=scenario,
+            isl_enabled=enabled,
+            rates_bps=np.array([a.rates_bps for a in allocations]),
+            t_star_bps=np.array([a.t_star_bps for a in allocations]),
+            direct_bps=np.array([a.direct_bps for a in allocations]),
+            relayed_bps=np.array([a.relayed_bps for a in allocations]),
+            serving=tuple(a.serving_gs for a in allocations),
+            allocations=allocations,
+            degenerate_slots=tuple(slot for slot, a in enumerate(allocations) if a.degenerate),
+            iterations=np.array([a.iterations for a in allocations]),
+        ))
+    return results
 
 
 def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[AllocationResult]:
@@ -117,27 +127,29 @@ def _solve_slots(scenario: Scenario, isl_enabled: bool, slots: range) -> list[Al
     return solved
 
 
-def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResult]:
-    """`_solve_slots` over the whole horizon, one contiguous range per process.
+def _solve_horizon(scenario: Scenario, arms: list[bool]) -> list[list[AllocationResult]]:
+    """`_solve_slots` of each arm over the whole horizon, one contiguous range per process.
 
-    This process solves the first range while forked workers solve the
-    others, each writing its pickled outcome to its own pipe and exiting.
-    A worker that dies without sending shows up here as end-of-file, never
-    as a wait, and is raised as a WorkerDiedError with its exit code.
-    Whatever is raised, every worker not yet reaped is killed and reaped.
+    The workers are forked once for all arms.  Every process solves its
+    range for each arm in order and stops at its first failure; a worker
+    writes each arm's pickled outcome to its own pipe as the arm finishes.
+    This process reads the outcomes arm by arm, its own range first, so the
+    first failure read is that of the first failing arm's lowest slot.  A
+    worker that dies without sending shows up here as end-of-file, never as
+    a wait, and is raised as a WorkerDiedError with its exit code.
+    At the end, raised or not, every worker not yet reaped is killed and reaped.
     Fork, not spawn: a worker starts with the parsed scenario and the
     imported modules, where spawn would import numpy and meoflow again.
     """
     n = scenario.slot_count
     # one process per core this one may run on, at most one per slot
     workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    if workers <= 1:
-        return _solve_slots(scenario, isl_enabled, range(n))
     ranges = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
     forked = []  # (pid, read end of its pipe, slots) of each worker not yet reaped
     try:
         for slots in ranges[1:]:
             read, write = os.pipe()
+            gc.freeze()  # no collection writes to the objects here now: fewer pages copied on write in a worker
             try:
                 pid = os.fork()
             except OSError:  # say, out of processes: the pipe goes with it
@@ -146,41 +158,53 @@ def _solve_horizon(scenario: Scenario, isl_enabled: bool) -> list[AllocationResu
                 raise
             if pid == 0:
                 os.close(read)
-                _send_slots(write, scenario, isl_enabled, slots)
+                _send_arms(write, scenario, arms, slots)
             os.close(write)
-            forked.append((pid, read, slots))
-        solved = _solve_slots(scenario, isl_enabled, ranges[0])
-        while forked:
-            pid, read, slots = forked[0]
-            with open(read, "rb", closefd=False) as pipe:
-                outcome = pipe.read()  # to end of file: the worker has exited
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(forked.pop(0)[1])
-            if code != 0:  # a worker exits 0 only once its whole outcome is written
-                raise WorkerDiedError(f"worker for slots {slots[0]}-{slots[-1]} exited with code {code} and no result")
-            ok, payload = pickle.loads(outcome)
-            if not ok:
-                raise payload
-            solved += payload
+            forked.append((pid, open(read, "rb"), slots))
+        solved, own = [], _solve_arms(scenario, arms, ranges[0])  # own: this process's outcomes
+        for enabled in arms:
+            solved.append([])
+            for worker in [None, *forked]:  # None: this process
+                try:
+                    ok, payload = next(own) if worker is None else pickle.load(worker[1])
+                except (EOFError, pickle.UnpicklingError):  # a worker exits 0 only once all is sent
+                    pid, pipe, slots = worker
+                    forked.remove(worker)
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    ok, payload = False, WorkerDiedError(f"worker for slots {slots[0]}-{slots[-1]} exited with code {code} and no result")
+                if not ok:
+                    payload.arm = "ISL" if enabled else "no-ISL"
+                    raise payload
+                solved[-1] += payload
     finally:
-        for pid, read, _ in forked:
-            os.close(read)
+        gc.unfreeze()
+        for pid, pipe, _ in forked:
+            pipe.close()
             os.kill(pid, 9)  # SIGKILL; importing signal would cost every run's start-up
             os.waitpid(pid, 0)
     return solved
 
 
-def _send_slots(write: int, scenario: Scenario, isl_enabled: bool, slots: range) -> NoReturn:
-    """Worker process body: write (ok, result or exception) of `slots`
-    pickled to the pipe and leave through os._exit, 0 once all is written."""
+def _solve_arms(scenario: Scenario, arms: list[bool], slots: range):
+    """(ok, allocations or exception) of `slots` for each arm in order, up to the first failure."""
+    for enabled in arms:
+        try:
+            yield True, _solve_slots(scenario, enabled, slots)
+        except Exception as exc:  # raised in the parent, e.g. an AllocationError
+            yield False, exc
+            return
+
+
+def _send_arms(write: int, scenario: Scenario, arms: list[bool], slots: range) -> NoReturn:
+    """Worker process body: write each arm's `_solve_arms` outcome pickled to
+    the pipe as it finishes, and leave through os._exit, 0 once all is written."""
     code = 1
     try:
-        try:
-            outcome = (True, _solve_slots(scenario, isl_enabled, slots))
-        except Exception as exc:  # raised again in the parent, e.g. an AllocationError
-            outcome = (False, exc)
         with open(write, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            for outcome in _solve_arms(scenario, arms, slots):
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
         code = 0
     except BaseException:  # not sent: reported as an uncaught exception would be, then exit 1
         sys.excepthook(*sys.exc_info())
@@ -273,24 +297,18 @@ def compare(baseline: RunResult, treatment: RunResult) -> dict:
         raise ValueError("baseline minimum rate must be positive")
     treat_min = float(treat.min())
     base_mean = float(base.mean())
-    per_satellite = []
-    base_stds = []
-    treat_stds = []
-    for k in range(baseline.satellite_count):
-        b_std = float(base[:, k].std())
-        t_std = float(treat[:, k].std())
-        base_stds.append(b_std)
-        treat_stds.append(t_std)
-        per_satellite.append(
-            {
-                "satellite": k,
-                "baseline_mean_bps": float(base[:, k].mean()),
-                "treatment_mean_bps": float(treat[:, k].mean()),
-                "baseline_std_bps": b_std,
-                "treatment_std_bps": t_std,
-                "std_reduction_pct": (b_std - t_std) / b_std * 100.0 if b_std > 0 else None,
-            }
-        )
+    base_stds, treat_stds = ([float(x[:, k].std()) for k in range(baseline.satellite_count)] for x in (base, treat))
+    per_satellite = [
+        {
+            "satellite": k,
+            "baseline_mean_bps": float(base[:, k].mean()),
+            "treatment_mean_bps": float(treat[:, k].mean()),
+            "baseline_std_bps": b_std,
+            "treatment_std_bps": t_std,
+            "std_reduction_pct": (b_std - t_std) / b_std * 100.0 if b_std > 0 else None,
+        }
+        for k, (b_std, t_std) in enumerate(zip(base_stds, treat_stds))
+    ]
     mean_base_std = float(np.mean(base_stds))
     return {
         "min_rate_improvement_pct": (treat_min - base_min) / base_min * 100.0,

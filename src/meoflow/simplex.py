@@ -38,6 +38,12 @@ of o3b_rain does: it is read out and audited where it starts, to the same
 bits, and never padded in.  `solve` is the one-LP case, and `chunks`
 splits a stream of LPs into batches of bounded size.
 
+Before a batch's first pivot, `_run_simplex` allocates and frees an
+untouched block of WARM_BLOCK_TABLEAUS batch tableaus, 16 MiB at most (glibc
+moves its dynamic mmap and trim thresholds up to 32 MiB).  That lifts them
+past the batch's working set, so the step temporaries, which grow with
+fill-in, reuse pages the process holds instead of faulting in fresh ones.
+
 A pivot skips the entries x of the constraint rows where the pivot row
 is zero; x - f * 0 would keep x's bits unless x = -0.0 and f * 0 = -0.0.
 No constraint row holds -0.0 when A and b hold none, as `build_chunks`'s
@@ -60,6 +66,7 @@ FEAS_TOL = 1e-8
 # together in a `solve_batch`, and so of the group of slots the allocator
 # solves at once: 2 MB of float64.  A chunk holds at least one LP.
 CHUNK_ENTRIES = 2**18
+WARM_BLOCK_TABLEAUS = 4  # the size, in batch tableaus, of the block freed before the first pivot
 
 _NONE = np.iinfo(np.intp).max  # the variable of a padding row or column
 
@@ -304,6 +311,7 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
     first, as a cap of 0 allows no step), optimal or unbounded; its end is
     written into `ends`.  Returns the pivots of each LP.
     """
+    np.empty(min(WARM_BLOCK_TABLEAUS * tableau.size, 2**21))  # freed untouched; see the module docstring
     m, n = basis.shape[1], nonbasic.shape[1]
     iterations = np.zeros(len(ends), dtype=int)
     live = np.array([b for b, end in enumerate(ends) if end is None], dtype=int)

@@ -24,7 +24,7 @@ CURVE_COLORS = ("#d62728", "#ff7f0e", "#2ca02c")
 
 
 class _Frame:
-    """Maps data coordinates into the plot rectangle."""
+    """Maps data coordinates into the plot rectangle: a float, or an array by the same operations per element."""
 
     def __init__(self, x0, x1, y0, y1):
         if x1 <= x0:
@@ -94,7 +94,8 @@ def _axes(frame, title, x_label, y_label):
 
 
 def _polyline(frame, xs, ys, color, dashed=False):
-    points = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
+    xs, ys = frame.x(np.asarray(xs, dtype=float)).tolist(), frame.y(np.asarray(ys, dtype=float)).tolist()
+    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
     dash = ' stroke-dasharray="5,3"' if dashed else ""
     return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
 
@@ -163,29 +164,22 @@ def histogram_svg(series_mbps, title, baseline_mbps=None):
     frame = _Frame(0.0, float(edges[-1]), 0.0, max(top_count, 1.0) * 1.1)
     parts = _axes(frame, title, "rate [Mbit/s]", "slots")
     for (arm, color, opacity), cnt in zip(arms, counts):
-        for b in np.flatnonzero(cnt):
-            x0, x1 = frame.x(edges[b]), frame.x(edges[b + 1])
-            y0, y1 = frame.y(float(cnt[b])), frame.y(0.0)
+        bars = np.flatnonzero(cnt)  # mapped in one numpy pass, as _polyline maps its points
+        x0, x1, y0 = frame.x(edges[bars]), frame.x(edges[bars + 1]), frame.y(cnt[bars].astype(float))
+        for x, y, width, height in zip(*(v.tolist() for v in (x0, y0, x1 - x0, frame.y(0.0) - y0))):
             parts.append(
-                f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-                f'height="{_fmt(y1 - y0)}" fill="{color}" fill-opacity="{opacity}"/>'
+                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+                f'height="{_fmt(height)}" fill="{color}" fill-opacity="{opacity}"/>'
             )
         if arm.size == 0:
             continue
-        mean = float(arm.mean())
-        std = float(arm.std())
-        px = frame.x(mean)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(frame.y(frame.y1))}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" stroke-width="2"/>'
-        )
-        for m in (mean - std, mean + std):
-            if not frame.x0 <= m <= frame.x1:
-                continue
+        mean, std = float(arm.mean()), float(arm.std())
+        dashed = [m for m in (mean - std, mean + std) if frame.x0 <= m <= frame.x1]
+        for m, style in [(mean, 'stroke-width="2"'), *((m, 'stroke-width="1" stroke-dasharray="4,3"') for m in dashed)]:
             px = frame.x(m)
             parts.append(
                 f'<line x1="{_fmt(px)}" y1="{_fmt(frame.y(frame.y1))}" x2="{_fmt(px)}" '
-                f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" stroke-width="1" stroke-dasharray="4,3"/>'
+                f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" {style}/>'
             )
     entries = [("with ISL" if baseline_mbps is not None else "rate", TREATMENT_COLOR)]
     if baseline_mbps is not None:

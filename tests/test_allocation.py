@@ -401,6 +401,35 @@ class TestSolutionStructure:
         g = make_graph(np.diag([300e6, 300e6, 150e6]) * 1e8, big)
         assert solve_allocation(g).t_star_bps == pytest.approx(250e6 * 1e8, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+    def test_stage_2_solves_at_huge_capacities(self, scale):
+        # satellite 1 has no feeder link and relays through 0: stage 2 gives 0
+        # the spare 100 Mbit/s; at x1e7, in Mbit/s, it ended "LP unbounded"
+        g = make_graph(np.array([[300e6], [0.0]]) * scale, np.array([[0.0, 100e6], [100e6, 0.0]]) * scale)
+        result = solve_allocation(g)
+        assert result.t_star_bps == pytest.approx(100e6 * scale, rel=1e-12)
+        np.testing.assert_allclose(result.rates_bps, np.array([200e6, 100e6]) * scale, rtol=1e-12)
+
+    def test_lp_capacity_unit_is_a_power_of_two_from_the_bound_on(self):
+        top = allocation.MAX_LP_CAPACITY
+        tops = np.array([0.0, 600.0, np.nextafter(top, 0.0), top, 3 * top, 2.0**40]) * SCALE_BPS  # in bit/s
+        units = allocation._units(tops[:, None, None], np.zeros((6, 1, 1)))
+        assert units.tolist() == [1.0, 1.0, 1.0, 2.0, 4.0, 2.0**41 / top]
+        assert allocation._units(np.zeros((2, 3)), np.full((2, 2), 3 * top * SCALE_BPS)) == 4.0  # one slot, ISLs too
+
+    @pytest.mark.parametrize(
+        "eirp_dbw, policy, isl_enabled, slot",
+        [(100.0, POLICY_LP_FRACTIONAL, False, 41), (150.0, POLICY_BEST_CAPACITY, True, 4), (200.0, POLICY_LP_FRACTIONAL, True, 0)],
+    )
+    def test_o3b_rain_budgets_past_1e7_mbps_pass_the_stage_2_audit(self, eirp_dbw, policy, isl_enabled, slot):
+        # each failed its stage-2 audit (or its pivot cap) with capacities in Mbit/s
+        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": eirp_dbw}
+        data["policies"]["serving_gs"] = policy
+        (result,) = engine._solve_slots(parse_scenario(data, name="o3b_rain"), isl_enabled, range(slot, slot + 1))
+        assert result.t_star_bps > 1e13
+        assert result.rates_bps.min() >= result.t_star_bps * (1 - 1e-9)
+
 
 class TestLexicographic:
     def spare_capacity_graph(self):

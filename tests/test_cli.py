@@ -279,6 +279,76 @@ class TestSolverFailureInWorker:
         assert not out.exists()
 
 
+class TestOneForkPerCommand:
+    """compare forks its workers once for both arms: every process solves
+    its slot range for the no-ISL arm, then for the ISL arm."""
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        fork, forks = os.fork, []
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("rerun", [False, True])
+    def test_two_core_compare_forks_once_and_writes_what_one_process_does(self, tmp_path, monkeypatch, deadline, rerun):
+        flags = ["--seedless-deterministic"] if rerun else []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["compare", "o3b_rain", "--out", str(tmp_path / "one"), *flags]) == 0
+        forks = self.count_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["compare", "o3b_rain", "--out", str(tmp_path / "two"), *flags]) == 0
+        assert len(forks) == (2 if rerun else 1)  # the rerun forks once more
+        for name in ("compare.json", "compare.csv"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_worker_that_dies_in_the_second_arm_names_the_isl_arm(self, tmp_path, capsys, monkeypatch, deadline):
+        scenario = four_toy3_slots_on_two_cores(tmp_path, monkeypatch)
+        parent = os.getpid()
+        solve_slots = engine._solve_slots
+
+        def dies_in_isl_arm(scenario, isl_enabled, slots):
+            if os.getpid() != parent and isl_enabled:
+                os._exit(7)
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", dies_in_isl_arm)
+        forks = self.count_forks(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["compare", str(scenario), "--out", str(out)]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        assert "error: worker for slots 2-3 exited with code 7 and no result, in the ISL arm" in err
+        assert len(forks) == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "planted, reported",
+        [
+            ({(1, True), (3, False)}, "slot 3 of the no-ISL arm"),  # the first arm first, whatever the process
+            ({(1, False), (3, False)}, "slot 1 of the no-ISL arm"),  # then the lowest slot
+            ({(3, False), (1, True), (3, True)}, "slot 3 of the no-ISL arm"),
+            ({(1, True), (3, True)}, "slot 1 of the ISL arm"),
+        ],
+    )
+    def test_first_arm_then_lowest_slot_is_reported(self, tmp_path, capsys, monkeypatch, deadline, planted, reported):
+        # slots 0-1 are solved here, 2-3 in the worker
+        scenario = four_toy3_slots_on_two_cores(tmp_path, monkeypatch)
+        solve_slots = engine._solve_slots
+
+        def fails_where_planted(scenario, isl_enabled, slots):
+            for slot in slots:
+                if (slot, isl_enabled) in planted:
+                    raise allocation.AllocationError(slot, 1, "planted")
+            return solve_slots(scenario, isl_enabled, slots)
+
+        monkeypatch.setattr(engine, "_solve_slots", fails_where_planted)
+        assert main(["compare", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_SOLVER_FAILED
+        assert f"error: solver failed on {reported}, LP stage 1: planted" in capsys.readouterr().err
+
+
 class TestHistogramBound:
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_rate_past_the_bin_bound_exits_2_writing_nothing(self, tmp_path, capsys, command):

@@ -21,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from meoflow import cli, engine  # noqa: E402
+from meoflow import cli, engine, svgplot  # noqa: E402
 from meoflow.cli import FRACTION_FLOOR  # noqa: E402
 from meoflow.engine import RunResult  # noqa: E402
 from meoflow.scenario import parse_scenario  # noqa: E402
@@ -180,3 +180,34 @@ def test_decode_stores_plain_floats():
     relayed = [f for a in allocations for (s, t, _), f in a.w.items() if s != t]
     assert relayed and any(0.0 < f < 1.0 for f in relayed)
     assert {type(f) for a in allocations for fractions in (a.w, a.v) for f in fractions.values()} == {float}
+
+
+coordinates = st.floats(-1e6, 1e6)
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40))
+def test_polyline_maps_every_point_as_the_frame_maps_one(points):
+    xs, ys = zip(*points)
+    frame = svgplot._Frame(min(xs), max(xs), min(ys), max(ys))
+    one_at_a_time = " ".join(f"{frame.x(x):.2f},{frame.y(y):.2f}" for x, y in points)
+    assert f'points="{one_at_a_time}"' in svgplot._polyline(frame, xs, np.array(ys), "#000")
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.floats(0.0, 2000.0), max_size=60), st.none() | st.lists(st.floats(0.0, 2000.0), max_size=60))
+def test_histogram_bars_are_mapped_as_the_frame_maps_one(series, baseline):
+    # the bars of each arm, the baseline's first, each corner mapped one at a time
+    arms = [np.array(a) for a in (baseline, series) if a is not None]
+    top = max((a.max() for a in arms if a.size), default=1.0)
+    edges = engine.histogram_edges(top, engine.HISTOGRAM_BIN_WIDTH_BPS / 1e6)
+    counts = [np.histogram(a, bins=edges)[0] for a in arms]
+    frame = svgplot._Frame(0.0, float(edges[-1]), 0.0, max(max(c.max() for c in counts), 1.0) * 1.1)
+    bars = [
+        (frame.x(edges[b]), frame.y(float(c[b])), frame.x(edges[b + 1]) - frame.x(edges[b]), frame.y(0.0) - frame.y(float(c[b])))
+        for c in counts
+        for b in np.flatnonzero(c)
+    ]
+    expected = [f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"' for x, y, w, h in bars]
+    svg = svgplot.histogram_svg(series, "t", baseline)
+    assert [line.split(" fill=")[0] for line in svg.splitlines() if line.startswith("<rect") and "fill-opacity" in line] == expected
