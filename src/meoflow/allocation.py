@@ -35,10 +35,12 @@ tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
 well-conditioned; results are converted back to bit/s on decode.  A slot
-whose largest capacity reaches MAX_LP_CAPACITY Mbit/s enters them in the
-least power-of-two multiple of Mbit/s that brings it below, an exact
-scaling: at cost-row entries of 1e9, rounding passes the simplex's
-absolute PIVOT_EPS.  Every bundled slot keeps the unit 1 Mbit/s.
+whose largest capacity lies outside [MIN_LP_CAPACITY, MAX_LP_CAPACITY)
+Mbit/s enters them in the power-of-two multiple of Mbit/s that brings it
+inside, an exact scaling: at cost-row entries of 1e9, rounding passes the
+simplex's absolute PIVOT_EPS, and at capacities near 1e-9 every reduced
+cost lies within it, so stage 1 stops at t = 0.  Every bundled slot keeps
+the unit 1 Mbit/s.
 """
 from __future__ import annotations
 
@@ -53,12 +55,16 @@ from .topology import SlotGraph
 SCALE_BPS = 1e6
 LEXICO_SLACK = 1e-9
 MAX_LP_CAPACITY = 2.0**20  # Mbit/s, 1 Tbit/s: far above any bundled link, far below 1e9
+MIN_LP_CAPACITY = 2.0**-10  # Mbit/s, about 1 kbit/s: far below any bundled link, far above 1e-9
 
 
 def _units(fl_bps: np.ndarray, isl_bps: np.ndarray) -> np.ndarray:
-    """Each slot's LP unit in Mbit/s: the least power of two, 1 or more, that brings its largest capacity below."""
+    """Each slot's LP unit in Mbit/s, a power of two: 1 unless the slot's largest capacity reaches
+    MAX_LP_CAPACITY, then the least that brings it below, or is positive and under MIN_LP_CAPACITY,
+    then the one that lifts it into [MIN_LP_CAPACITY, 2 MIN_LP_CAPACITY)."""
     top = np.maximum(fl_bps.max((-2, -1), initial=0.0), isl_bps.max((-2, -1), initial=0.0)) / SCALE_BPS
-    return np.ldexp(1.0, np.maximum(np.frexp(top / MAX_LP_CAPACITY)[1], 0))
+    down = np.minimum(np.frexp(top / (2 * MIN_LP_CAPACITY))[1], 0)  # 0 at top = 0, as frexp(0) is (0, 0)
+    return np.ldexp(1.0, np.maximum(np.frexp(top / MAX_LP_CAPACITY)[1], 0) + down)
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -110,7 +116,7 @@ def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, 
         rn, rk, rl, rj, ri = route_n[r], route_k[r], route_l[r], route_j[r], route_rank[r]
         t_n = np.repeat(np.arange(a, b), n_served[a:b])
         v_col, leg = 1 + n_edges[rn] + 3 * ri, n_served[rn] + 2 * ri  # then w_relay and r; two leg caps
-        units = np.ones(t_n.size + ei.size + 4 * ri.size)
+        plus = np.ones(t_n.size + ei.size + 4 * ri.size)
         # (slot, row, column, value) of every nonzero entry, the +1s first: t;
         # w_direct in its packing row; r in both leg caps; w_relay and v in their
         # packing rows; then r, w_direct, v and w_relay in their other rows
@@ -120,7 +126,7 @@ def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, 
             packing[rn] + n_edges[rn] + link_rank[route_isl[r]], epigraph_row[rn, rk], epigraph_row[en, ek], leg, leg + 1,
         ))
         col = np.concatenate((0 * t_n, 1 + ei, v_col + 2, v_col + 2, v_col + 1, v_col, v_col + 2, 1 + ei, v_col, v_col + 1))
-        value = np.concatenate((units, -units[: ri.size], -fl[en, ek, ej], -isl[rn, rk, rl], -fl[rn, rl, rj]))
+        value = np.concatenate((plus, -plus[: ri.size], -fl[en, ek, ej], -isl[rn, rk, rl], -fl[rn, rl, rj]))
         size, ones = rows[a:b] * cols[a:b], n_edges[a:b] + n_links[a:b]  # entries; packing rows, of rhs 1
         matrices, objectives, rhs = np.zeros(size.sum()), np.zeros(cols[a:b].sum()), np.zeros(rows[a:b].sum())
         matrices[(np.cumsum(size) - size)[slot - a] + row * cols[slot] + col] = value
@@ -168,18 +174,10 @@ def _pinned(problem: LpProblem, t_star: float) -> LpProblem:
     )
 
 
-def lexicographic_refine(
-    problem: LpProblem, t_star: float, stage1: Optional[LpSolution] = None
-) -> tuple[LpProblem, LpSolution]:
-    """Stage 2 of one slot: the `_pinned` problem and its solution.
-
-    The solve continues from `stage1`, the optimal stage-1 solution of
-    `problem`, which is computed here when not given.
-    """
+def lexicographic_refine(problem: LpProblem, t_star: float) -> tuple[LpProblem, LpSolution]:
+    """Stage 2 of one slot: the `_pinned` problem and its solution, continued from `problem`'s optimum."""
     refined = _pinned(problem, t_star)
-    if stage1 is None:
-        stage1 = solve(problem)
-    return refined, solve(refined, base=stage1)
+    return refined, solve(refined, base=solve(problem))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import AllocationError
-from .engine import RunResult, WorkerDiedError, compare, run, run_arms, summarize
+from .engine import RunResult, WorkerDiedError, compare, run_arms, summarize
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 EXIT_OK = 0
@@ -125,9 +125,9 @@ def _write(out: Path, texts) -> int:
 def _solve_and_write(args, document, files) -> int:
     """The body of `run` and `compare`.
 
-    Solves the command's arms, one through `run` or both through `run_arms`
-    (forking once), builds `document(*results)` and writes the `(name,
-    text)` pairs of `files(doc, *results)` to --out.  With
+    Solves the command's arms, `run`'s one or `compare`'s two, through one
+    `run_arms` call (one fork), builds `document(*results)` and writes the
+    `(name, text)` pairs of `files(doc, *results)` to --out.  With
     --seedless-deterministic the arms are solved twice, and any file whose
     text differs between the two fails the run before anything is written.
     """
@@ -136,13 +136,12 @@ def _solve_and_write(args, document, files) -> int:
     except ScenarioError as exc:
         return _fail(str(exc))
     arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
-    solve = (lambda: run_arms(scenario, arms)) if len(arms) > 1 else (lambda: [run(scenario, arms[0])])
     try:
-        results = solve()
+        results = run_arms(scenario, arms)
         doc = document(*results)
         texts = files(doc, *results)  # rendered one file at a time as it is written
         if args.seedless_deterministic:
-            rerun = solve()
+            rerun = run_arms(scenario, arms)
             texts = list(texts)
             if texts != list(files(document(*rerun), *rerun)):
                 return _fail("rerun produced different results", EXIT_VERIFY_FAILED)

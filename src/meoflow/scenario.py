@@ -122,21 +122,26 @@ def _datetime(data, key, path, default=_REQUIRED):
     return parsed
 
 
+def _build(path, cls, *args, **kwargs):
+    """`cls(*args, **kwargs)`, its range checks' ValueError raised as a ScenarioError at `path`."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
 def _params_from_section(data, path, cls):
-    """Build `cls` from a section whose keys are its fields, one to one: a
+    """Build `cls` from an object whose keys are its fields, one to one: a
     field without a default is required, a `str` field takes a non-empty
     string and any other a finite number; `cls` checks the ranges.
     """
-    _check_keys(data, path, [f.name for f in fields(cls)])
+    _check_keys(_mapping(data, path), path, [f.name for f in fields(cls)])
     kwargs = {}
     for f in fields(cls):
         if f.default is MISSING or f.name in data:
             parse = _string if f.type in (str, "str") else _number
             kwargs[f.name] = parse(data, f.name, path)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    return _build(path, cls, **kwargs)
 
 
 @dataclass
@@ -239,35 +244,20 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"{cpath}.phase_offsets_deg: expected a list of numbers")
     else:
         phases = tuple(_finite(p, f"{cpath}.phase_offsets_deg[{i}]") for i, p in enumerate(phases))
-    try:
-        constellation = ConstellationSpec(count, altitude_km, phases, start, inclination)
-    except ValueError as exc:
-        raise ScenarioError(f"{cpath}: {exc}") from None
+    constellation = _build(cpath, ConstellationSpec, count, altitude_km, phases, start, inclination)
 
     gpath = f"{name}.ground_stations"
     gsec = _get(root, "ground_stations", name)
     if not isinstance(gsec, list) or not gsec:
         raise ScenarioError(f"{gpath}: expected a non-empty list")
-    stations = [
-        _params_from_section(_mapping(entry, f"{gpath}[{i}]"), f"{gpath}[{i}]", GroundStationSpec)
-        for i, entry in enumerate(gsec)
-    ]
+    stations = [_params_from_section(entry, f"{gpath}[{i}]", GroundStationSpec) for i, entry in enumerate(gsec)]
     ids = [s.station_id for s in stations]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"{gpath}: duplicate station_id")
 
-    feeder = _params_from_section(
-        _mapping(_get(root, "feeder_link", name, {}), f"{name}.feeder_link"),
-        f"{name}.feeder_link",
-        FeederLinkParams,
-    )
-    isl = _params_from_section(
-        _mapping(_get(root, "isl", name, {}), f"{name}.isl"), f"{name}.isl", IslParams
-    )
-    rain_model = _params_from_section(
-        _mapping(_get(root, "rain_model", name, {}), f"{name}.rain_model"),
-        f"{name}.rain_model",
-        RainModelParams,
+    feeder, isl, rain_model = (
+        _params_from_section(_get(root, key, name, {}), f"{name}.{key}", cls)
+        for key, cls in (("feeder_link", FeederLinkParams), ("isl", IslParams), ("rain_model", RainModelParams))
     )
 
     rpath = f"{name}.rain_events"
@@ -294,10 +284,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         else:
             rate = _number(entry, "rain_rate_mm_h", epath, positive=True)
         begins, ends = _datetime(entry, "start", epath), _datetime(entry, "end", epath)
-        try:
-            events.append(RainEvent(station_id, begins, ends, rate))
-        except ValueError as exc:
-            raise ScenarioError(f"{epath}: {exc}") from None
+        events.append(_build(epath, RainEvent, station_id, begins, ends, rate))
 
     ppath = f"{name}.policies"
     psec = _mapping(_get(root, "policies", name, {}), ppath)

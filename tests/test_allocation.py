@@ -410,12 +410,31 @@ class TestSolutionStructure:
         assert result.t_star_bps == pytest.approx(100e6 * scale, rel=1e-12)
         np.testing.assert_allclose(result.rates_bps, np.array([200e6, 100e6]) * scale, rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-15, 1e-18])
+    def test_both_stages_solve_at_tiny_capacities(self, scale):
+        # the same graph: at x1e-12, in Mbit/s, every reduced cost was within
+        # the pivot tolerance and the solve stopped at t* = 0
+        g = make_graph(np.array([[300e6], [0.0]]) * scale, np.array([[0.0, 100e6], [100e6, 0.0]]) * scale)
+        result = solve_allocation(g)
+        assert result.t_star_bps == pytest.approx(100e6 * scale, rel=1e-12)
+        np.testing.assert_allclose(result.rates_bps, np.array([200e6, 100e6]) * scale, rtol=1e-12)
+
     def test_lp_capacity_unit_is_a_power_of_two_from_the_bound_on(self):
         top = allocation.MAX_LP_CAPACITY
         tops = np.array([0.0, 600.0, np.nextafter(top, 0.0), top, 3 * top, 2.0**40]) * SCALE_BPS  # in bit/s
         units = allocation._units(tops[:, None, None], np.zeros((6, 1, 1)))
         assert units.tolist() == [1.0, 1.0, 1.0, 2.0, 4.0, 2.0**41 / top]
         assert allocation._units(np.zeros((2, 3)), np.full((2, 2), 3 * top * SCALE_BPS)) == 4.0  # one slot, ISLs too
+
+    def test_lp_capacity_unit_is_a_power_of_two_under_the_floor(self):
+        low = allocation.MIN_LP_CAPACITY
+        tops = np.array([0.0, low, 0.75 * low, low / 2, low / 1024, 2.0**-60]) * SCALE_BPS  # in bit/s
+        units = allocation._units(tops[:, None, None], np.zeros((6, 1, 1)))
+        assert units.tolist() == [1.0, 1.0, 0.5, 0.5, 2.0**-10, 2.0**-50]  # no capacity: unit 1
+        assert allocation._units(np.zeros((2, 3)), np.full((2, 2), 0.75 * low * SCALE_BPS)) == 0.5  # one slot, ISLs too
+        tops = low * 2.0 ** np.random.RandomState(3).uniform(-900.0, 0.0, 1000) * SCALE_BPS  # under the floor
+        lifted = tops / SCALE_BPS / allocation._units(tops[:, None, None], np.zeros((1000, 1, 1)))
+        assert ((lifted >= low) & (lifted < 2 * low)).all()
 
     @pytest.mark.parametrize(
         "eirp_dbw, policy, isl_enabled, slot",
@@ -470,7 +489,7 @@ class TestLexicographic:
             problem = build_problem(g)
             stage1 = solve(problem)
             t_star = stage1.objective_value
-            refined, warm = lexicographic_refine(problem, t_star, stage1)
+            refined, warm = lexicographic_refine(problem, t_star)
             cold = highs(refined, refined.objective)
             assert warm.status == STATUS_OPTIMAL and cold.status == 0
             assert warm.objective_value == pytest.approx(-cold.fun, rel=1e-9)

@@ -16,7 +16,7 @@ import pytest
 import meoflow
 from meoflow import allocation, cli, engine
 from meoflow.cli import EXIT_SOLVER_FAILED, main
-from meoflow.engine import run
+from meoflow.engine import run_arms
 from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
 
 
@@ -93,17 +93,17 @@ class TestRunCommand:
         # the same either way, allocations.json or results.csv is not
         results = []
 
-        def rerun_differs(scenario, isl_enabled):
-            results.append(run(scenario, isl_enabled=isl_enabled))
+        def rerun_differs(scenario, arms):
+            results.extend(run_arms(scenario, arms))
             if len(results) == 2:
                 if change == "split":
                     results[1].direct_bps[0, 0] += 1.0
                     results[1].relayed_bps[0, 0] -= 1.0
                 else:
                     getattr(results[1].allocations[0], change)[0, 1, 1] /= 2
-            return results[-1]
+            return results[-1:]
 
-        monkeypatch.setattr(cli, "run", rerun_differs)
+        monkeypatch.setattr(cli, "run_arms", rerun_differs)
         out = tmp_path / "out"
         assert main(["run", "toy3", "--seedless-deterministic", "--out", str(out)]) == 1
         assert "rerun produced different results" in capsys.readouterr().err

@@ -74,6 +74,22 @@ def test_stage1_matches_highs_on_every_slot_of_seed_0_dense_ground_without_isl()
         assert result.t_star_bps[slot] / SCALE_BPS == pytest.approx(t_star, rel=1e-6)
 
 
+def test_no_isl_arm_matches_highs_on_every_o3b_rain_slot_at_minus_70_dbw():
+    # every feeder capacity is under 1e-3 bit/s: in Mbit/s the solve stopped
+    # at t* = 0 in all 288 slots.  HiGHS solves each slot scaled by 2**40, an
+    # exact scaling into the range where the LP unit is 1 Mbit/s
+    data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+    data["feeder_link"] = {"eirp_dbw": -70.0}
+    scenario = parse_scenario(data, name="o3b_rain")
+    result = engine.run(scenario, isl_enabled=False)
+    graphs = slot_graphs(scenario, False)
+    assert len(graphs) == result.slot_count == 288 and (result.t_star_bps > 0.0).all()
+    for slot, graph in enumerate(graphs):
+        problem = build_problem(dataclasses.replace(graph, fl_capacity_bps=graph.fl_capacity_bps * 2.0**40))
+        t_star = highs_optimum(problem, problem.objective) * SCALE_BPS / 2.0**40
+        assert result.t_star_bps[slot] == pytest.approx(t_star, rel=1e-12)
+
+
 def slot_graphs(scenario, isl_enabled):
     """Each slot's graph, built as engine.run builds it (a spy on the solve
     would miss the slots that worker processes solve)."""
