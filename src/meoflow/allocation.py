@@ -212,8 +212,11 @@ def decode(
     solution: LpSolution,
     t_star: float,
     iterations: int,
+    unit_bps: float,
 ) -> AllocationResult:
-    """Map LP values back to fractions, per-edge rates and R_k.
+    """Map `solution`, the LP values of `graph`'s `problem`, back to fractions,
+    per-edge rates and R_k; it and `t_star` count LP units of `unit_bps`
+    bit/s, and `iterations` is the slot's pivot count.
 
     R_k sums satellite k's direct and relayed rates, as its epigraph row
     does; an isolated satellite has neither and gets rate 0.
@@ -221,7 +224,6 @@ def decode(
     # Python floats throughout: w and v then hold no numpy scalars, which
     # are slow to pickle back from a worker process
     values = solution.values.tolist()
-    unit_bps = SCALE_BPS * float(_units(graph.fl_capacity_bps, graph.isl_capacity_bps))  # of one LP unit
     fl_capacity = graph.fl_capacity_bps.tolist()
     isl_capacity = graph.isl_capacity_bps.tolist()
 
@@ -339,13 +341,14 @@ def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
         last = _solve_stage(group, 2, refined, first, failures)
     if failures:
         raise failures[min(failures)]
+    fl_bps, isl_bps = np.array([g.fl_capacity_bps for g, _ in group]), np.array([g.isl_capacity_bps for g, _ in group])
+    units_bps = (SCALE_BPS * _units(fl_bps, isl_bps)).tolist()  # each slot's LP unit, as `build_chunks` scaled it
+    idle = LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0)  # every satellite isolated: no LP, t* and rates 0
     results = []
     for i, (graph, problem) in enumerate(group):
-        if i not in first:  # every satellite is isolated: no LP to solve, t* and all rates are 0
-            results.append(decode(graph, problem, LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0), 0.0, 0))
-            continue
-        iterations = first[i].iteration_count + (last[i].iteration_count if lexicographic else 0)
-        results.append(decode(graph, problem, last[i], first[i].objective_value, iterations))
+        one, end = first.get(i, idle), last.get(i, idle)
+        iterations = one.iteration_count + (end.iteration_count if lexicographic else 0)
+        results.append(decode(graph, problem, end, one.objective_value, iterations, units_bps[i]))
     return results
 
 

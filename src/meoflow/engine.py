@@ -277,15 +277,9 @@ def compare(baseline: RunResult, treatment: RunResult) -> dict:
     Percentages are (treatment − baseline) / baseline.  Slots degenerate in
     either arm are excluded from both so the statistics stay paired.
     """
-    if baseline.rates_bps.shape != treatment.rates_bps.shape:
+    grids = [(arm.scenario.start, arm.scenario.slot_s) for arm in (baseline, treatment) if arm.scenario is not None]
+    if baseline.rates_bps.shape != treatment.rates_bps.shape or len(set(grids)) > 1:
         raise ValueError("mismatched time grids")
-    if baseline.scenario is not None and treatment.scenario is not None:
-        same = (
-            baseline.scenario.start == treatment.scenario.start
-            and baseline.scenario.slot_s == treatment.scenario.slot_s
-        )
-        if not same:
-            raise ValueError("mismatched time grids")
     excluded = sorted(set(baseline.degenerate_slots) | set(treatment.degenerate_slots))
     mask = baseline.included_mask() & treatment.included_mask()
     if not mask.any():

@@ -40,16 +40,14 @@ _MAX_SATELLITE_COUNT = 1000
 _REQUIRED = object()
 
 
-def _mapping(value, path):
+def _object(value, path, allowed):
+    """`value`, the JSON object at `path`; a ScenarioError if it is not one or has a key not in `allowed`."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: expected an object")
-    return value
-
-
-def _check_keys(data, path, allowed):
-    unknown = sorted(set(data) - set(allowed))
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise ScenarioError(f"{path}: unknown key '{unknown[0]}'")
+    return value
 
 
 def _get(data, key, path, default=_REQUIRED):
@@ -75,8 +73,6 @@ def _finite(value, where):
 
 def _number(data, key, path, default=_REQUIRED, positive=False):
     value = _get(data, key, path, default)
-    if value is default and default is not _REQUIRED:
-        return default
     value = _finite(value, f"{path}.{key}")
     if positive and value <= 0:
         raise ScenarioError(f"{path}.{key}: must be positive")
@@ -99,17 +95,13 @@ def _boolean(data, key, path, default):
 
 def _string(data, key, path, default=_REQUIRED):
     value = _get(data, key, path, default)
-    if value is default and default is not _REQUIRED:
-        return default
     if not isinstance(value, str) or not value:
         raise ScenarioError(f"{path}.{key}: expected a non-empty string")
     return value
 
 
-def _datetime(data, key, path, default=_REQUIRED):
-    value = _get(data, key, path, default)
-    if value is default and default is not _REQUIRED:
-        return default
+def _datetime(data, key, path):
+    value = _get(data, key, path)
     if not isinstance(value, str):
         raise ScenarioError(f"{path}.{key}: expected an ISO-8601 timestamp")
     text = value[:-1] + "+00:00" if value.endswith("Z") else value
@@ -135,7 +127,7 @@ def _params_from_section(data, path, cls):
     field without a default is required, a `str` field takes a non-empty
     string and any other a finite number; `cls` checks the ranges.
     """
-    _check_keys(_mapping(data, path), path, [f.name for f in fields(cls)])
+    _object(data, path, [f.name for f in fields(cls)])
     kwargs = {}
     for f in fields(cls):
         if f.default is MISSING or f.name in data:
@@ -189,9 +181,8 @@ class Scenario:
 
 
 def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
-    root = _mapping(data, name)
-    _check_keys(
-        root,
+    root = _object(
+        data,
         name,
         [
             "constellation",
@@ -206,8 +197,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     )
 
     tpath = f"{name}.time"
-    tsec = _mapping(_get(root, "time", name), tpath)
-    _check_keys(tsec, tpath, ["start", "duration_s", "slot_s"])
+    tsec = _object(_get(root, "time", name), tpath, ["start", "duration_s", "slot_s"])
     start = _datetime(tsec, "start", tpath)
     duration_s = _number(tsec, "duration_s", tpath, positive=True)
     slot_s = _number(tsec, "slot_s", tpath, positive=True)
@@ -228,10 +218,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         ) from None
 
     cpath = f"{name}.constellation"
-    csec = _mapping(_get(root, "constellation", name), cpath)
-    _check_keys(
-        csec, cpath, ["satellite_count", "altitude_km", "phase_offsets_deg", "inclination_deg"]
-    )
+    csec = _object(_get(root, "constellation", name), cpath, ["satellite_count", "altitude_km", "phase_offsets_deg", "inclination_deg"])
     count = _integer(csec, "satellite_count", cpath)
     if count > _MAX_SATELLITE_COUNT:
         raise ScenarioError(f"{cpath}.satellite_count: must be <= {_MAX_SATELLITE_COUNT}")
@@ -267,8 +254,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     events = []
     for i, entry in enumerate(rsec):
         epath = f"{rpath}[{i}]"
-        entry = _mapping(entry, epath)
-        _check_keys(entry, epath, ["station_id", "start", "end", "rain_rate_mm_h", "rain_class"])
+        entry = _object(entry, epath, ["station_id", "start", "end", "rain_rate_mm_h", "rain_class"])
         station_id = _string(entry, "station_id", epath)
         if station_id not in ids:
             raise ScenarioError(f"{epath}.station_id: unknown station '{station_id}'")
@@ -287,8 +273,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         events.append(_build(epath, RainEvent, station_id, begins, ends, rate))
 
     ppath = f"{name}.policies"
-    psec = _mapping(_get(root, "policies", name, {}), ppath)
-    _check_keys(psec, ppath, ["serving_gs", "lexicographic", "isl_enabled"])
+    psec = _object(_get(root, "policies", name, {}), ppath, ["serving_gs", "lexicographic", "isl_enabled"])
     policy = _string(psec, "serving_gs", ppath, default=POLICY_BEST_CAPACITY)
     if policy not in POLICIES:
         raise ScenarioError(f"{ppath}.serving_gs: expected one of {sorted(POLICIES)}")

@@ -29,14 +29,14 @@ pivot at these sizes, so each call of a step works on every LP that has
 not yet ended.  Each LP's starting tableau is built whole first, cold or
 continued; the batch then pads them into one zero-padded (B, N+1, M+1)
 array, column-major so that each tableau column is one contiguous array
-row: each LP's columns first and its rhs column last, each column's
-constraint rows first and its cost row last.  A zero padding column never
-improves and a zero padding row never leaves, so every LP walks the same
-pivots to the same bits in any batch, alone or with others.  An LP whose
-start has no improving column takes no pivot, as every ISL-arm stage-2 LP
-of o3b_rain does: it is read out and audited where it starts, to the same
-bits, and never padded in.  `solve` is the one-LP case, and `chunks`
-splits a stream of LPs into batches of bounded size.
+row.  Padding sits before each LP's rows and columns, so its rhs column
+and cost row sit on the last index.  Zero padding never improves or
+leaves, and Bland's rule goes by variable, not position, so every LP walks
+the same pivots to the same bits in any batch, alone or with others.  An
+LP whose start has no improving column takes no pivot, as every ISL-arm
+stage-2 LP of o3b_rain does: it is read out and audited where it starts,
+to the same bits, and never padded in.  `solve` is the one-LP case, and
+`chunks` splits a stream of LPs into batches of bounded size.
 
 Before a batch's first pivot, `_run_simplex` allocates and frees an
 untouched block of WARM_BLOCK_TABLEAUS batch tableaus, 16 MiB at most (glibc
@@ -252,16 +252,14 @@ def solve_batch(
     n = np.array([start.nonbasic.size for start in starts], dtype=int)
     # at least one row and column, so that no reduction is over nothing
     rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
+    top, left = rows - m, cols - n  # each LP's first row and column: its padding in front, rhs and cost last
     tableau = np.zeros((len(starts), cols + 1, rows + 1))  # column-major: [lp, column, row]
     basis = np.full((len(starts), rows), _NONE)
     nonbasic = np.full((len(starts), cols), _NONE)
     for b, start in enumerate(starts):
-        tableau[b, : n[b], : m[b]] = start.tableau[:-1, :-1].T
-        tableau[b, cols, : m[b]] = start.tableau[:-1, -1]
-        tableau[b, : n[b], rows] = start.tableau[-1, :-1]
-        tableau[b, cols, rows] = start.tableau[-1, -1]
-        basis[b, : m[b]] = start.basis
-        nonbasic[b, : n[b]] = start.nonbasic
+        tableau[b, left[b] :, top[b] :] = start.tableau.T
+        basis[b, top[b] :] = start.basis
+        nonbasic[b, left[b] :] = start.nonbasic
     ends: list = [None] * len(starts)
     iterations = _run_simplex(tableau, basis, nonbasic, np.array(caps, dtype=int), ends)
     for b, (i, end) in enumerate(zip(ready, ends)):
@@ -271,13 +269,8 @@ def solve_batch(
         elif end == STATUS_UNBOUNDED:
             outcomes[i] = LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), int(iterations[b]))
         else:
-            # the LP's own rows and columns, its cost row and rhs column last
-            own = np.empty((m[b] + 1, n[b] + 1))
-            own[:-1, :-1] = tableau[b, : n[b], : m[b]].T
-            own[:-1, -1] = tableau[b, cols, : m[b]]
-            own[-1, :-1] = tableau[b, : n[b], rows]
-            own[-1, -1] = tableau[b, cols, rows]
-            outcomes[i] = _optimal(problem, own, basis[b, : m[b]].copy(), nonbasic[b, : n[b]].copy(), int(iterations[b]))
+            own = tableau[b, left[b] :, top[b] :].T.copy()  # the LP's own corner, row-major again
+            outcomes[i] = _optimal(problem, own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), int(iterations[b]))
     return outcomes
 
 

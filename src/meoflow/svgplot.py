@@ -113,6 +113,11 @@ def _legend(entries):
     return parts
 
 
+def _arms_legend(baseline):
+    """The legend of the ISL arm's chart, naming the no-ISL arm too unless `baseline` is None."""
+    return _legend([("rate", TREATMENT_COLOR)] if baseline is None else [("with ISL", TREATMENT_COLOR), ("without ISL", BASELINE_COLOR)])
+
+
 def _document(parts):
     body = "\n".join(parts)
     return (
@@ -141,13 +146,10 @@ def timeseries_svg(times_s, series_mbps, title, baseline_mbps=None, rain_windows
             f"<title>{_escape(label)}</title></rect>"
         )
     parts.extend(_axes(frame, title, "time [h]", "rate [Mbit/s]"))
-    entries = []
     if baseline_mbps is not None:
         parts.append(_polyline(frame, hours, base, BASELINE_COLOR, dashed=True))
-        entries.append(("without ISL", BASELINE_COLOR))
     parts.append(_polyline(frame, hours, series, TREATMENT_COLOR))
-    entries.insert(0, ("with ISL" if baseline_mbps is not None else "rate", TREATMENT_COLOR))
-    parts.extend(_legend(entries))
+    parts.extend(_arms_legend(baseline_mbps))
     return _document(parts)
 
 
@@ -181,10 +183,7 @@ def histogram_svg(series_mbps, title, baseline_mbps=None):
                 f'<line x1="{_fmt(px)}" y1="{_fmt(frame.y(frame.y1))}" x2="{_fmt(px)}" '
                 f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" {style}/>'
             )
-    entries = [("with ISL" if baseline_mbps is not None else "rate", TREATMENT_COLOR)]
-    if baseline_mbps is not None:
-        entries.append(("without ISL", BASELINE_COLOR))
-    parts.extend(_legend(entries))
+    parts.extend(_arms_legend(baseline_mbps))
     return _document(parts)
 
 

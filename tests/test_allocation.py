@@ -449,6 +449,19 @@ class TestSolutionStructure:
         assert result.t_star_bps > 1e13
         assert result.rates_bps.min() >= result.t_star_bps * (1 - 1e-9)
 
+    def test_lp_units_are_computed_once_per_block_and_once_per_group(self, monkeypatch):
+        # decode takes each slot's unit from its group's one `_units` call;
+        # it used to recompute it, one call per slot (145 here)
+        calls = dict.fromkeys(["_units", "build_chunks", "_solve_group"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(allocation, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(allocation, name, counted)
+        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        engine._solve_slots(parse_scenario(data, name="o3b_rain"), True, range(144))
+        assert calls == {"_units": 3, "build_chunks": 1, "_solve_group": 2}
+
 
 class TestLexicographic:
     def spare_capacity_graph(self):
@@ -493,7 +506,7 @@ class TestLexicographic:
             cold = highs(refined, refined.objective)
             assert warm.status == STATUS_OPTIMAL and cold.status == 0
             assert warm.objective_value == pytest.approx(-cold.fun, rel=1e-9)
-            rates = decode(g, refined, warm, t_star, warm.iteration_count).rates_bps / SCALE_BPS
+            rates = decode(g, refined, warm, t_star, warm.iteration_count, SCALE_BPS).rates_bps / SCALE_BPS
             for k in range(g.satellite_count):
                 if k not in g.isolated:
                     assert rates[k] >= t_star - LEXICO_SLACK

@@ -1,7 +1,8 @@
 """Both LP stages of every slot, in both arms, against an independent solver (HiGHS).
 
-The scenarios are o3b_rain under both serving policies, and o3b_clear and
-toy3 under their own.  Seed-0 dense_ground, the benchmark's 12-satellite,
+The scenarios are o3b_rain under both serving policies, as bundled and
+with ISLs of 20 Mbit/s, which bind, and o3b_clear and toy3 under their
+own.  Seed-0 dense_ground, the benchmark's 12-satellite,
 32-gateway workload, is checked in its no-ISL arm; it turns the
 lexicographic stage off, so only its stage 1 is.  The oracle LPs are
 built from the `LpProblem` matrix only, so they share the model with the
@@ -59,6 +60,22 @@ def test_both_stages_match_highs_on_every_slot_of_the_bundled_scenario(name, isl
     check_both_stages_against_highs(name, POLICY_BEST_CAPACITY, isl_enabled)
 
 
+@pytest.mark.parametrize("policy, under_bound", [(POLICY_BEST_CAPACITY, 31), (POLICY_LP_FRACTIONAL, 288)])
+def test_both_stages_match_highs_on_every_o3b_rain_slot_of_both_arms_with_20_mbit_isls(policy, under_bound):
+    # at 20 Mbit/s the ISLs bind: the ISL arm's t* falls under the feeder
+    # capacity pooled over the served satellites, which it meets in every
+    # bundled slot, and its stage 2 pivots through the padded batch; it still
+    # beats the no-ISL arm in every slot
+    isl = {"fixed_capacity_override_bps": 20e6}
+    scenario, result, graphs = check_both_stages_against_highs("o3b_rain", policy, True, isl=isl)
+    _, baseline, _ = check_both_stages_against_highs("o3b_rain", policy, False, isl=isl)
+    pooled = np.array([g.fl_capacity_bps.sum() / (g.satellite_count - len(g.isolated)) for g in graphs])
+    assert (result.t_star_bps < pooled * (1 - 1e-9)).sum() == under_bound
+    stage1 = engine.run(dataclasses.replace(scenario, lexicographic=False), isl_enabled=True).iterations
+    assert (result.iterations > stage1).any()
+    assert (result.t_star_bps > baseline.t_star_bps).all()
+
+
 def test_stage1_matches_highs_on_every_slot_of_seed_0_dense_ground_without_isl():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("perfbench_scenarios", root / "perfbench" / "scenarios.py")
@@ -108,9 +125,12 @@ def slot_graphs(scenario, isl_enabled):
     ]
 
 
-def check_both_stages_against_highs(name, policy, isl_enabled):
-    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
-    scenario = dataclasses.replace(parse_scenario(json.loads(ref.read_text()), name=name), serving_policy=policy)
+def check_both_stages_against_highs(name, policy, isl_enabled, **sections):
+    """Check every slot's two stages against HiGHS; the bundled scenario's
+    top-level `sections` are replaced first.  Returns the scenario, the
+    engine's RunResult and the slot graphs."""
+    data = json.loads((resources.files("meoflow") / "scenarios" / f"{name}.json").read_text())
+    scenario = dataclasses.replace(parse_scenario({**data, **sections}, name=name), serving_policy=policy)
     result = engine.run(scenario, isl_enabled=isl_enabled)
     graphs = slot_graphs(scenario, isl_enabled)
     assert scenario.lexicographic and len(graphs) == result.slot_count
@@ -134,3 +154,4 @@ def check_both_stages_against_highs(name, policy, isl_enabled):
         )
         refined_total = highs_optimum(pinned, total_rate)
         assert result.rates_bps[slot].sum() / SCALE_BPS == pytest.approx(refined_total, rel=1e-6)
+    return scenario, result, graphs
