@@ -32,11 +32,13 @@ array, column-major so that each tableau column is one contiguous array
 row.  Padding sits before each LP's rows and columns, so its rhs column
 and cost row sit on the last index.  Zero padding never improves or
 leaves, and Bland's rule goes by variable, not position, so every LP walks
-the same pivots to the same bits in any batch, alone or with others.  An
-LP whose start has no improving column takes no pivot, as every ISL-arm
-stage-2 LP of o3b_rain does: it is read out and audited where it starts,
-to the same bits, and never padded in.  `solve` is the one-LP case, and
-`chunks` splits a stream of LPs into batches of bounded size.
+the same pivots to the same bits in any batch, alone or with others.
+Every LP set up without error takes this one path; one whose start has
+no improving column (every ISL-arm stage-2 LP of o3b_rain) ends at the
+first step.  While the pivots run, the cost rows sit in one contiguous
+(LPs, columns) array: Bland's test reads them and every pivot rewrites
+them whole, and the column-major tableau strides them.  `solve` is the
+one-LP case, and `chunks` splits a stream of LPs into bounded batches.
 
 Before a batch's first pivot, `_run_simplex` allocates and frees an
 untouched block of WARM_BLOCK_TABLEAUS batch tableaus, 16 MiB at most (glibc
@@ -229,27 +231,17 @@ def solve_batch(
     or the base to continue from.  Returns, in order, each problem's
     LpSolution or the ValueError or SimplexIterationError that `solve`
     would raise for it; one LP's failure leaves the others' results
-    unchanged.  Every LP set up without error whose start has an improving
-    column is padded into one array, so the caller bounds a batch's size
-    with `chunks`; one with none is read out and audited where it starts.
+    unchanged.  Every LP set up without error is padded into one array, so
+    the caller bounds a batch's size with `chunks`.
     """
     if bases is None:
         bases = [None] * len(problems)
     outcomes = [_start(problem, base) for problem, base in zip(problems, bases)]
-    ready, caps = [], []
-    for i, start in enumerate(outcomes):
-        if isinstance(start, _Start):
-            cap = 10 * (start.basis.size + start.nonbasic.size) if max_iterations is None else max_iterations
-            if cap <= 0:  # checked first, as in `_run_simplex`
-                outcomes[i] = SimplexIterationError(f"simplex exceeded {cap} iterations")
-            elif (start.tableau[-1, :-1] < -PIVOT_EPS).any():
-                ready.append(i)
-                caps.append(cap)
-            else:  # no improving column: optimal where it starts, so it is not padded into the batch
-                outcomes[i] = _optimal(problems[i], *start, 0)
+    ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
     starts = [outcomes[i] for i in ready]
     m = np.array([start.basis.size for start in starts], dtype=int)
     n = np.array([start.nonbasic.size for start in starts], dtype=int)
+    caps = 10 * (m + n) if max_iterations is None else np.full(len(starts), max_iterations, dtype=int)
     # at least one row and column, so that no reduction is over nothing
     rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
     top, left = rows - m, cols - n  # each LP's first row and column: its padding in front, rhs and cost last
@@ -261,7 +253,7 @@ def solve_batch(
         basis[b, top[b] :] = start.basis
         nonbasic[b, left[b] :] = start.nonbasic
     ends: list = [None] * len(starts)
-    iterations = _run_simplex(tableau, basis, nonbasic, np.array(caps, dtype=int), ends)
+    iterations = _run_simplex(tableau, basis, nonbasic, caps, ends)
     for b, (i, end) in enumerate(zip(ready, ends)):
         problem = problems[i]
         if isinstance(end, Exception):
@@ -298,72 +290,71 @@ def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
 
 
 def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
-    """Minimize the cost row of every LP whose end is None, in place.
+    """Minimize the cost row of every LP, in place.
 
-    Each LP ends at its own iteration cap (a SimplexIterationError, checked
-    first, as a cap of 0 allows no step), optimal or unbounded; its end is
-    written into `ends`.  Returns the pivots of each LP.
+    Each step ends, in one place, the LPs at their iteration cap (a
+    SimplexIterationError, checked first, as a cap of 0 allows no step),
+    optimal or unbounded, and writes each one's end into `ends`.  Every
+    live LP pivots once per step, so one step count gives the pivots of
+    each, which are returned.  The cost rows sit in `cost`, one contiguous
+    (LPs, columns) array, until the loop writes them back at the end.
     """
     np.empty(min(WARM_BLOCK_TABLEAUS * tableau.size, 2**21))  # freed untouched; see the module docstring
     m, n = basis.shape[1], nonbasic.shape[1]
+    cost = tableau[:, :, m].copy()
     iterations = np.zeros(len(ends), dtype=int)
-    live = np.array([b for b, end in enumerate(ends) if end is None], dtype=int)
+    live = np.arange(len(ends))
+    step = 0
     while live.size:
-        capped = iterations[live] >= caps[live]
-        if capped.any():
-            for b in live[capped]:
-                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations")
-            live = live[~capped]
         # Bland: the improving column of the smallest variable index
-        candidates = np.where(tableau[live, :n, m] < -PIVOT_EPS, nonbasic[live], _NONE)
+        candidates = np.where(cost[live, :n] < -PIVOT_EPS, nonbasic[live], _NONE)
         entering = candidates.argmin(1)
-        optimal = candidates.min(1) == _NONE
-        if optimal.any():
-            for b in live[optimal]:
-                ends[b] = STATUS_OPTIMAL
-            live, entering = live[~optimal], entering[~optimal]
         col = tableau[live, entering, :m]
         positive = col > PIVOT_EPS
-        bounded = positive.any(1)
-        if not bounded.all():
-            for b in live[~bounded]:
-                ends[b] = STATUS_UNBOUNDED
-            live, entering, col, positive = live[bounded], entering[bounded], col[bounded], positive[bounded]
-        if not live.size:
-            break
+        capped, optimal = caps[live] <= step, candidates.min(1) == _NONE
+        done = capped | optimal | ~positive.any(1)
+        if done.any():
+            for b, cap, opt in zip(live[done], capped[done], optimal[done]):
+                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations") if cap else STATUS_OPTIMAL if opt else STATUS_UNBOUNDED
+            iterations[live[done]] = step
+            live, entering, col, positive = live[~done], entering[~done], col[~done], positive[~done]
+            if not live.size:
+                break
         ratios = np.divide(tableau[live, n, :m], col, out=np.full(col.shape, np.inf), where=positive)
         best = ratios.min(1, keepdims=True)
         # Bland tie-break: among minimal ratios leave the smallest basis index
         tied = ratios <= best + PIVOT_EPS * np.maximum(1.0, np.abs(best))
         leaving = np.where(tied, basis[live], _NONE).argmin(1)
-        _pivot(tableau, live, leaving, entering)
+        _pivot(tableau, cost, live, leaving, entering)
         basis[live, leaving], nonbasic[live, entering] = nonbasic[live, entering], basis[live, leaving]
-        iterations[live] += 1
+        step += 1
+    tableau[:, :, m] = cost
     return iterations
 
 
-def _pivot(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+def _pivot(tableau: np.ndarray, cost: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Pivot LP lps[i] of the column-major padded tableau on (rows[i], cols[i]), for every i.
 
     The entering column's slot takes the leaving variable's column, which
     is a unit vector before the update, so each stored entry goes through
-    the same operations as in the full tableau.  The cost row is updated
-    at every column, in one strided update; the constraint rows only at
-    the (lp, column) pairs where the normalized pivot row is nonzero, each
-    as one whole column vector.  Without -0.0 in any constraint row (see
-    the module docstring) that keeps every bit of the full update; with
-    one, a zero may differ in its sign, and the two compare equal.
+    the same operations as in the full tableau.  The cost rows, in `cost`,
+    are updated at every column; the constraint rows only at the (lp,
+    column) pairs where the normalized pivot row is nonzero, each as one
+    whole column vector.  Without -0.0 in any constraint row (see the
+    module docstring) that keeps every bit of the full update; with one,
+    a zero may differ in its sign, and the two compare equal.
     """
     pivot = tableau[lps, cols, rows]
-    factors = tableau[lps, cols]
+    factors, cost_factors = tableau[lps, cols, :-1], cost[lps, cols]
     factors[np.arange(lps.size), rows] = 0.0
     tableau[lps, cols] = 0.0
     tableau[lps, cols, rows] = 1.0
+    cost[lps, cols] = 0.0
     pivot_rows = tableau[lps, :, rows] / pivot[:, None]
     tableau[lps, :, rows] = pivot_rows
-    tableau[lps, :, -1] -= factors[:, -1, None] * pivot_rows
+    cost[lps] -= cost_factors[:, None] * pivot_rows
     lp, col = pivot_rows.nonzero()
-    tableau[lps[lp], col, :-1] -= factors[lp, :-1] * pivot_rows[lp, col, None]
+    tableau[lps[lp], col, :-1] -= factors[lp] * pivot_rows[lp, col, None]
 
 
 def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int):

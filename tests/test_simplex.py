@@ -398,7 +398,7 @@ class TestBatch:
 
 def padded_path(problem, base):
     """`problem` continued from `base` through `_run_simplex` in a padded
-    batch of one: the path of every LP whose start has an improving column."""
+    batch of one: the path that every LP set up without error takes."""
     start = simplex._start(problem, base)
     m, n = start.basis.size, start.nonbasic.size
     tableau = start.tableau.T[None].copy()  # column-major, with no padding
@@ -409,8 +409,9 @@ def padded_path(problem, base):
 
 
 class TestStage2ThatCannotMove:
-    """A stage-2 LP whose start has no improving column is read out where it
-    starts, not padded into the batch, with the same bytes."""
+    """A stage-2 LP whose start has no improving column takes the padded
+    path like every other LP and ends at the first step, with the same
+    bytes."""
 
     @staticmethod
     def batch():
@@ -431,7 +432,7 @@ class TestStage2ThatCannotMove:
         run = simplex._run_simplex
         monkeypatch.setattr(simplex, "_run_simplex", lambda *args: batched.append(args[0].shape[0]) or run(*args))
         got = simplex.solve_batch(problems, bases=bases)
-        assert batched == [3]  # the stuck LP is not padded in
+        assert batched == [4]  # the stuck LP is padded in with the others
         assert got[1].iteration_count == 0
         assert_same_outcome(got[1], padded_path(problems[1], bases[1]))
 
@@ -544,6 +545,26 @@ class TestReferenceKernel:
         others, bases = mixed_batch()
         outcomes = simplex.solve_batch(others + problems, max_iterations, bases=bases + [None] * len(problems))
         for got, problem in zip(outcomes[len(others) :], problems):
+            assert_matches_reference(got, problem, max_iterations)
+
+    @pytest.mark.parametrize(
+        "max_iterations,ends",
+        [(None, {STATUS_OPTIMAL, STATUS_UNBOUNDED}), (0, {"SimplexIterationError"}), (1, {STATUS_UNBOUNDED, "SimplexIterationError"})],
+    )
+    def test_lps_that_end_at_the_first_step_match_the_reference(self, max_iterations, ends):
+        # cold LPs with no improving column, one cost -0.0, padded in with
+        # LPs that pivot: at a cap of 1, only the LPs that end at the first
+        # step are not capped
+        rng = np.random.RandomState(5)
+        stuck = [box_problem(rng.uniform(0.0, 2.0, (m, n)), rng.uniform(0.0, 5.0, m), -rng.uniform(0.0, 1.0, n)) for m, n in [(4, 6), (11, 3)]]
+        stuck.append(box_problem(rng.uniform(0.0, 2.0, (3, 2)), [1.0, 0.0, 2.0], [-0.0, 0.0]))
+        assert has_negative_zero(stuck[-1].objective)
+        problems = stuck + sparse_problems()
+        outcomes = simplex.solve_batch(problems, max_iterations)
+        assert kinds(outcomes[len(stuck) :]) == ends
+        if max_iterations != 0:
+            assert all(o.status == STATUS_OPTIMAL and o.iteration_count == 0 for o in outcomes[: len(stuck)])
+        for got, problem in zip(outcomes, problems):
             assert_matches_reference(got, problem, max_iterations)
 
     def test_a_planted_negative_zero_leaves_the_values_equal(self):
