@@ -34,13 +34,13 @@ it is on by default.  It continues from the first stage's optimal
 tableau, with the pin appended as the row -t <= -(t* - LEXICO_SLACK).
 
 Capacities enter the matrix in Mbit/s to keep the tableau
-well-conditioned; results are converted back to bit/s on decode.  A slot
-whose largest capacity lies outside [MIN_LP_CAPACITY, MAX_LP_CAPACITY)
-Mbit/s enters them in the power-of-two multiple of Mbit/s that brings it
-inside, an exact scaling: at cost-row entries of 1e9, rounding passes the
-simplex's absolute PIVOT_EPS, and at capacities near 1e-9 every reduced
-cost lies within it, so stage 1 stops at t = 0.  Every bundled slot keeps
-the unit 1 Mbit/s.
+well-conditioned.  A slot whose largest capacity lies outside
+[MIN_LP_CAPACITY, MAX_LP_CAPACITY) Mbit/s enters them in the power-of-two
+multiple of Mbit/s that brings it inside, an exact scaling: at cost-row
+entries of 1e9, rounding passes the simplex's absolute PIVOT_EPS, and at
+capacities near 1e-9 every reduced cost lies within it, so stage 1 stops at
+t = 0.  `build_chunks` hands each LP its unit, and `decode` takes it from
+there back to bit/s.  Every bundled slot keeps the unit 1 Mbit/s.
 """
 from __future__ import annotations
 
@@ -72,17 +72,18 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, LpProblem]]]:
-    """The slot LPs of a block as (graph, problem) pairs, in groups of consecutive
-    slots: as many as one simplex chunk of their stage-2 LPs (one row more) holds.
+def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, LpProblem, float]]]:
+    """The slot LPs of a block as (graph, problem, unit_bps) triples, in groups of
+    consecutive slots: as many as one simplex chunk of their stage-2 LPs holds.
 
     A relay route (source k, relay l, station j), ordered by (k, l, j), needs a
     usable ISL from k to l, one of positive capacity, and a lit feeder edge from
     l to j, and never ends at k's own serving station.  Isolated satellites get
-    no epigraph row, and have no feeder edge or route.  Each slot's shape is
-    counted first, from the stacked (N, K, I) feeder and (N, K, K) ISL
-    capacities; then each group's LPs are allocated as one buffer, filled in one
-    fancy-index write, so that only the groups being built and solved hold LPs.
+    no epigraph row, and have no feeder edge or route.  Each slot's LP unit,
+    unit_bps bit/s, and shape are counted first, from the stacked (N, K, I)
+    feeder and (N, K, K) ISL capacities; a stage-2 LP has one row more.  Then
+    each group's LPs are allocated as one buffer, filled in one fancy-index
+    write, so that only the groups being built and solved hold LPs.
     """
     if not graphs:
         return
@@ -142,7 +143,7 @@ def build_chunks(graphs: Sequence[SlotGraph]) -> Iterator[list[tuple[SlotGraph, 
             (graphs[n], LpProblem(
                 objectives[at[3][i] : at[3][i + 1]], matrices[at[2][i] : at[2][i + 1]].reshape(rows[n], cols[n]),
                 rhs[at[4][i] : at[4][i + 1]], (("t",), *w_tags[at[0][i] : at[0][i + 1]], *r_tags[at[1][i] : at[1][i + 1]]),
-            ))
+            ), SCALE_BPS * units.item(n))
             for i, n in enumerate(range(a, b))
         ]
 
@@ -294,7 +295,7 @@ class AllocationError(RuntimeError):
 
 
 def _solve_stage(group: list, stage: int, problems: dict, bases: Optional[dict], failures: dict) -> dict:
-    """Solve one stage's LPs of a group of (graph, problem) pairs, keyed by
+    """Solve one stage's LPs of a group of `build_chunks` triples, keyed by
     position in the group, in one batch.
 
     Returns the optimal solutions by position.  Any other end is recorded
@@ -321,9 +322,9 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
     The slots go in the groups of `build_chunks`: each group's stage-1 LPs
     in one `solve_batch`, then its stage-2 LPs in another, so that only one
     group's tableaus are alive at a time.  Each slot gets the result it gets
-    alone.  Raises the AllocationError, naming the slot and stage, of the
-    first slot whose LP ends other than optimal or whose solve gives up, in
-    either stage.
+    alone, `decode` taking its unit from `build_chunks`.  Raises the
+    AllocationError, naming the slot and stage, of the first slot whose LP
+    ends other than optimal or whose solve gives up, in either stage.
     """
     results = []
     for group in build_chunks(graphs):
@@ -332,23 +333,21 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
 
 
 def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
-    """`solve_block` of one group of (graph, problem) pairs."""
+    """`solve_block` of one group of `build_chunks` triples; `decode` takes each LP's unit from its triple."""
     failures: dict = {}
-    lps = {i: problem for i, (_, problem) in enumerate(group) if problem.rhs.size}
+    lps = {i: problem for i, (_, problem, _) in enumerate(group) if problem.rhs.size}
     first = last = _solve_stage(group, 1, lps, None, failures)
     if lexicographic:
         refined = {i: _pinned(lps[i], solution.objective_value) for i, solution in first.items()}
         last = _solve_stage(group, 2, refined, first, failures)
     if failures:
         raise failures[min(failures)]
-    fl_bps, isl_bps = np.array([g.fl_capacity_bps for g, _ in group]), np.array([g.isl_capacity_bps for g, _ in group])
-    units_bps = (SCALE_BPS * _units(fl_bps, isl_bps)).tolist()  # each slot's LP unit, as `build_chunks` scaled it
     idle = LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0)  # every satellite isolated: no LP, t* and rates 0
     results = []
-    for i, (graph, problem) in enumerate(group):
+    for i, (graph, problem, unit_bps) in enumerate(group):
         one, end = first.get(i, idle), last.get(i, idle)
         iterations = one.iteration_count + (end.iteration_count if lexicographic else 0)
-        results.append(decode(graph, problem, end, one.objective_value, iterations, units_bps[i]))
+        results.append(decode(graph, problem, end, one.objective_value, iterations, unit_bps))
     return results
 
 

@@ -91,12 +91,10 @@ def _policy_graphs(slots: Sequence[int], fl: np.ndarray, isl: np.ndarray, neighb
     serves = lit.any(axis=2)
     serving = np.full(serves.shape, -1)
     if policy == POLICY_BEST_CAPACITY:
-        best = fl.argmax(axis=2)[..., None]  # argmax takes the lowest index on ties
-        kept = np.zeros_like(fl)
-        np.put_along_axis(kept, best, np.take_along_axis(fl, best, axis=2), axis=2)
-        fl = np.where(serves[..., None], kept, fl)
+        best = fl.argmax(axis=2)  # argmax takes the lowest index on ties
+        fl = np.where(np.arange(fl.shape[2]) == best[..., None], fl, 0.0)  # no serves mask: an unserved row is all zero already
         lit = fl > 0.0
-        serving = np.where(serves, best[..., 0], -1)
+        serving = np.where(serves, best, -1)
     reach = (isl > 0.0) @ lit  # (N, K, I): stations one usable ISL hop away
     isolated = ~serves & ~reach.any(axis=2)
     graphs = []

@@ -7,14 +7,12 @@ has at most one usable feeder edge (the best-capacity policy guarantees that)
 and every directed inter-satellite edge carries at most one relay route, so a
 route's share of the relay's feeder edge is the single free variable per route.
 """
-import json
 import pickle
-from importlib import resources
 
 import numpy as np
 import pytest
 
-from meoflow import allocation, engine
+from meoflow import allocation, engine, simplex
 from meoflow.allocation import (
     LEXICO_SLACK,
     SCALE_BPS,
@@ -23,11 +21,13 @@ from meoflow.allocation import (
     decode,
     lexicographic_refine,
     solve_allocation,
+    solve_block,
 )
 from meoflow.scenario import parse_scenario
 from meoflow.simplex import STATUS_OPTIMAL, LpProblem, solve
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, _policy_graphs
 from meoflow.geometry import ring_neighbors
+from test_slot_range import bundled
 
 MBPS = 1e6
 STEP = 0.005
@@ -256,8 +256,7 @@ class TestBuildProblem:
     @pytest.mark.parametrize("isl_enabled", [True, False])
     def test_o3b_rain_lp_fractional_slots_match_route_scan(self, monkeypatch, isl_enabled):
         # lp-fractional gives the most routes and feeder edges per slot
-        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
-        data = json.loads(ref.read_text())
+        data = bundled("o3b_rain")
         data["policies"]["serving_gs"] = POLICY_LP_FRACTIONAL
         graphs = []
         monkeypatch.setattr(engine, "solve_block", lambda block, lexicographic: graphs.extend(block) or [])
@@ -442,25 +441,39 @@ class TestSolutionStructure:
     )
     def test_o3b_rain_budgets_past_1e7_mbps_pass_the_stage_2_audit(self, eirp_dbw, policy, isl_enabled, slot):
         # each failed its stage-2 audit (or its pivot cap) with capacities in Mbit/s
-        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        data = bundled("o3b_rain")
         data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": eirp_dbw}
         data["policies"]["serving_gs"] = policy
         (result,) = engine._solve_slots(parse_scenario(data, name="o3b_rain"), isl_enabled, range(slot, slot + 1))
         assert result.t_star_bps > 1e13
         assert result.rates_bps.min() >= result.t_star_bps * (1 - 1e-9)
 
-    def test_lp_units_are_computed_once_per_block_and_once_per_group(self, monkeypatch):
-        # decode takes each slot's unit from its group's one `_units` call;
-        # it used to recompute it, one call per slot (145 here)
+    def test_lp_units_are_computed_once_per_block(self, monkeypatch):
+        # `build_chunks` scales each slot's capacities by its unit and hands
+        # the unit on with the LP, so decode needs no second `_units` call
         calls = dict.fromkeys(["_units", "build_chunks", "_solve_group"], 0)
         for name in calls:
             def counted(*args, _name=name, _real=getattr(allocation, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(allocation, name, counted)
-        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        data = bundled("o3b_rain")
         engine._solve_slots(parse_scenario(data, name="o3b_rain"), True, range(144))
-        assert calls == {"_units": 3, "build_chunks": 1, "_solve_group": 2}
+        assert calls == {"_units": 1, "build_chunks": 1, "_solve_group": 2}
+
+    @pytest.mark.parametrize("chunk_entries", [1, simplex.CHUNK_ENTRIES])
+    def test_each_slot_of_a_block_decodes_in_its_own_unit(self, monkeypatch, chunk_entries):
+        # five units in one block: 1 Mbit/s at x1, the others powers of two;
+        # one slot a group at CHUNK_ENTRIES = 1, all six in one group else
+        monkeypatch.setattr(simplex, "CHUNK_ENTRIES", chunk_entries)
+        fl, isl = np.array([[300e6], [0.0]]), np.array([[0.0, 100e6], [100e6, 0.0]])
+        graphs = [make_graph(fl * scale, isl * scale) for scale in (1e-12, 1.0, 1e7, 1.0, 1e-15, 1e8)]
+        assert len({allocation._units(g.fl_capacity_bps, g.isl_capacity_bps).item() for g in graphs}) == 5
+        for graph, result in zip(graphs, solve_block(graphs), strict=True):
+            alone = solve_allocation(graph)
+            assert (result.t_star_bps, result.iterations, result.w, result.v) == (alone.t_star_bps, alone.iterations, alone.w, alone.v)
+            for name in ("rates_bps", "fl_rates_bps", "isl_rates_bps", "direct_bps", "relayed_bps"):
+                assert getattr(result, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 class TestLexicographic:

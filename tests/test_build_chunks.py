@@ -6,9 +6,7 @@ blocks every LP must equal, in every byte, the one `build_problem` gives
 for its slot alone and the one the per-slot loop below builds, and the
 memory `solve_block` works in must not grow with the number of slots.
 """
-import json
 import tracemalloc
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from meoflow.geometry import ring_neighbors
 from meoflow.scenario import parse_scenario
 from meoflow.simplex import CHUNK_ENTRIES, LpProblem
 from meoflow.topology import POLICIES, _policy_graphs
+from test_slot_range import bundled
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -106,9 +105,9 @@ def test_block_lps_equal_each_slots_own(graphs, chunk_entries):
     # small chunks put group boundaries between slots of different shapes
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "CHUNK_ENTRIES", chunk_entries)
-        built = [pair for group in build_chunks(graphs) for pair in group]
-    assert [graph for graph, _ in built] == graphs
-    for graph, problem in built:
+        built = [triple for group in build_chunks(graphs) for triple in group]
+    assert [graph for graph, _, _ in built] == graphs
+    for graph, problem, _ in built:
         assert_same_bytes(problem, build_problem(graph))
         assert_same_bytes(problem, loop_build_problem(graph))
 
@@ -142,7 +141,7 @@ def test_blocks_cover_what_they_must():
 @pytest.fixture(scope="module")
 def o3b_rain_slot():
     """The o3b_rain lp-fractional ISL-arm slot graph of the largest LP."""
-    data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+    data = bundled("o3b_rain")
     data["policies"]["serving_gs"] = "lp-fractional"
     sc = parse_scenario(data, name="o3b_rain")
     graphs = []

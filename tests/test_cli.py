@@ -18,6 +18,7 @@ from meoflow import allocation, cli, engine
 from meoflow.cli import EXIT_SOLVER_FAILED, main
 from meoflow.engine import run_arms
 from meoflow.simplex import STATUS_UNBOUNDED, LpSolution, SimplexIterationError
+from test_slot_range import bundled
 
 
 def read_csv(path):
@@ -218,7 +219,7 @@ def deadline():
 def four_toy3_slots_on_two_cores(tmp_path, monkeypatch):
     """A toy3 file of four slots, run as on two cores: this process solves
     slots 0-1, a forked worker 2-3."""
-    data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+    data = bundled("toy3")
     data["time"]["duration_s"] = 1200
     scenario = tmp_path / "toy3.json"
     scenario.write_text(json.dumps(data))
@@ -238,7 +239,7 @@ class TestSolverFailureInWorker:
 
         def note_slot(graphs):
             for group in build_chunks(graphs):
-                for graph, problem in group:
+                for graph, problem, _ in group:
                     slot_of[id(problem.variable_tags)] = graph.slot_index
                 yield group
 
@@ -354,7 +355,7 @@ class TestHistogramBound:
     def test_rate_past_the_bin_bound_exits_2_writing_nothing(self, tmp_path, capsys, command):
         # an accepted 3 THz, 100 dBW budget gives 1.1e13 bit/s: 2.2 million
         # 5 Mbit/s bins per satellite, refused before any is allocated
-        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data = bundled("toy3")
         data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": 100.0}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
@@ -375,7 +376,7 @@ class TestHistogramBound:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_refusal_of_run_and_compare_names_bit_per_second(self, tmp_path, capsys, command):
-        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data = bundled("toy3")
         data["feeder_link"] = {"bandwidth_hz": 3e12, "eirp_dbw": 100.0}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))

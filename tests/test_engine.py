@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,8 @@ import meoflow
 from meoflow import allocation, engine
 from meoflow.engine import RunResult, compare, run, summarize
 from meoflow.scenario import parse_scenario
-from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
-from meoflow.geometry import slot_geometry
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL
+from test_slot_range import bundled, wrapper_graph
 
 
 def two_sat_scenario(phases=(0.0, 180.0), stations=None, isl_enabled=True, events=()):
@@ -64,22 +63,6 @@ def mini_o3b(events=()):
     )
 
 
-def rebuild_graph(scenario, slot, isl_enabled):
-    geom = slot_geometry(
-        scenario.constellation, list(scenario.stations), scenario.slot_midpoint_s(slot), slot_index=slot
-    )
-    return build_slot_graph(
-        geom,
-        scenario.feeder_link,
-        scenario.isl,
-        scenario.rain_model,
-        rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
-        gs_altitudes_km=scenario.gs_altitudes_km(),
-        policy=scenario.serving_policy,
-        isl_enabled=isl_enabled,
-    )
-
-
 class TestRun:
     def test_no_isl_identity_allocation(self):
         # every satellite sees its own station; without ISL the LP hands each
@@ -88,7 +71,7 @@ class TestRun:
         res = run(s, isl_enabled=False)
         assert res.degenerate_slots == ()
         for n in range(s.slot_count):
-            g = rebuild_graph(s, n, False)
+            g = wrapper_graph(s, n, False)
             for k in range(2):
                 j = g.serving_gs[k]
                 assert res.rates_bps[n, k] == pytest.approx(g.fl_capacity_bps[k, j], abs=1e-3)
@@ -119,14 +102,14 @@ class TestRun:
     def test_o3b_rain_split_is_the_fraction_sum_bit_for_bit(self, policy, isl_enabled):
         # direct: each own-feeder fraction times its feeder capacity; relayed:
         # each ISL fraction times its ISL capacity; both summed in dict order
-        data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+        data = bundled("o3b_rain")
         data["policies"]["serving_gs"] = policy
         s = parse_scenario(data, name="o3b_rain")
         res = run(s, isl_enabled=isl_enabled)
         direct = np.zeros_like(res.rates_bps)
         relayed = np.zeros_like(res.rates_bps)
         for n, alloc in enumerate(res.allocations):
-            g = rebuild_graph(s, n, isl_enabled)
+            g = wrapper_graph(s, n, isl_enabled)
             for (src, tx, j), frac in alloc.w.items():
                 if src == tx:
                     direct[n, src] += frac * g.fl_capacity_bps[tx, j]
@@ -162,7 +145,7 @@ class TestRun:
         s = mini_o3b()
         res = run(s)
         for n in range(s.slot_count):
-            g = rebuild_graph(s, n, True)
+            g = wrapper_graph(s, n, True)
             assert res.rates_bps[n].sum() <= g.fl_capacity_bps.sum() + 1e-3
 
     def test_reproducible_bit_identical(self):
@@ -196,7 +179,7 @@ class TestRun:
             isl_enabled=False,
         )
         res = run(s)
-        g = rebuild_graph(s, 0, False)
+        g = wrapper_graph(s, 0, False)
         assert res.rates_bps[0, 0] == pytest.approx(g.fl_capacity_bps[0, 0], abs=1e-3)
 
     def test_isl_rescues_otherwise_degenerate_slot(self):
@@ -220,8 +203,7 @@ class TestPivotBudget:
 
     @pytest.mark.parametrize("isl_enabled", [True, False])
     def test_o3b_rain_pivots_within_budget(self, isl_enabled):
-        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
-        scenario = parse_scenario(json.loads(ref.read_text()), name="o3b_rain")
+        scenario = bundled_scenario("o3b_rain")
         assert run(scenario, isl_enabled=isl_enabled).iterations.sum() <= self.BUDGET[isl_enabled]
 
     # Exact totals: every change to the pivot loop must walk the same
@@ -236,9 +218,8 @@ class TestPivotBudget:
         ],
     )
     def test_o3b_rain_pivot_totals_exact(self, policy, isl_enabled, total):
-        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
         scenario = dataclasses.replace(
-            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+            bundled_scenario("o3b_rain"), serving_policy=policy
         )
         assert run(scenario, isl_enabled=isl_enabled).iterations.sum() == total
 
@@ -254,9 +235,8 @@ class TestPivotBudget:
         ],
     )
     def test_o3b_rain_pivots_per_stage_exact(self, policy, isl_enabled, stage1, stage2):
-        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
         scenario = dataclasses.replace(
-            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+            bundled_scenario("o3b_rain"), serving_policy=policy
         )
         first = run(dataclasses.replace(scenario, lexicographic=False), isl_enabled=isl_enabled).iterations.sum()
         both = run(scenario, isl_enabled=isl_enabled).iterations.sum()
@@ -282,9 +262,8 @@ class TestSolverBytes:
     @pytest.mark.parametrize("policy", [POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL])
     @pytest.mark.parametrize("isl_enabled", [True, False], ids=["isl", "no_isl"])
     def test_o3b_rain_solutions_are_byte_pinned(self, monkeypatch, policy, isl_enabled):
-        ref = resources.files("meoflow") / "scenarios" / "o3b_rain.json"
         scenario = dataclasses.replace(
-            parse_scenario(json.loads(ref.read_text()), name="o3b_rain"), serving_policy=policy
+            bundled_scenario("o3b_rain"), serving_policy=policy
         )
         digests = {1: hashlib.sha256(), 2: hashlib.sha256()}
         solve_batch = allocation.solve_batch
@@ -434,9 +413,8 @@ class TestCompare:
         assert rep["baseline_min_bps"] > 0
 
 
-def bundled(name):
-    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
-    return parse_scenario(json.loads(ref.read_text()), name=name)
+def bundled_scenario(name):
+    return parse_scenario(bundled(name), name=name)
 
 
 class TestWorkerProcesses:
@@ -461,14 +439,14 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("isl_enabled", [True, False])
     def test_o3b_rain_two_processes_match_one(self, monkeypatch, isl_enabled):
-        scenario = bundled("o3b_rain")
+        scenario = bundled_scenario("o3b_rain")
         one = self.run_on(1, monkeypatch, scenario, isl_enabled)
         self.assert_identical(self.run_on(2, monkeypatch, scenario, isl_enabled), one)
 
     @pytest.mark.parametrize("cores", [2, 8])
     def test_degenerate_toy2_matches_one_process(self, monkeypatch, cores):
         # 8 cores: more workers than the 4 slots, so one process per slot
-        scenario = bundled("toy2")
+        scenario = bundled_scenario("toy2")
         one = self.run_on(1, monkeypatch, scenario)
         many = self.run_on(cores, monkeypatch, scenario)
         assert many.degenerate_slots == (0, 1, 2, 3)
@@ -483,7 +461,7 @@ class TestWorkerProcesses:
             return solve_slots(scenario, isl_enabled, slots)
 
         monkeypatch.setattr(engine, "_solve_slots", logged)
-        self.run_on(8, monkeypatch, bundled("toy2"))
+        self.run_on(8, monkeypatch, bundled_scenario("toy2"))
         solved = sorted(path.name.split(".") for path in tmp_path.iterdir())
         assert [slots for slots, _ in solved] == ["0-1", "1-2", "2-3", "3-4"]
         assert solved[0][1] == str(os.getpid())
@@ -500,7 +478,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(engine, "_solve_slots", dies_in_worker)
         with pytest.raises(RuntimeError, match="worker for slots 2-3 exited with code 7"):
-            self.run_on(2, monkeypatch, bundled("toy2"))
+            self.run_on(2, monkeypatch, bundled_scenario("toy2"))
 
     @pytest.mark.parametrize("worker", ["succeeds", "raises", "exits 7", "is killed"])
     def test_workers_leave_no_descriptor_or_child_behind(self, monkeypatch, worker):
@@ -521,10 +499,10 @@ class TestWorkerProcesses:
         descriptors = sorted(os.listdir("/proc/self/fd"))
         raised = {"succeeds": None, "raises": ValueError, "exits 7": engine.WorkerDiedError, "is killed": engine.WorkerDiedError}
         if raised[worker] is None:
-            self.run_on(2, monkeypatch, bundled("toy2"))
+            self.run_on(2, monkeypatch, bundled_scenario("toy2"))
         else:
             with pytest.raises(raised[worker]) as excinfo:
-                self.run_on(2, monkeypatch, bundled("toy2"))
+                self.run_on(2, monkeypatch, bundled_scenario("toy2"))
             if worker == "is killed":
                 assert "worker for slots 2-3 exited with code -9 and no result" in str(excinfo.value)
             del excinfo  # its traceback holds the frames of the run, in cycles
@@ -543,7 +521,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(os, "fork", second_fails)
         descriptors = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
-            self.run_on(3, monkeypatch, bundled("toy2"))
+            self.run_on(3, monkeypatch, bundled_scenario("toy2"))
         self.assert_nothing_left(descriptors)
 
     def test_a_failure_here_kills_the_workers_still_running(self, monkeypatch):
@@ -558,7 +536,7 @@ class TestWorkerProcesses:
         descriptors = sorted(os.listdir("/proc/self/fd"))
         start = time.monotonic()
         with pytest.raises(ValueError, match="no slots here"):
-            self.run_on(2, monkeypatch, bundled("toy2"))
+            self.run_on(2, monkeypatch, bundled_scenario("toy2"))
         assert time.monotonic() - start < 30
         self.assert_nothing_left(descriptors)
 
@@ -571,7 +549,7 @@ class TestWorkerProcesses:
 
     def test_two_process_compare_never_imports_multiprocessing(self, tmp_path):
         # workers are bare forks; the import would only cost start-up
-        data = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+        data = bundled("toy3")
         data["time"]["duration_s"] = 1200  # four slots, two per process
         scenario = tmp_path / "toy3.json"
         scenario.write_text(json.dumps(data))

@@ -12,10 +12,7 @@ feeder capacity and each relayed one at 1, with the pin
 -t <= -(t* - LEXICO_SLACK) appended.
 """
 import dataclasses
-import importlib.util
 import json
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +21,10 @@ optimize = pytest.importorskip("scipy.optimize")
 
 from meoflow import engine  # noqa: E402
 from meoflow.allocation import LEXICO_SLACK, SCALE_BPS, build_problem  # noqa: E402
-from meoflow.geometry import slot_geometry  # noqa: E402
 from meoflow.scenario import parse_scenario  # noqa: E402
 from meoflow.simplex import LpProblem  # noqa: E402
-from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph  # noqa: E402
+from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL  # noqa: E402
+from test_slot_range import ROOT, bundled, perfbench_scenarios, wrapper_graph  # noqa: E402
 
 
 def highs(problem: LpProblem, objective: np.ndarray):
@@ -77,11 +74,7 @@ def test_both_stages_match_highs_on_every_o3b_rain_slot_of_both_arms_with_20_mbi
 
 
 def test_stage1_matches_highs_on_every_slot_of_seed_0_dense_ground_without_isl():
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("perfbench_scenarios", root / "perfbench" / "scenarios.py")
-    scenarios = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scenarios)
-    scenario = parse_scenario(json.loads(scenarios.generate("dense_ground", 0, root)), name="dense_ground")
+    scenario = parse_scenario(json.loads(perfbench_scenarios.generate("dense_ground", 0, ROOT)), name="dense_ground")
     result = engine.run(scenario, isl_enabled=False)
     graphs = slot_graphs(scenario, False)
     assert not scenario.lexicographic and len(graphs) == result.slot_count
@@ -95,7 +88,7 @@ def test_no_isl_arm_matches_highs_on_every_o3b_rain_slot_at_minus_70_dbw():
     # every feeder capacity is under 1e-3 bit/s: in Mbit/s the solve stopped
     # at t* = 0 in all 288 slots.  HiGHS solves each slot scaled by 2**40, an
     # exact scaling into the range where the LP unit is 1 Mbit/s
-    data = json.loads((resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text())
+    data = bundled("o3b_rain")
     data["feeder_link"] = {"eirp_dbw": -70.0}
     scenario = parse_scenario(data, name="o3b_rain")
     result = engine.run(scenario, isl_enabled=False)
@@ -110,26 +103,14 @@ def test_no_isl_arm_matches_highs_on_every_o3b_rain_slot_at_minus_70_dbw():
 def slot_graphs(scenario, isl_enabled):
     """Each slot's graph, built as engine.run builds it (a spy on the solve
     would miss the slots that worker processes solve)."""
-    return [
-        build_slot_graph(
-            slot_geometry(scenario.constellation, list(scenario.stations), scenario.slot_midpoint_s(slot), slot_index=slot),
-            scenario.feeder_link,
-            scenario.isl,
-            scenario.rain_model,
-            rain_rates_mm_h=scenario.rain_rates_at(scenario.slot_midpoint(slot)),
-            gs_altitudes_km=scenario.gs_altitudes_km(),
-            policy=scenario.serving_policy,
-            isl_enabled=isl_enabled,
-        )
-        for slot in range(scenario.slot_count)
-    ]
+    return [wrapper_graph(scenario, slot, isl_enabled) for slot in range(scenario.slot_count)]
 
 
 def check_both_stages_against_highs(name, policy, isl_enabled, **sections):
     """Check every slot's two stages against HiGHS; the bundled scenario's
     top-level `sections` are replaced first.  Returns the scenario, the
     engine's RunResult and the slot graphs."""
-    data = json.loads((resources.files("meoflow") / "scenarios" / f"{name}.json").read_text())
+    data = bundled(name)
     scenario = dataclasses.replace(parse_scenario({**data, **sections}, name=name), serving_policy=policy)
     result = engine.run(scenario, isl_enabled=isl_enabled)
     graphs = slot_graphs(scenario, isl_enabled)

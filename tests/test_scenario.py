@@ -1,12 +1,12 @@
 """Scenario parsing: defaults, strictness, path-qualified errors."""
 import json
 from datetime import datetime, timedelta, timezone
-from importlib import resources
 
 import pytest
 
 from meoflow.cli import main
 from meoflow.scenario import MAX_SLOT_COUNT, Scenario, ScenarioError, load_scenario, parse_scenario
+from test_slot_range import bundled
 
 
 def base():
@@ -234,8 +234,7 @@ class TestLoading:
 
     def test_bundled_scenarios_parse(self):
         for name in ("o3b_clear", "o3b_rain", "toy2", "toy3"):
-            ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
-            s = parse_scenario(json.loads(ref.read_text()), name=name)
+            s = parse_scenario(bundled(name), name=name)
             assert s.slot_count >= 1
 
     @pytest.mark.parametrize(
@@ -249,8 +248,7 @@ class TestLoading:
     )
     def test_non_finite_numbers_exit_2_with_path(self, tmp_path, capsys, section, key, value):
         # json reads the NaN and Infinity literals that json.dumps writes here
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data[section][key] = value
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))
@@ -259,8 +257,7 @@ class TestLoading:
 
     def test_horizon_past_the_last_representable_time_exits_2_with_path(self, tmp_path, capsys):
         # finite and evenly divided, but start + duration_s overflows datetime
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data["time"].update(duration_s=1e300, slot_s=1e299)
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))
@@ -271,8 +268,7 @@ class TestLoading:
     def test_enormous_slot_count_exits_2_with_path(self, tmp_path, capsys, duration_s, slot_s):
         # the first horizon ends in the year 9948 but has 2.5e11 slots; the
         # second one's slot count overflows to inf
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data["time"].update(duration_s=duration_s, slot_s=slot_s)
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))
@@ -284,8 +280,7 @@ class TestLoading:
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_horizon_of_zero_slots_exits_2_with_path(self, tmp_path, capsys, command):
         # 1e-12 slots passes the even-division check but rounds to none
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data["time"].update(duration_s=1e-12, slot_s=1)
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))
@@ -297,8 +292,7 @@ class TestLoading:
     @pytest.mark.parametrize("key, value", [("bandwidth_hz", -1), ("noise_power_w", 0)])
     def test_non_positive_isl_budget_value_exits_2_with_path(self, tmp_path, capsys, command, key, value):
         # the physical ISL budget, without the override, divides by both
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data["isl"] = {"sensitivity_dbm": -200, key: value}
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))
@@ -320,8 +314,7 @@ class TestLoading:
     )
     def test_link_budget_value_that_overflows_exits_2_with_path(self, tmp_path, capsys, section, key, value, message):
         # each of these ended the run in an OverflowError, ValueError or ZeroDivisionError
-        ref = resources.files("meoflow") / "scenarios" / "toy3.json"
-        data = json.loads(ref.read_text())
+        data = bundled("toy3")
         data[section] = {key: value}  # for isl: the physical budget, without the override
         p = tmp_path / "toy3.json"
         p.write_text(json.dumps(data))

@@ -10,8 +10,6 @@ AllocationError of an LP that did not solve.
 """
 import copy
 import dataclasses
-import json
-from importlib import resources
 
 import pytest
 
@@ -22,8 +20,9 @@ from meoflow import engine  # noqa: E402
 from meoflow.allocation import AllocationError  # noqa: E402
 from meoflow.channel import FeederLinkParams, IslParams, RainModelParams  # noqa: E402
 from meoflow.scenario import ScenarioError, parse_scenario  # noqa: E402
+from test_slot_range import bundled  # noqa: E402
 
-TOY3 = json.loads((resources.files("meoflow") / "scenarios" / "toy3.json").read_text())
+TOY3 = bundled("toy3")
 
 
 def field_paths(node, prefix=()):

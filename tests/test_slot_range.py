@@ -32,6 +32,7 @@ _spec.loader.exec_module(perfbench_scenarios)
 
 
 def bundled(name):
+    """The bundled scenario `name`'s JSON as a dict: the tests' one loader of a bundled scenario to parse."""
     return json.loads((resources.files("meoflow") / "scenarios" / f"{name}.json").read_text())
 
 
