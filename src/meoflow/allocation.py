@@ -49,7 +49,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .simplex import STATUS_OPTIMAL, LpProblem, LpSolution, chunks, solve, solve_batch
+from .simplex import LpProblem, LpSolution, chunks, solve, solve_batch
 from .topology import SlotGraph
 
 SCALE_BPS = 1e6
@@ -156,17 +156,16 @@ def build_problem(graph: SlotGraph) -> LpProblem:
 def _pinned(problem: LpProblem, t_star: float) -> LpProblem:
     """Stage 2's LP: maximize total rate holding the max-min value.
 
-    The total rate sum_k R_k is read off the epigraph rows of the matrix,
-    the rows with a t term: each direct and relayed column enters one of
-    them, with minus its rate coefficient.  t_star is in solver units
-    (Mbit/s); the pin t >= t* - LEXICO_SLACK is appended as a `<=` row.
+    The total rate sum_k R_k is read off the epigraph rows, those with a
+    term in t, column 0: each direct and relayed column enters one of them,
+    with minus its rate coefficient.  t_star is in the LP's unit (`_units`);
+    the pin t >= t* - LEXICO_SLACK is appended as a `<=` row.
     """
-    t_col = problem.column(("t",))
-    epigraph = problem.matrix[problem.matrix[:, t_col] != 0.0]
+    epigraph = problem.matrix[problem.matrix[:, 0] != 0.0]
     objective = 0.0 - epigraph.sum(0)  # not -sum: a column in no epigraph row stays +0.0
-    objective[t_col] = 0.0
+    objective[0] = 0.0
     pin = np.zeros(problem.n_variables)
-    pin[t_col] = -1.0
+    pin[0] = -1.0
     return LpProblem(
         objective=objective,
         matrix=np.vstack([problem.matrix, pin]),
@@ -274,12 +273,13 @@ def decode(
 
 
 class AllocationError(RuntimeError):
-    """A slot LP that did not solve to optimality.
+    """A slot LP that did not solve to an audited optimum.
 
     Attributes:
         slot: slot index of the failing LP.
         stage: 1 for the max-min LP, 2 for the lexicographic refinement.
-        reason: the solver status or error.
+        reason: the solver's exception message: the pivot cap, a failed
+            audit, a refused start or an unbounded LP.
     """
 
     def __init__(self, slot: int, stage: int, reason: str):
@@ -298,19 +298,16 @@ def _solve_stage(group: list, stage: int, problems: dict, bases: Optional[dict],
     """Solve one stage's LPs of a group of `build_chunks` triples, keyed by
     position in the group, in one batch.
 
-    Returns the optimal solutions by position.  Any other end is recorded
-    in `failures` as the AllocationError that names its slot and stage.
+    Returns the solutions by position; each exception goes into `failures`
+    as the AllocationError, caused by it, that names its slot and stage.
     """
     keys = list(problems)
     outcomes = solve_batch([problems[i] for i in keys], bases=None if bases is None else [bases[i] for i in keys])
     solved = {}
     for i, outcome in zip(keys, outcomes):
-        slot = group[i][0].slot_index
         if isinstance(outcome, Exception):
-            failures[i] = AllocationError(slot, stage, str(outcome))
+            failures[i] = AllocationError(group[i][0].slot_index, stage, str(outcome))
             failures[i].__cause__ = outcome
-        elif outcome.status != STATUS_OPTIMAL:
-            failures[i] = AllocationError(slot, stage, f"LP {outcome.status}")
         else:
             solved[i] = outcome
     return solved
@@ -324,7 +321,7 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
     group's tableaus are alive at a time.  Each slot gets the result it gets
     alone, `decode` taking its unit from `build_chunks`.  Raises the
     AllocationError, naming the slot and stage, of the first slot whose LP
-    ends other than optimal or whose solve gives up, in either stage.
+    fails in either stage.
     """
     results = []
     for group in build_chunks(graphs):
@@ -342,7 +339,7 @@ def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
         last = _solve_stage(group, 2, refined, first, failures)
     if failures:
         raise failures[min(failures)]
-    idle = LpSolution(STATUS_OPTIMAL, 0.0, np.zeros(1), 0)  # every satellite isolated: no LP, t* and rates 0
+    idle = LpSolution(0.0, np.zeros(1), 0)  # every satellite isolated: no LP, t* and rates 0
     results = []
     for i, (graph, problem, unit_bps) in enumerate(group):
         one, end = first.get(i, idle), last.get(i, idle)

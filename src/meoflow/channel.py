@@ -215,18 +215,15 @@ def rain_attenuation_db(
     el* value to keep attenuation non-increasing in elevation all the way
     to zenith.
 
-    Raises ValueError for elevation <= 0 (no path through the layer).
+    Raises ValueError for elevation <= 0 (no path through the layer), then
+    for a negative rain rate, even at a site above the layer.
     """
     if elevation_deg <= 0.0:
         raise ValueError("elevation_deg must be > 0")
-    if rain_rate_mm_h < 0:
-        raise ValueError("rain_rate_mm_h must be >= 0")
-    if rain_rate_mm_h == 0.0:
-        return 0.0
+    gamma = specific_attenuation_db_km(rain_rate_mm_h, params)
     thickness = params.rain_height_km - gs_altitude_km
     if thickness <= 0.0:
         return 0.0  # site above the rain layer
-    gamma = specific_attenuation_db_km(rain_rate_mm_h, params)
     scale = params.reduction_length_scale_km * math.exp(-0.015 * rain_rate_mm_h)
     el_star = math.degrees(math.atan(scale / thickness))
     el = math.radians(min(elevation_deg, el_star))

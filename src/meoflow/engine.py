@@ -49,7 +49,7 @@ class WorkerDiedError(RuntimeError):
 
 @dataclass
 class RunResult:
-    scenario: Optional[Scenario]
+    scenario: Scenario
     isl_enabled: bool
     rates_bps: np.ndarray  # (slots, satellites)
     t_star_bps: np.ndarray  # (slots,)
@@ -277,8 +277,8 @@ def compare(baseline: RunResult, treatment: RunResult) -> dict:
     Percentages are (treatment − baseline) / baseline.  Slots degenerate in
     either arm are excluded from both so the statistics stay paired.
     """
-    grids = [(arm.scenario.start, arm.scenario.slot_s) for arm in (baseline, treatment) if arm.scenario is not None]
-    if baseline.rates_bps.shape != treatment.rates_bps.shape or len(set(grids)) > 1:
+    grids = [(arm.scenario.start, arm.scenario.slot_s) for arm in (baseline, treatment)]
+    if baseline.rates_bps.shape != treatment.rates_bps.shape or grids[0] != grids[1]:
         raise ValueError("mismatched time grids")
     excluded = sorted(set(baseline.degenerate_slots) | set(treatment.degenerate_slots))
     mask = baseline.included_mask() & treatment.included_mask()

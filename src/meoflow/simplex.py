@@ -13,6 +13,12 @@ simplex starts from it with no phase 1.  Only a continued solve
 (`base=`) takes a row of either rhs sign.  A fills the tableau and
 audits the answer.
 
+An LP ends as an audited optimum, an `LpSolution`, or as the exception
+that says why not.  A ValueError means the LP as given has no optimum to
+reach from its start: a negative cold rhs, a cut-off base, or an unbounded
+LP.  A SimplexIterationError means the solver gave up at its pivot cap or
+its optimum failed the audit.
+
 The tableau is condensed (a dictionary, in Chvatal's *Linear
 Programming*, 1983): rows are the basic variables plus the cost row,
 columns the nonbasic variables plus the rhs, because a basic column is
@@ -72,12 +78,9 @@ WARM_BLOCK_TABLEAUS = 4  # the size, in batch tableaus, of the block freed befor
 
 _NONE = np.iinfo(np.intp).max  # the variable of a padding row or column
 
-STATUS_OPTIMAL = "optimal"
-STATUS_UNBOUNDED = "unbounded"
-
 
 class SimplexIterationError(RuntimeError):
-    """Raised when the pivot count exceeds the safety cap."""
+    """The solver gave up at its pivot cap, or its optimum failed the audit."""
 
 
 @dataclass
@@ -111,21 +114,16 @@ class LpProblem:
     def n_variables(self) -> int:
         return int(self.objective.shape[0])
 
-    def column(self, tag) -> int:
-        """Index of the variable carrying `tag` (tags must be unique)."""
-        return self.variable_tags.index(tag)
-
 
 @dataclass
 class LpSolution:
-    """Result of `solve`.
+    """The optimum that `solve` found and audited.
 
-    An optimal solution also keeps what a later `solve(..., base=...)`
-    continues from: the final condensed tableau and the variable of each
-    of its rows (`basis`) and columns (`nonbasic`).
+    It also keeps what a later `solve(..., base=...)` continues from: the
+    final condensed tableau and the variable of each of its rows (`basis`)
+    and columns (`nonbasic`).
     """
 
-    status: str
     objective_value: float
     values: np.ndarray
     iteration_count: int
@@ -168,7 +166,7 @@ def _continue(problem: LpProblem, base: LpSolution):
     and cap cover this solve alone, the new row counted.
     """
     n = problem.n_variables
-    if base.status != STATUS_OPTIMAL or base.tableau is None or base.values.shape != (n,):
+    if base.tableau is None or base.values.shape != (n,):
         return ValueError("the base must be an optimal solution over the same variables")
     b = float(problem.rhs[-1])
     m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
@@ -201,17 +199,13 @@ def _less_rows(target: np.ndarray, coefs: np.ndarray, rows: np.ndarray) -> np.nd
 def solve(
     problem: LpProblem, max_iterations: Optional[int] = None, *, base: Optional[LpSolution] = None
 ) -> LpSolution:
-    """Solve to proven optimality or unboundedness.
+    """Solve to an audited optimum, or raise the ValueError or
+    SimplexIterationError that says why not (see the module docstring).
 
-    A cold solve starts from the all-slack basis, x = 0, and raises
-    ValueError unless every rhs is >= 0, since only then is that basis
-    feasible.  With `base`, the optimal solution of `problem` minus its
-    last row, the solve continues from base's final tableau instead of
-    starting over; see `_continue`.
-
-    Raises SimplexIterationError if the pivot cap (default
-    10 * (rows + variables)) is exhausted; that always indicates a
-    modelling or numerical pathology, not a valid answer.
+    A cold solve starts from the all-slack basis, x = 0, so every rhs must
+    be >= 0.  With `base`, the optimal solution of `problem` minus its last
+    row, the solve continues from base's final tableau instead of starting
+    over; see `_continue`.  The pivot cap defaults to 10 * (rows + variables).
     """
     (outcome,) = solve_batch([problem], max_iterations, bases=[base])
     if isinstance(outcome, Exception):
@@ -255,14 +249,10 @@ def solve_batch(
     ends: list = [None] * len(starts)
     iterations = _run_simplex(tableau, basis, nonbasic, caps, ends)
     for b, (i, end) in enumerate(zip(ready, ends)):
-        problem = problems[i]
-        if isinstance(end, Exception):
-            outcomes[i] = end
-        elif end == STATUS_UNBOUNDED:
-            outcomes[i] = LpSolution(STATUS_UNBOUNDED, float("inf"), np.full(problem.n_variables, np.nan), int(iterations[b]))
-        else:
+        if end is None:  # optimal
             own = tableau[b, left[b] :, top[b] :].T.copy()  # the LP's own corner, row-major again
-            outcomes[i] = _optimal(problem, own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), int(iterations[b]))
+            end = _optimal(problems[i], own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), int(iterations[b]))
+        outcomes[i] = end
     return outcomes
 
 
@@ -292,9 +282,9 @@ def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
 def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
     """Minimize the cost row of every LP, in place.
 
-    Each step ends, in one place, the LPs at their iteration cap (a
-    SimplexIterationError, checked first, as a cap of 0 allows no step),
-    optimal or unbounded, and writes each one's end into `ends`.  Every
+    Each step ends, in one place, the LPs at their iteration cap (checked
+    first, as a cap of 0 allows no step), optimal or unbounded, and writes
+    into `ends` the exception of each but the optimal ones.  Every
     live LP pivots once per step, so one step count gives the pivots of
     each, which are returned.  The cost rows sit in `cost`, one contiguous
     (LPs, columns) array, until the loop writes them back at the end.
@@ -314,8 +304,8 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
         capped, optimal = caps[live] <= step, candidates.min(1) == _NONE
         done = capped | optimal | ~positive.any(1)
         if done.any():
-            for b, cap, opt in zip(live[done], capped[done], optimal[done]):
-                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations") if cap else STATUS_OPTIMAL if opt else STATUS_UNBOUNDED
+            for b in live[capped | (done & ~optimal)]:  # capped or unbounded
+                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations") if caps[b] <= step else ValueError("LP unbounded")
             iterations[live[done]] = step
             live, entering, col, positive = live[~done], entering[~done], col[~done], positive[~done]
             if not live.size:
@@ -363,15 +353,11 @@ def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int):
     y = np.zeros(basis.shape[0] + nonbasic.shape[0])
     y[basis] = tableau[:-1, -1]
     x = y[: problem.n_variables]
-    try:
-        _check_residuals(problem, x)
-    except SimplexIterationError as exc:
-        return exc
-    return LpSolution(STATUS_OPTIMAL, float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
+    return _check_residuals(problem, x) or LpSolution(float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
 
 
-def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:
-    """Defensive post-solve feasibility audit.
+def _check_residuals(problem: LpProblem, x: np.ndarray) -> Optional[SimplexIterationError]:
+    """Post-solve feasibility audit: the SimplexIterationError of the first row or bound x breaks, or None.
 
     Row i may exceed b_i by FEAS_TOL * max(1, |b_i|, (|A|.|x|)_i), the size
     of the terms it sums, so the tolerance scales with the capacities in A;
@@ -383,8 +369,8 @@ def _check_residuals(problem: LpProblem, x: np.ndarray) -> None:
     bad = (v > rhs + tol).nonzero()[0]
     if bad.size:
         i = bad[0]
-        raise SimplexIterationError(f"residual violation: {v[i]} <= {rhs[i]}")
+        return SimplexIterationError(f"residual violation: {v[i]} <= {rhs[i]}")
     scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
     bad = (x < -FEAS_TOL * scale).nonzero()[0]
     if bad.size:
-        raise SimplexIterationError(f"bound violation on column {bad[0]}")
+        return SimplexIterationError(f"bound violation on column {bad[0]}")

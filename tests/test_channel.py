@@ -57,6 +57,8 @@ class TestRain:
     def test_site_above_layer(self):
         p = RainModelParams(rain_height_km=2.0)
         assert rain_attenuation_db(30.0, 20.0, p, gs_altitude_km=2.5) == 0.0
+        with pytest.raises(ValueError, match="rain_rate_mm_h"):  # a negative rate is refused even there
+            rain_attenuation_db(30.0, -1.0, p, gs_altitude_km=2.5)
 
     def test_calibrated_class_curves(self):
         # frozen from the closed-form layer model at the calibrated rates

@@ -118,12 +118,11 @@ def check_both_stages_against_highs(name, policy, isl_enabled, **sections):
 
     for slot, graph in enumerate(graphs):
         problem = build_problem(graph)
-        t_col = problem.column(("t",))
         t_star = highs_optimum(problem, problem.objective)
         assert result.t_star_bps[slot] / SCALE_BPS == pytest.approx(t_star, rel=1e-6)
 
         pin = np.zeros(problem.n_variables)
-        pin[t_col] = -1.0
+        pin[0] = -1.0  # t
         pinned = dataclasses.replace(
             problem,
             matrix=np.vstack([problem.matrix, pin]),

@@ -1,7 +1,8 @@
 """Property tests: `solve` on random small LPs against HiGHS.
 
 The LPs have the one shape the solver takes: <= rows with rhs >= 0 and
-x >= 0, so they end optimal or unbounded.  `zero_one_rhs` draws every
+x >= 0, so they end optimal or unbounded: an `LpSolution` or the
+ValueError "LP unbounded".  `zero_one_rhs` draws every
 rhs from {0, 1}, as in the allocation LP, where most vertices are
 degenerate.  The continued solve from a base appends one <= row of
 either rhs sign.
@@ -15,9 +16,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from test_oracle import highs  # noqa: E402
 
-from meoflow.simplex import STATUS_OPTIMAL, STATUS_UNBOUNDED, LpProblem, solve  # noqa: E402
+from meoflow.simplex import LpProblem, solve  # noqa: E402
 
-HIGHS_STATUS = {0: STATUS_OPTIMAL, 3: STATUS_UNBOUNDED}
+HIGHS_OPTIMAL, HIGHS_UNBOUNDED = 0, 3  # scipy's linprog status codes
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 coefficient = st.integers(-4, 4).map(float)
@@ -35,11 +36,20 @@ def small_lps(draw, zero_one_rhs):
     return LpProblem(np.array(objective), rows, np.array(rhs))
 
 
+def outcome(problem, base=None):
+    """`solve`'s LpSolution, or the ValueError it raises."""
+    try:
+        return solve(problem, base=base)
+    except ValueError as exc:
+        return exc
+
+
 def assert_matches_highs(problem, solution):
     res = highs(problem, problem.objective)
-    assert res.status in HIGHS_STATUS, res.message
-    assert solution.status == HIGHS_STATUS[res.status]
-    if solution.status == STATUS_OPTIMAL:
+    assert res.status in (HIGHS_OPTIMAL, HIGHS_UNBOUNDED), res.message
+    if res.status == HIGHS_UNBOUNDED:
+        assert isinstance(solution, ValueError) and str(solution) == "LP unbounded"
+    else:
         assert solution.objective_value == pytest.approx(-res.fun, rel=1e-7, abs=1e-7)
 
 
@@ -48,7 +58,7 @@ def test_solve_matches_highs(zero_one_rhs):
     @SETTINGS
     @hypothesis.given(small_lps(zero_one_rhs))
     def check(problem):
-        assert_matches_highs(problem, solve(problem))
+        assert_matches_highs(problem, outcome(problem))
 
     check()
 
@@ -58,8 +68,8 @@ def test_solve_from_base_matches_cold_solve_on_an_appended_inequality(zero_one_r
     @SETTINGS
     @hypothesis.given(small_lps(zero_one_rhs), st.data())
     def check(problem, data):
-        base = solve(problem)
-        hypothesis.assume(base.status == STATUS_OPTIMAL)
+        base = outcome(problem)
+        hypothesis.assume(not isinstance(base, ValueError))
         n = problem.n_variables
         extra = data.draw(st.lists(coefficient, min_size=n, max_size=n))
         at_base = sum(coef * base.values[j] for j, coef in enumerate(extra) if coef)
@@ -71,11 +81,11 @@ def test_solve_from_base_matches_cold_solve_on_an_appended_inequality(zero_one_r
         margin = float(data.draw(st.integers(0, 3)))
         objective = np.array(data.draw(st.lists(coefficient, min_size=n, max_size=n)))
         appended = LpProblem(objective, np.vstack([problem.matrix, extra]), np.append(problem.rhs, at_base + margin))
-        warm = solve(appended, base=base)
+        warm = outcome(appended, base)
         if at_base + margin >= 0.0:
-            cold = solve(appended)
-            assert warm.status == cold.status
-            if cold.status == STATUS_OPTIMAL:
+            cold = outcome(appended)
+            assert type(warm) is type(cold)
+            if not isinstance(cold, ValueError):
                 assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-7, abs=1e-7)
         assert_matches_highs(appended, warm)
 
