@@ -194,12 +194,37 @@ class TestRun:
 
 
 class TestPivotBudget:
-    # Total simplex pivots over the o3b_rain horizon, split by stage: stage 1
-    # alone is the run without the lexicographic refinement, stage 2 the rest
-    # of the full run.  Pivots do not depend on the machine, and every change
-    # to the pivot loop must walk the same pivot sequence (Bland's rule fixes
-    # it), so these stay put unless the LPs or the pivoting rule change on
-    # purpose; a lost warm start of stage 2 roughly doubles them.
+    # Total simplex pivots over the o3b_rain horizon, as recorded in
+    # CHANGES.md when the epigraph rows took in the rate definitions and
+    # stage 1 lost its phase 1 (6 fewer pivots per slot).  Pivots do not
+    # depend on the machine; a lost warm start of stage 2 roughly doubles
+    # them.
+    BUDGET = {True: 10_155, False: 3_456}
+
+    @pytest.mark.parametrize("isl_enabled", [True, False])
+    def test_o3b_rain_pivots_within_budget(self, isl_enabled):
+        scenario = bundled_scenario("o3b_rain")
+        assert run(scenario, isl_enabled=isl_enabled).iterations.sum() <= self.BUDGET[isl_enabled]
+
+    # Exact totals: every change to the pivot loop must walk the same
+    # pivot sequence (Bland's rule fixes it), so these stay put unless
+    # the LPs or the pivoting rule change on purpose.
+    @pytest.mark.parametrize(
+        "policy,isl_enabled,total",
+        [
+            (POLICY_BEST_CAPACITY, True, 10_155),
+            (POLICY_BEST_CAPACITY, False, 3_456),
+            (POLICY_LP_FRACTIONAL, True, 22_461),
+        ],
+    )
+    def test_o3b_rain_pivot_totals_exact(self, policy, isl_enabled, total):
+        scenario = dataclasses.replace(
+            bundled_scenario("o3b_rain"), serving_policy=policy
+        )
+        assert run(scenario, isl_enabled=isl_enabled).iterations.sum() == total
+
+    # The same totals split by stage: stage 1 alone is the run without the
+    # lexicographic refinement, stage 2 the rest of the full run.
     @pytest.mark.parametrize(
         "policy,isl_enabled,stage1,stage2",
         [
