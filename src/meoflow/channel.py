@@ -19,11 +19,11 @@ with G_tx = 16/Theta^2 (divergence Theta), G_rx = (D pi / lambda)^2
 (aperture D) and pointing loss L = exp(-G * phi^2) for jitter phi.
 Capacity is Shannon: B log2(1 + CNR).
 
-The feeder and ISL budgets take plain floats or equal-shape arrays of
-links.  On arrays, + - * / run in numpy in the scalar code's operation
-order, while log10, powers and log2 still go through libm one entry at a
-time (numpy's SIMD versions differ from libm in the last bit on some
-inputs), so an array budget is bit-equal to the scalar one, entry by entry.
+The feeder and ISL budgets take equal-shape arrays of links; a float runs
+as a 0-d array and comes back as a numpy float64.  + - * / run in numpy,
+while log10, powers and log2 go through libm one entry at a time (numpy's
+SIMD versions differ from libm in the last bit on some inputs), so a link's
+budget has the same bits alone or in an array of any shape.
 """
 from __future__ import annotations
 
@@ -175,10 +175,9 @@ class IslParams:
 
 
 def _libm(f, x):
-    """f(x) through libm: a float for a float, entry by entry for an array."""
-    if np.ndim(x) == 0:
-        return f(x)
-    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+    """f(x) through libm, entry by entry; a float is a 0-d array and comes back as a numpy float64."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)[()]
 
 
 def db_to_linear(db: float) -> float:
@@ -251,16 +250,13 @@ def fl_cnr_db(
 ) -> float:
     """Feeder downlink carrier-to-noise ratio, dB.
 
-    On arrays, the rain attenuation of the wet links goes through the scalar
-    `rain_attenuation_db`, one link at a time.
+    Each wet link's rain attenuation goes through the scalar `rain_attenuation_db`.
     """
-    loss = fspl_db(distance_km, params.carrier_frequency_hz) + params.shadowing_loss_db
-    if np.ndim(loss):
-        wet = np.flatnonzero(rain_rate_mm_h > 0.0)
-        columns = (elevation_deg[wet].tolist(), rain_rate_mm_h[wet].tolist(), gs_altitude_km[wet].tolist())
-        loss[wet] += [rain_attenuation_db(el, rate, rain, alt) for el, rate, alt in zip(*columns)]
-    elif rain_rate_mm_h > 0.0:
-        loss += rain_attenuation_db(elevation_deg, rain_rate_mm_h, rain, gs_altitude_km)
+    loss = np.asarray(fspl_db(distance_km, params.carrier_frequency_hz) + params.shadowing_loss_db)
+    el, rate, alt = (np.broadcast_to(v, loss.shape).ravel() for v in (elevation_deg, rain_rate_mm_h, gs_altitude_km))
+    wet = np.flatnonzero(rate > 0.0)
+    columns = (el[wet].tolist(), rate[wet].tolist(), alt[wet].tolist())
+    loss.flat[wet] += [rain_attenuation_db(e, r, rain, a) for e, r, a in zip(*columns)]
     return (
         params.eirp_dbw
         - loss
@@ -321,7 +317,7 @@ def isl_capacity_bps(distance_km: float, params: IslParams) -> float:
     """
     override = params.fixed_capacity_override_bps
     if override is not None:
-        return np.full(np.shape(distance_km), override) if np.ndim(distance_km) else override
+        return np.full(np.shape(distance_km), override)[()]
     p_rx = isl_received_power_w(distance_km, params)
     sensitivity_w = db_to_linear(params.sensitivity_dbm) / 1e3
     # a bool factor: the capacity is 0.0 below the receiver sensitivity

@@ -255,22 +255,19 @@ def cmd_plot(args) -> int:
                 raise ValueError(f"{key} has {len(series[key])} rows for {len(times)} times_s")
             if not np.isfinite(np.asarray(series[key], dtype=float)).all():
                 raise ValueError(f"{key} holds a value that is not finite")
-        treatment = np.asarray(series[arms[0] + "rates_bps"], dtype=float)
-        baseline = np.asarray(series["baseline_rates_bps"], dtype=float) if compare_doc is not None else None
-        included = np.ones(treatment.shape[0], dtype=bool)
+        rates_mbps = [np.asarray(series[arm + "rates_bps"], dtype=float) / 1e6 for arm in arms]
+        included = np.ones(len(times), dtype=bool)
         slots = series.get("degenerate_slots", [])
         if not all(type(n) is int and 0 <= n < len(included) for n in slots):
             raise ValueError(f"degenerate_slots {slots}: each must be an integer in [0, {len(included)})")
         included[slots] = False
         windows = _rain_windows(scenario)
         texts = []
-        for k in range(treatment.shape[1]):
-            base_col = baseline[:, k] / 1e6 if baseline is not None else None
+        for k in range(rates_mbps[0].shape[1]):
             if args.kind == "timeseries":
-                svg = timeseries_svg(times, treatment[:, k] / 1e6, f"Satellite {k}", base_col, windows)
+                svg = timeseries_svg(times, [r[:, k] for r in rates_mbps], f"Satellite {k}", windows)
             else:
-                base_inc = base_col[included] if base_col is not None else None
-                svg = histogram_svg(treatment[included, k] / 1e6, f"Satellite {k}", base_inc)
+                svg = histogram_svg([r[included, k] for r in rates_mbps], f"Satellite {k}")
             texts.append((f"{args.kind}_sat{k}.svg", svg))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         return _fail(f"{results_dir}: results unreadable: {exc!r}")

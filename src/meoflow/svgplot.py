@@ -113,9 +113,9 @@ def _legend(entries):
     return parts
 
 
-def _arms_legend(baseline):
-    """The legend of the ISL arm's chart, naming the no-ISL arm too unless `baseline` is None."""
-    return _legend([("rate", TREATMENT_COLOR)] if baseline is None else [("with ISL", TREATMENT_COLOR), ("without ISL", BASELINE_COLOR)])
+def _arms_legend(arms):
+    """The legend of a chart of `arms`: the ISL arm alone, or with the no-ISL arm."""
+    return _legend([("rate", TREATMENT_COLOR)] if len(arms) == 1 else [("with ISL", TREATMENT_COLOR), ("without ISL", BASELINE_COLOR)])
 
 
 def _document(parts):
@@ -126,16 +126,13 @@ def _document(parts):
     )
 
 
-def timeseries_svg(times_s, series_mbps, title, baseline_mbps=None, rain_windows=()):
-    """One satellite's rate over the horizon, optional no-ISL arm and shaded
-    rain windows.  rain_windows entries are (start_hour, end_hour, label)."""
+def timeseries_svg(times_s, arms_mbps, title, rain_windows=()):
+    """One satellite's rate in each arm (the ISL arm, then an optional dashed no-ISL arm) over the
+    horizon, with shaded rain windows.  rain_windows entries are (start_hour, end_hour, label)."""
     hours = np.asarray(times_s, dtype=float) / 3600.0
-    series = np.asarray(series_mbps, dtype=float)
-    top = series.max() if series.size else 1.0
-    if baseline_mbps is not None:
-        base = np.asarray(baseline_mbps, dtype=float)
-        top = max(top, base.max() if base.size else 0.0)
-    frame = _Frame(float(hours.min()), float(hours.max()), 0.0, float(top) * 1.05)
+    arms = [np.asarray(a, dtype=float) for a in arms_mbps]
+    top = max((float(a.max()) for a in arms if a.size), default=1.0)
+    frame = _Frame(float(hours.min()), float(hours.max()), 0.0, top * 1.05)
     parts = []
     for start_h, end_h, label in rain_windows:
         x0, x1 = frame.x(start_h), frame.x(end_h)
@@ -146,19 +143,16 @@ def timeseries_svg(times_s, series_mbps, title, baseline_mbps=None, rain_windows
             f"<title>{_escape(label)}</title></rect>"
         )
     parts.extend(_axes(frame, title, "time [h]", "rate [Mbit/s]"))
-    if baseline_mbps is not None:
-        parts.append(_polyline(frame, hours, base, BASELINE_COLOR, dashed=True))
-    parts.append(_polyline(frame, hours, series, TREATMENT_COLOR))
-    parts.extend(_arms_legend(baseline_mbps))
+    for arm, color, dashed in list(zip(arms, (TREATMENT_COLOR, BASELINE_COLOR), (False, True)))[::-1]:
+        parts.append(_polyline(frame, hours, arm, color, dashed))
+    parts.extend(_arms_legend(arms))
     return _document(parts)
 
 
-def histogram_svg(series_mbps, title, baseline_mbps=None):
-    """Rate histogram with mean (solid) and mean±std (dashed) markers."""
-    series = np.asarray(series_mbps, dtype=float)
-    arms = [(series, TREATMENT_COLOR, 0.65)]
-    if baseline_mbps is not None:
-        arms.insert(0, (np.asarray(baseline_mbps, dtype=float), BASELINE_COLOR, 0.45))
+def histogram_svg(arms_mbps, title):
+    """Rate histogram of each arm (ISL, then optional no-ISL) with mean (solid) and mean±std (dashed) markers."""
+    styles = zip((TREATMENT_COLOR, BASELINE_COLOR), (0.65, 0.45))
+    arms = [(np.asarray(a, dtype=float), color, opacity) for a, (color, opacity) in zip(arms_mbps, styles)][::-1]
     top_rate = max((float(a.max()) for a, _, _ in arms if a.size), default=1.0)
     edges = histogram_edges(top_rate, HISTOGRAM_BIN_WIDTH_BPS / 1e6, "Mbit/s")
     counts = [np.histogram(a, bins=edges)[0] for a, _, _ in arms]
@@ -183,7 +177,7 @@ def histogram_svg(series_mbps, title, baseline_mbps=None):
                 f'<line x1="{_fmt(px)}" y1="{_fmt(frame.y(frame.y1))}" x2="{_fmt(px)}" '
                 f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" {style}/>'
             )
-    parts.extend(_arms_legend(baseline_mbps))
+    parts.extend(_arms_legend(arms))
     return _document(parts)
 
 

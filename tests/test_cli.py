@@ -605,6 +605,12 @@ OUTPUT_SHA256 = {
     "histogram/histogram_sat1.svg": "2ff60861fe91bf37b6edb41c02db9a8b6084f6eeb6d5606f6db41380324943ec",
     "histogram/histogram_sat2.svg": "a46655cb0e40ad3bd9bdc3a8ef1b755c69d4226db5676b11c8d3e4696060396a",
     "rain-attenuation/rain_attenuation.svg": "688165f95f92caf7c4ee2b05828b08e74697eeb1e92dc341e08a792782537b57",
+    "toy3_run_timeseries/timeseries_sat0.svg": "978c904de1af898f2772a88f761b1e276ed2affae8a1ec0f7771f9bbcf2e3ccc",
+    "toy3_run_timeseries/timeseries_sat1.svg": "4fc6931e45b2c7d537cadbb7dcee63201fa655b7ab12dfc71e66c4c91d4fb063",
+    "toy3_run_timeseries/timeseries_sat2.svg": "4002c978edb5fde5161119513862a5f6d6f3aa1f225e9d04ee7e71747e06d592",
+    "toy3_run_histogram/histogram_sat0.svg": "1c7f42deffa8da028f8adcfdea4e5dcdadf1d723d59b439c774ecad40a0cd95b",
+    "toy3_run_histogram/histogram_sat1.svg": "d069512ac23d8637fff393bd6e3fd3247d456f66f369d02acc77cae239e995ee",
+    "toy3_run_histogram/histogram_sat2.svg": "9f348a5832d6e636cf6a22ae2ac34e9b44e8ecd03320a8640aa33fe891887b63",
 }
 
 
@@ -627,6 +633,9 @@ def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
         codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
     for kind in ("timeseries", "histogram", "rain-attenuation"):
         codes[kind] = main(["plot", str(tmp_path / "toy3_compare"), kind, "--out", str(tmp_path / kind)])
+    # a run directory holds one arm: its charts draw no no-ISL arm
+    for kind in ("timeseries", "histogram"):
+        codes[f"toy3_run_{kind}"] = main(["plot", str(tmp_path / "toy3_run"), kind, "--out", str(tmp_path / f"toy3_run_{kind}")])
     assert codes == {
         "o3b_rain_run": 0,
         "o3b_rain_compare": 0,
@@ -640,6 +649,8 @@ def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
         "timeseries": 0,
         "histogram": 0,
         "rain-attenuation": 0,
+        "toy3_run_timeseries": 0,
+        "toy3_run_histogram": 0,
     }
     written = {
         f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()

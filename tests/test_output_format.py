@@ -209,5 +209,5 @@ def test_histogram_bars_are_mapped_as_the_frame_maps_one(series, baseline):
         for b in np.flatnonzero(c)
     ]
     expected = [f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"' for x, y, w, h in bars]
-    svg = svgplot.histogram_svg(series, "t", baseline)
+    svg = svgplot.histogram_svg([a for a in (series, baseline) if a is not None], "t")
     assert [line.split(" fill=")[0] for line in svg.splitlines() if line.startswith("<rect") and "fill-opacity" in line] == expected
