@@ -7,6 +7,7 @@ has at most one usable feeder edge (the best-capacity policy guarantees that)
 and every directed inter-satellite edge carries at most one relay route, so a
 route's share of the relay's feeder edge is the single free variable per route.
 """
+import dataclasses
 import pickle
 
 import numpy as np
@@ -555,6 +556,32 @@ class TestAllocationError:
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is AllocationError
         assert (back.slot, back.stage, back.reason, str(back)) == (17, 2, "LP unbounded", str(exc))
+
+    def test_lowest_failing_slot_wins_across_stages(self, monkeypatch):
+        # slot 3 fails stage 1 and slot 1 fails stage 2 of one group: the
+        # lower slot is raised, though its stage is solved later, from the
+        # solver's exception; a slot that failed stage 1 has no stage 2
+        graph = make_graph([[300e6, 0, 0], [0, 300e6, 0], [0, 0, 150e6]], np.full((3, 3), 600e6) - np.diag([600e6] * 3))
+        graphs = [dataclasses.replace(graph, slot_index=n) for n in range(4)]
+        solve_batch = allocation.solve_batch
+        planted = {1: simplex.SimplexIterationError("planted in stage 1"), 2: ValueError("planted in stage 2")}
+        failing, slot_of, batches = {1: 3, 2: 1}, {}, {1: [], 2: []}
+
+        def plant(problems, max_iterations=None, *, bases=None):
+            outcomes = solve_batch(problems, max_iterations, bases=bases)
+            stage = 1 if bases is None else 2
+            if stage == 1:  # stage 2's problem shares its tags with stage 1's
+                slot_of.update((id(problem.variable_tags), n) for n, problem in enumerate(problems))
+            slots = [slot_of[id(problem.variable_tags)] for problem in problems]
+            batches[stage].append(slots)
+            return [planted[stage] if n == failing[stage] else outcome for n, outcome in zip(slots, outcomes)]
+
+        monkeypatch.setattr(allocation, "solve_batch", plant)
+        with pytest.raises(AllocationError) as info:
+            solve_block(graphs)
+        assert (info.value.slot, info.value.stage, info.value.reason) == (1, 2, "planted in stage 2")
+        assert info.value.__cause__ is planted[2]
+        assert batches == {1: [[0, 1, 2, 3]], 2: [[0, 1, 2]]}
 
 
 class TestDeterminism:

@@ -611,6 +611,22 @@ OUTPUT_SHA256 = {
     "toy3_run_histogram/histogram_sat0.svg": "1c7f42deffa8da028f8adcfdea4e5dcdadf1d723d59b439c774ecad40a0cd95b",
     "toy3_run_histogram/histogram_sat1.svg": "d069512ac23d8637fff393bd6e3fd3247d456f66f369d02acc77cae239e995ee",
     "toy3_run_histogram/histogram_sat2.svg": "9f348a5832d6e636cf6a22ae2ac34e9b44e8ecd03320a8640aa33fe891887b63",
+    "toy2_run_timeseries/timeseries_sat0.svg": "a1882c2e53fb07c46487499c34003d986d7a6d19d393f22db1e081c7de4fca8f",
+    "toy2_run_timeseries/timeseries_sat1.svg": "8da01f04bf5e498c5311e55f31658cfdd2288ae1c7ac3623b758c6a64f2671a8",
+    "toy2_run_histogram/histogram_sat0.svg": "9ba3002f21ece1176bf5af99e4f76bf59fcea5f91bce88f7c37ef6cbbe978222",
+    "toy2_run_histogram/histogram_sat1.svg": "a8f89a9ab85efa38c743d09999125ea5b73566ef4c8f28db9f0b0acb6f239f7b",
+    "o3b_rain_compare_timeseries/timeseries_sat0.svg": "50519877584e4fc6ba7e04d208f4f6bddef8d95d4e18fd036934e1a45f1d9248",
+    "o3b_rain_compare_timeseries/timeseries_sat1.svg": "39aa4eec853b3354f0a4393ee278d91b00b4a2dbc4a377375990fd12c4d31ba2",
+    "o3b_rain_compare_timeseries/timeseries_sat2.svg": "61750cd58ac04a1c6e3dbd371f152495ea10eab811682852bba6142b0b51121a",
+    "o3b_rain_compare_timeseries/timeseries_sat3.svg": "8453abdaca02bb29fa7915395a7a2a29bc6995bb709d07b04a3d24568b4ec127",
+    "o3b_rain_compare_timeseries/timeseries_sat4.svg": "80ffa4bce8a3c2a2132b595f6982befebd56a1642936dc5000b3de155cf51426",
+    "o3b_rain_compare_timeseries/timeseries_sat5.svg": "9a907bbdde38b45063ac9d6b5875cfdcaffc2613d230de703658a294466fdb2f",
+    "o3b_rain_compare_histogram/histogram_sat0.svg": "efaa208ca2ebbc351bb13b5c689883cd5ea6c1cdf5795d7605c5435c611dfe30",
+    "o3b_rain_compare_histogram/histogram_sat1.svg": "b7d851fe7fae9641d9078fa02cf652c13ec977dd55071ec98bf691f77409e6c4",
+    "o3b_rain_compare_histogram/histogram_sat2.svg": "61e50ee7d4a0910878044dd4a31de90322b8579798b7ac46a2863a01b255b752",
+    "o3b_rain_compare_histogram/histogram_sat3.svg": "29adea6efbbb8a58578cec0219060d96bb057902bb72f7610ccf012dddd74b7d",
+    "o3b_rain_compare_histogram/histogram_sat4.svg": "8ad9551bcd4b37f427832a0325e51c80167de2fdd6c4c06d31f58e8f614b0b6c",
+    "o3b_rain_compare_histogram/histogram_sat5.svg": "0da1eda9310201f41076bedfe320ce606f3135064ead4c00baab3310706979f9",
 }
 
 
@@ -633,9 +649,12 @@ def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
         codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
     for kind in ("timeseries", "histogram", "rain-attenuation"):
         codes[kind] = main(["plot", str(tmp_path / "toy3_compare"), kind, "--out", str(tmp_path / kind)])
-    # a run directory holds one arm: its charts draw no no-ISL arm
-    for kind in ("timeseries", "histogram"):
-        codes[f"toy3_run_{kind}"] = main(["plot", str(tmp_path / "toy3_run"), kind, "--out", str(tmp_path / f"toy3_run_{kind}")])
+    # a run directory holds one arm: its charts draw no no-ISL arm; every toy2
+    # slot is degenerate, so its rates are 0 and its histograms empty; o3b_rain
+    # has three rain windows and full histograms
+    for results in ("toy3_run", "toy2_run", "o3b_rain_compare"):
+        for kind in ("timeseries", "histogram"):
+            codes[f"{results}_{kind}"] = main(["plot", str(tmp_path / results), kind, "--out", str(tmp_path / f"{results}_{kind}")])
     assert codes == {
         "o3b_rain_run": 0,
         "o3b_rain_compare": 0,
@@ -651,6 +670,10 @@ def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
         "rain-attenuation": 0,
         "toy3_run_timeseries": 0,
         "toy3_run_histogram": 0,
+        "toy2_run_timeseries": 0,
+        "toy2_run_histogram": 0,
+        "o3b_rain_compare_timeseries": 0,
+        "o3b_rain_compare_histogram": 0,
     }
     written = {
         f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
