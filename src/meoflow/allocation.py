@@ -294,25 +294,6 @@ class AllocationError(RuntimeError):
         return type(self), (self.slot, self.stage, self.reason), self.__dict__
 
 
-def _solve_stage(group: list, stage: int, problems: dict, bases: Optional[dict], failures: dict) -> dict:
-    """Solve one stage's LPs of a group of `build_chunks` triples, keyed by
-    position in the group, in one batch.
-
-    Returns the solutions by position; each exception goes into `failures`
-    as the AllocationError, caused by it, that names its slot and stage.
-    """
-    keys = list(problems)
-    outcomes = solve_batch([problems[i] for i in keys], bases=None if bases is None else [bases[i] for i in keys])
-    solved = {}
-    for i, outcome in zip(keys, outcomes):
-        if isinstance(outcome, Exception):
-            failures[i] = AllocationError(group[i][0].slot_index, stage, str(outcome))
-            failures[i].__cause__ = outcome
-        else:
-            solved[i] = outcome
-    return solved
-
-
 def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list[AllocationResult]:
     """Solve a block of slots end to end: build, optimize, optionally refine, decode.
 
@@ -330,15 +311,23 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
 
 
 def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
-    """`solve_block` of one group of `build_chunks` triples; `decode` takes each LP's unit from its triple."""
-    failures: dict = {}
+    """`solve_block` of one group of `build_chunks` triples; `decode` takes each LP's unit from its triple.
+
+    Each stage's outcomes stay as its `solve_batch` returns them: an
+    LpSolution, or the exception in its place.  A slot whose stage 1 failed
+    gets no stage 2.  Raises, from the solver's exception, the
+    AllocationError of the lowest slot that failed in either stage.
+    """
     lps = {i: problem for i, (_, problem, _) in enumerate(group) if problem.rhs.size}
-    first = last = _solve_stage(group, 1, lps, None, failures)
+    first = dict(zip(lps, solve_batch(list(lps.values()))))
+    last = solved = {i: outcome for i, outcome in first.items() if not isinstance(outcome, Exception)}
     if lexicographic:
-        refined = {i: _pinned(lps[i], solution.objective_value) for i, solution in first.items()}
-        last = _solve_stage(group, 2, refined, first, failures)
-    if failures:
-        raise failures[min(failures)]
+        refined = [_pinned(lps[i], solution.objective_value) for i, solution in solved.items()]
+        last = dict(zip(solved, solve_batch(refined, bases=list(solved.values()))))
+    failed = [(i, stage, x) for stage, outcomes in ((1, first), (2, last)) for i, x in outcomes.items() if isinstance(x, Exception)]
+    if failed:  # a slot fails in one stage at most, so min never compares two exceptions
+        i, stage, cause = min(failed)
+        raise AllocationError(group[i][0].slot_index, stage, str(cause)) from cause
     idle = LpSolution(0.0, np.zeros(1), 0)  # every satellite isolated: no LP, t* and rates 0
     results = []
     for i, (graph, problem, unit_bps) in enumerate(group):

@@ -132,7 +132,8 @@ def _solve_horizon(scenario: Scenario, arms: list[bool]) -> list[list[Allocation
 
     The workers are forked once for all arms.  Every process solves its
     range for each arm in order and stops at its first failure; a worker
-    writes each arm's pickled outcome to its own pipe as the arm finishes.
+    writes each arm's `_solve_arms` outcome, its allocations or the
+    exception in their place, pickled to its own pipe as the arm finishes.
     This process reads the outcomes arm by arm, its own range first, so the
     first failure read is that of the first failing arm's lowest slot.  A
     worker that dies without sending shows up here as end-of-file, never as
@@ -166,17 +167,17 @@ def _solve_horizon(scenario: Scenario, arms: list[bool]) -> list[list[Allocation
             solved.append([])
             for worker in [None, *forked]:  # None: this process
                 try:
-                    ok, payload = next(own) if worker is None else pickle.load(worker[1])
+                    outcome = next(own) if worker is None else pickle.load(worker[1])
                 except (EOFError, pickle.UnpicklingError):  # a worker exits 0 only once all is sent
                     pid, pipe, slots = worker
                     forked.remove(worker)
                     pipe.close()
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    ok, payload = False, WorkerDiedError(f"worker for slots {slots[0]}-{slots[-1]} exited with code {code} and no result")
-                if not ok:
-                    payload.arm = "ISL" if enabled else "no-ISL"
-                    raise payload
-                solved[-1] += payload
+                    outcome = WorkerDiedError(f"worker for slots {slots[0]}-{slots[-1]} exited with code {code} and no result")
+                if isinstance(outcome, Exception):
+                    outcome.arm = "ISL" if enabled else "no-ISL"
+                    raise outcome
+                solved[-1] += outcome
     finally:
         gc.unfreeze()
         for pid, pipe, _ in forked:
@@ -187,12 +188,12 @@ def _solve_horizon(scenario: Scenario, arms: list[bool]) -> list[list[Allocation
 
 
 def _solve_arms(scenario: Scenario, arms: list[bool], slots: range):
-    """(ok, allocations or exception) of `slots` for each arm in order, up to the first failure."""
+    """The allocations of `slots` for each arm in order, or the exception that ended them in their place."""
     for enabled in arms:
         try:
-            yield True, _solve_slots(scenario, enabled, slots)
+            yield _solve_slots(scenario, enabled, slots)
         except Exception as exc:  # raised in the parent, e.g. an AllocationError
-            yield False, exc
+            yield exc
             return
 
 

@@ -1,7 +1,8 @@
 """Hand-rolled SVG charts: no plotting dependency, byte-deterministic output.
 
-Coordinates are formatted with fixed precision so identical inputs always
-produce identical files.
+`_tag` writes every element: its attributes in the order given, `_` in a
+name written as `-`, floats with fixed precision through `_fmt`, and ints
+and strings verbatim, so identical inputs always produce identical files.
 """
 from __future__ import annotations
 
@@ -46,6 +47,12 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
+def _tag(name, body=None, **attrs):
+    """One SVG element, written as the module docstring says; self-closed when it has no body."""
+    head = "".join(f' {key.replace("_", "-")}="{_fmt(v) if isinstance(v, float) else v}"' for key, v in attrs.items())
+    return f"<{name}{head}/>" if body is None else f"<{name}{head}>{body}</{name}>"
+
+
 def _tick_label(v):
     return f"{v:g}"
 
@@ -57,59 +64,39 @@ def _escape(text):
 
 def _axes(frame, title, x_label, y_label):
     title, x_label, y_label = map(_escape, (title, x_label, y_label))
-    parts = []
     left, right = frame.x(frame.x0), frame.x(frame.x1)
     top, bottom = frame.y(frame.y1), frame.y(frame.y0)
-    parts.append(
-        f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
-        f'height="{_fmt(bottom - top)}" fill="none" stroke="#333" stroke-width="1"/>'
-    )
+    parts = [_tag("rect", x=left, y=top, width=right - left, height=bottom - top, fill="none", stroke="#333", stroke_width=1)]
     for v in np.linspace(frame.x0, frame.x1, 5):
         px = frame.x(v)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" x2="{_fmt(px)}" y2="{_fmt(bottom + 4)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(bottom + 16)}" font-size="10" text-anchor="middle">{_tick_label(round(v, 3))}</text>'
-        )
+        parts.append(_tag("line", x1=px, y1=bottom, x2=px, y2=bottom + 4, stroke="#333"))
+        parts.append(_tag("text", _tick_label(round(v, 3)), x=px, y=bottom + 16, font_size=10, text_anchor="middle"))
     for v in np.linspace(frame.y0, frame.y1, 5):
         py = frame.y(v)
-        parts.append(
-            f'<line x1="{_fmt(left - 4)}" y1="{_fmt(py)}" x2="{_fmt(left)}" y2="{_fmt(py)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(left - 7)}" y="{_fmt(py + 3)}" font-size="10" text-anchor="end">{_tick_label(round(v, 3))}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(HEIGHT - 8)}" font-size="11" text-anchor="middle">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt((top + bottom) / 2)}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})">{y_label}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt((left + right) / 2)}" y="18" font-size="13" text-anchor="middle">{title}</text>'
-    )
+        parts.append(_tag("line", x1=left - 4, y1=py, x2=left, y2=py, stroke="#333"))
+        parts.append(_tag("text", _tick_label(round(v, 3)), x=left - 7, y=py + 3, font_size=10, text_anchor="end"))
+    middle = (top + bottom) / 2
+    parts.append(_tag("text", x_label, x=(left + right) / 2, y=HEIGHT - 8.0, font_size=11, text_anchor="middle"))
+    parts.append(_tag("text", y_label, x=14, y=middle, font_size=11, text_anchor="middle", transform=f"rotate(-90 14 {_fmt(middle)})"))
+    parts.append(_tag("text", title, x=(left + right) / 2, y=18, font_size=13, text_anchor="middle"))
     return parts
 
 
 def _polyline(frame, xs, ys, color, dashed=False):
     xs, ys = frame.x(np.asarray(xs, dtype=float)).tolist(), frame.y(np.asarray(ys, dtype=float)).tolist()
     points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    dash = ' stroke-dasharray="5,3"' if dashed else ""
-    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
+    dash = {"stroke_dasharray": "5,3"} if dashed else {}
+    return _tag("polyline", points=points, fill="none", stroke=color, stroke_width="1.5", **dash)
 
 
 def _legend(entries):
-    x = WIDTH - MARGIN_RIGHT - 150
-    y = MARGIN_TOP + 8
+    x = WIDTH - MARGIN_RIGHT - 150.0
+    y = MARGIN_TOP + 8.0
     parts = []
     for i, (label, color) in enumerate(entries):
         yy = y + 14 * i
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(yy)}" x2="{_fmt(x + 18)}" y2="{_fmt(yy)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(f'<text x="{_fmt(x + 23)}" y="{_fmt(yy + 3)}" font-size="10">{_escape(label)}</text>')
+        parts.append(_tag("line", x1=x, y1=yy, x2=x + 18, y2=yy, stroke=color, stroke_width=2))
+        parts.append(_tag("text", _escape(label), x=x + 23, y=yy + 3, font_size=10))
     return parts
 
 
@@ -119,11 +106,8 @@ def _arms_legend(arms):
 
 
 def _document(parts):
-    body = "\n".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n{body}\n</svg>\n'
-    )
+    attrs = {"xmlns": "http://www.w3.org/2000/svg", "width": WIDTH, "height": HEIGHT, "viewBox": f"0 0 {WIDTH} {HEIGHT}"}
+    return _tag("svg", "\n".join(["", *parts, ""]), **attrs) + "\n"
 
 
 def timeseries_svg(times_s, arms_mbps, title, rain_windows=()):
@@ -137,11 +121,8 @@ def timeseries_svg(times_s, arms_mbps, title, rain_windows=()):
     for start_h, end_h, label in rain_windows:
         x0, x1 = frame.x(start_h), frame.x(end_h)
         y0, y1 = frame.y(frame.y1), frame.y(frame.y0)
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(y1 - y0)}" fill="{SHADE_COLOR}" fill-opacity="0.35">'
-            f"<title>{_escape(label)}</title></rect>"
-        )
+        title_tag = _tag("title", _escape(label))
+        parts.append(_tag("rect", title_tag, x=x0, y=y0, width=x1 - x0, height=y1 - y0, fill=SHADE_COLOR, fill_opacity="0.35"))
     parts.extend(_axes(frame, title, "time [h]", "rate [Mbit/s]"))
     for arm, color, dashed in list(zip(arms, (TREATMENT_COLOR, BASELINE_COLOR), (False, True)))[::-1]:
         parts.append(_polyline(frame, hours, arm, color, dashed))
@@ -151,7 +132,7 @@ def timeseries_svg(times_s, arms_mbps, title, rain_windows=()):
 
 def histogram_svg(arms_mbps, title):
     """Rate histogram of each arm (ISL, then optional no-ISL) with mean (solid) and mean±std (dashed) markers."""
-    styles = zip((TREATMENT_COLOR, BASELINE_COLOR), (0.65, 0.45))
+    styles = zip((TREATMENT_COLOR, BASELINE_COLOR), ("0.65", "0.45"))
     arms = [(np.asarray(a, dtype=float), color, opacity) for a, (color, opacity) in zip(arms_mbps, styles)][::-1]
     top_rate = max((float(a.max()) for a, _, _ in arms if a.size), default=1.0)
     edges = histogram_edges(top_rate, HISTOGRAM_BIN_WIDTH_BPS / 1e6, "Mbit/s")
@@ -163,20 +144,14 @@ def histogram_svg(arms_mbps, title):
         bars = np.flatnonzero(cnt)  # mapped in one numpy pass, as _polyline maps its points
         x0, x1, y0 = frame.x(edges[bars]), frame.x(edges[bars + 1]), frame.y(cnt[bars].astype(float))
         for x, y, width, height in zip(*(v.tolist() for v in (x0, y0, x1 - x0, frame.y(0.0) - y0))):
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
-                f'height="{_fmt(height)}" fill="{color}" fill-opacity="{opacity}"/>'
-            )
+            parts.append(_tag("rect", x=x, y=y, width=width, height=height, fill=color, fill_opacity=opacity))
         if arm.size == 0:
             continue
         mean, std = float(arm.mean()), float(arm.std())
         dashed = [m for m in (mean - std, mean + std) if frame.x0 <= m <= frame.x1]
-        for m, style in [(mean, 'stroke-width="2"'), *((m, 'stroke-width="1" stroke-dasharray="4,3"') for m in dashed)]:
+        for m, style in [(mean, {"stroke_width": 2}), *((m, {"stroke_width": 1, "stroke_dasharray": "4,3"}) for m in dashed)]:
             px = frame.x(m)
-            parts.append(
-                f'<line x1="{_fmt(px)}" y1="{_fmt(frame.y(frame.y1))}" x2="{_fmt(px)}" '
-                f'y2="{_fmt(frame.y(0.0))}" stroke="{color}" {style}/>'
-            )
+            parts.append(_tag("line", x1=px, y1=frame.y(frame.y1), x2=px, y2=frame.y(0.0), stroke=color, **style))
     parts.extend(_arms_legend(arms))
     return _document(parts)
 
