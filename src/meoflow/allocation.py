@@ -313,10 +313,9 @@ def solve_block(graphs: Sequence[SlotGraph], lexicographic: bool = True) -> list
 def _solve_group(group: list, lexicographic: bool) -> list[AllocationResult]:
     """`solve_block` of one group of `build_chunks` triples; `decode` takes each LP's unit from its triple.
 
-    Each stage's outcomes stay as its `solve_batch` returns them: an
-    LpSolution, or the exception in its place.  A slot whose stage 1 failed
-    gets no stage 2.  Raises, from the solver's exception, the
-    AllocationError of the lowest slot that failed in either stage.
+    Each stage keeps its outcomes as `solve_batch` returns them, an LpSolution or the
+    exception in its place; a slot that fails stage 1 gets no stage 2.  Raises, from the
+    solver's exception, the AllocationError of the lowest slot that failed in either stage.
     """
     lps = {i: problem for i, (_, problem, _) in enumerate(group) if problem.rhs.size}
     first = dict(zip(lps, solve_batch(list(lps.values()))))

@@ -10,7 +10,8 @@ process died without a result (nothing is written).
 
 Every JSON and CSV file is byte for byte what `json.dumps(doc, indent=2)` or
 `csv.writer` writes; the tests pin this.  allocations.json and the CSVs are
-formatted in bulk here, since the indented JSON encoder is pure Python.
+formatted in bulk here: the indented JSON encoder is pure Python, and
+csv.writer took 9.2 ms against 5.7 ms on o3b_rain's lp-fractional results.csv.
 """
 from __future__ import annotations
 

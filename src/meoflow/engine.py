@@ -137,8 +137,8 @@ def _solve_horizon(scenario: Scenario, arms: list[bool]) -> list[list[Allocation
     This process reads the outcomes arm by arm, its own range first, so the
     first failure read is that of the first failing arm's lowest slot.  A
     worker that dies without sending shows up here as end-of-file, never as
-    a wait, and is raised as a WorkerDiedError with its exit code.
-    At the end, raised or not, every worker not yet reaped is killed and reaped.
+    a wait, and is raised as a WorkerDiedError with its exit code.  At the
+    end, raised or not, every worker not yet reaped is killed and reaped.
     Fork, not spawn: a worker starts with the parsed scenario and the
     imported modules, where spawn would import numpy and meoflow again.
     """

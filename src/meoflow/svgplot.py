@@ -90,8 +90,7 @@ def _polyline(frame, xs, ys, color, dashed=False):
 
 
 def _legend(entries):
-    x = WIDTH - MARGIN_RIGHT - 150.0
-    y = MARGIN_TOP + 8.0
+    x, y = WIDTH - MARGIN_RIGHT - 150.0, MARGIN_TOP + 8.0
     parts = []
     for i, (label, color) in enumerate(entries):
         yy = y + 14 * i
@@ -112,17 +111,18 @@ def _document(parts):
 
 def timeseries_svg(times_s, arms_mbps, title, rain_windows=()):
     """One satellite's rate in each arm (the ISL arm, then an optional dashed no-ISL arm) over the
-    horizon, with shaded rain windows.  rain_windows entries are (start_hour, end_hour, label)."""
+    horizon, with shaded rain windows.  rain_windows entries are (start_hour, end_hour, label);
+    each is clipped to the axes, and one wholly outside them is not drawn."""
     hours = np.asarray(times_s, dtype=float) / 3600.0
     arms = [np.asarray(a, dtype=float) for a in arms_mbps]
     top = max((float(a.max()) for a in arms if a.size), default=1.0)
     frame = _Frame(float(hours.min()), float(hours.max()), 0.0, top * 1.05)
-    parts = []
+    parts, y0, y1 = [], frame.y(frame.y1), frame.y(frame.y0)
     for start_h, end_h, label in rain_windows:
-        x0, x1 = frame.x(start_h), frame.x(end_h)
-        y0, y1 = frame.y(frame.y1), frame.y(frame.y0)
-        title_tag = _tag("title", _escape(label))
-        parts.append(_tag("rect", title_tag, x=x0, y=y0, width=x1 - x0, height=y1 - y0, fill=SHADE_COLOR, fill_opacity="0.35"))
+        if start_h <= frame.x1 and end_h >= frame.x0:
+            x0, x1 = frame.x(max(start_h, frame.x0)), frame.x(min(end_h, frame.x1))
+            tooltip = _tag("title", _escape(label))
+            parts.append(_tag("rect", tooltip, x=x0, y=y0, width=x1 - x0, height=y1 - y0, fill=SHADE_COLOR, fill_opacity="0.35"))
     parts.extend(_axes(frame, title, "time [h]", "rate [Mbit/s]"))
     for arm, color, dashed in list(zip(arms, (TREATMENT_COLOR, BASELINE_COLOR), (False, True)))[::-1]:
         parts.append(_polyline(frame, hours, arm, color, dashed))

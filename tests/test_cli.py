@@ -598,16 +598,16 @@ OUTPUT_SHA256 = {
     "toy3_no_isl/summary.json": "d0d651817a70f2602533435d5827b3c5a75a543851710e5f2d678ee35a2249eb",
     "toy3_compare/compare.csv": "d983cd24103537decddd6d393a402b2d18e60a21507a8f6e8405f4acf16c69a2",
     "toy3_compare/compare.json": "ab21f2abcdb8493739031ffd888633a95b21588593b8918a74f1ea9873c95e50",
-    "timeseries/timeseries_sat0.svg": "ad22dba2c2681f50b3bc198dcc2bb58eaade18936b99579707041871eaa66db7",
-    "timeseries/timeseries_sat1.svg": "b9bdb4f2ef9ee0d05d87aca64ad1fe5acb4047d8f9bbaac80d4d0c8f66ae4c98",
-    "timeseries/timeseries_sat2.svg": "f438050d8ec6b141fbc0d779921aab93ae9c16815b5a591c3e568bd259524f95",
+    "timeseries/timeseries_sat0.svg": "d31f7cfd7b02515a32153af4fd3eb88030bbb3bba60c88b3bca41b31e6732014",
+    "timeseries/timeseries_sat1.svg": "ff70aa567801b1af23d4f52d23f2dea4647e8add227516cd6b0fd6cf3538abbd",
+    "timeseries/timeseries_sat2.svg": "3013883fb86e893e6319d97e2cb6ecc0c6df70f725d94736d221b2535be2f81d",
     "histogram/histogram_sat0.svg": "9cde9db74239071ee5104e6709d58832174ce8f72788a206a4b8865aad39b62f",
     "histogram/histogram_sat1.svg": "2ff60861fe91bf37b6edb41c02db9a8b6084f6eeb6d5606f6db41380324943ec",
     "histogram/histogram_sat2.svg": "a46655cb0e40ad3bd9bdc3a8ef1b755c69d4226db5676b11c8d3e4696060396a",
     "rain-attenuation/rain_attenuation.svg": "688165f95f92caf7c4ee2b05828b08e74697eeb1e92dc341e08a792782537b57",
-    "toy3_run_timeseries/timeseries_sat0.svg": "978c904de1af898f2772a88f761b1e276ed2affae8a1ec0f7771f9bbcf2e3ccc",
-    "toy3_run_timeseries/timeseries_sat1.svg": "4fc6931e45b2c7d537cadbb7dcee63201fa655b7ab12dfc71e66c4c91d4fb063",
-    "toy3_run_timeseries/timeseries_sat2.svg": "4002c978edb5fde5161119513862a5f6d6f3aa1f225e9d04ee7e71747e06d592",
+    "toy3_run_timeseries/timeseries_sat0.svg": "6462662ad32954bf1f612c47a5be87c30856231d2d1bd753dda7f632b27b7556",
+    "toy3_run_timeseries/timeseries_sat1.svg": "ea83033d37e7567021b07a648f1af40f1fd8d1a7ce758fcf81446b65c5812069",
+    "toy3_run_timeseries/timeseries_sat2.svg": "7b8a6b2b37a82b003fa1477bb51497261b82fe20963d99751f8df6eb245064df",
     "toy3_run_histogram/histogram_sat0.svg": "1c7f42deffa8da028f8adcfdea4e5dcdadf1d723d59b439c774ecad40a0cd95b",
     "toy3_run_histogram/histogram_sat1.svg": "d069512ac23d8637fff393bd6e3fd3247d456f66f369d02acc77cae239e995ee",
     "toy3_run_histogram/histogram_sat2.svg": "9f348a5832d6e636cf6a22ae2ac34e9b44e8ecd03320a8640aa33fe891887b63",

@@ -14,6 +14,7 @@ from datetime import timedelta, timezone
 from importlib import resources
 from types import SimpleNamespace
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -211,3 +212,26 @@ def test_histogram_bars_are_mapped_as_the_frame_maps_one(series, baseline):
     expected = [f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}"' for x, y, w, h in bars]
     svg = svgplot.histogram_svg([a for a in (series, baseline) if a is not None], "t")
     assert [line.split(" fill=")[0] for line in svg.splitlines() if line.startswith("<rect") and "fill-opacity" in line] == expected
+
+
+@SETTINGS
+@hypothesis.given(
+    st.lists(st.floats(0.0, 1e5), min_size=1, max_size=20),
+    st.lists(st.tuples(st.floats(-30.0, 60.0), st.floats(0.0, 30.0)), max_size=5),
+)
+@hypothesis.example([150.0], [(0.0, 1.0)])  # toy3: one slot, its frame from 150 s, rain from 0 h
+def test_rain_windows_are_shaded_inside_the_axes(times_s, windows):
+    # a window that crosses the horizon's ends is clipped to the axes rect;
+    # one wholly outside it is not drawn
+    rain = [(start, start + length, "rain") for start, length in windows]
+    svg = svgplot.timeseries_svg(times_s, [np.zeros(len(times_s))], "t", rain)
+    rects = [el.attrib for el in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect")]
+    (axes,) = [r for r in rects if r["fill"] == "none"]
+    shaded = [r for r in rects if r["fill"] == svgplot.SHADE_COLOR]
+    left, right = float(axes["x"]), float(axes["x"]) + float(axes["width"])
+    for r in shaded:  # each end rounded to 0.01 on its own
+        assert left <= float(r["x"]) and float(r["x"]) + float(r["width"]) <= right + 0.011
+        assert (r["y"], r["height"]) == (axes["y"], axes["height"])
+    hours = np.asarray(times_s) / 3600.0
+    frame = svgplot._Frame(float(hours.min()), float(hours.max()), 0.0, 1.0)
+    assert len(shaded) == sum(frame.x0 <= end and start <= frame.x1 for start, end, _ in rain)
