@@ -133,11 +133,8 @@ def _solve_and_write(args, document, files) -> int:
     text differs between the two fails the run before anything is written.
     """
     try:
-        scenario = _load_scenario_arg(args.scenario)
-    except ScenarioError as exc:
-        return _fail(str(exc))
-    arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
-    try:
+        scenario = _load_scenario_arg(args.scenario)  # in this `try`: a ScenarioError is a ValueError
+        arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
         results = run_arms(scenario, arms)
         doc = document(*results)
         texts = files(doc, *results)  # rendered one file at a time as it is written
@@ -216,7 +213,7 @@ def cmd_compare(args) -> int:
 
 
 def _read_json(path: Path):
-    """The document in `path`, None if there is no such file; bad JSON raises ValueError."""
+    """The document in `path`, None if there is no such file; raises OSError or, on bad JSON, ValueError."""
     return json.loads(path.read_text()) if path.is_file() else None
 
 
@@ -236,7 +233,7 @@ def cmd_plot(args) -> int:
     try:
         compare_doc = _read_json(results_dir / "compare.json")
         doc = compare_doc if compare_doc is not None else _read_json(results_dir / "summary.json")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"{results_dir}: results unreadable: {exc!r}")
     if doc is None:
         return _fail(f"{results_dir}: no compare.json or summary.json found")

@@ -32,14 +32,14 @@ the same values.
 `solve_batch` solves many LPs together, which is how the allocator solves
 a block of slots: the per-call cost of numpy, not arithmetic, is most of a
 pivot at these sizes, so each call of a step works on every LP that has
-not yet ended.  Each LP's starting tableau is built whole first, cold or
-continued; the batch then pads them into one zero-padded (B, N+1, M+1)
-array, column-major so that each tableau column is one contiguous array
-row.  Padding sits before each LP's rows and columns, so its rhs column
-and cost row sit on the last index.  Zero padding never improves or
-leaves, and Bland's rule goes by variable, not position, so every LP walks
-the same pivots to the same bits in any batch, alone or with others.
-Every LP set up without error takes this one path; one whose start has
+not yet ended.  Each LP is set up first, cold or continued, as its
+(tableau, basis, nonbasic) or the ValueError that refuses it; the batch
+pads the tableaus into one (B, N+1, M+1) array, column-major so that each
+tableau column is one contiguous array row.  Padding sits before each
+LP's rows and columns, so its rhs column and cost row sit on the last
+index.  Zero padding never improves or leaves, and Bland's rule goes by
+variable, not position, so every LP walks the same pivots to the same
+bits in any batch.  Every LP set up takes this path; one whose start has
 no improving column (every ISL-arm stage-2 LP of o3b_rain) ends at the
 first step.  While the pivots run, the cost rows sit in one contiguous
 (LPs, columns) array: Bland's test reads them and every pivot rewrites
@@ -63,7 +63,7 @@ updated at every column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,17 +132,8 @@ class LpSolution:
     nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-class _Start(NamedTuple):
-    """One LP set up for `solve_batch`: its condensed tableau and the
-    variable of each of its rows and columns."""
-
-    tableau: np.ndarray
-    basis: np.ndarray
-    nonbasic: np.ndarray
-
-
 def _start(problem: LpProblem, base: Optional[LpSolution]):
-    """The `_Start` of one LP, or the ValueError that refuses it."""
+    """One LP set up for `solve_batch` as (tableau, basis, nonbasic), or the ValueError that refuses it."""
     m, n = problem.matrix.shape
     if base is None:
         if (problem.rhs < 0.0).any():
@@ -150,7 +141,7 @@ def _start(problem: LpProblem, base: Optional[LpSolution]):
         # [A | b; -c | 0]: row i's slack is variable n + i and starts basic; x starts nonbasic
         tableau = np.zeros((m + 1, n + 1))
         tableau[:m, :n], tableau[:m, n], tableau[m, :n] = problem.matrix, problem.rhs, -problem.objective
-        return _Start(tableau, np.arange(n, n + m), np.arange(n))
+        return tableau, np.arange(n, n + m), np.arange(n)
     return _continue(problem, base)
 
 
@@ -183,7 +174,7 @@ def _continue(problem: LpProblem, base: LpSolution):
     if tableau[m, -1] < 0.0:
         tableau[m, -1] = 0.0
     tableau[m + 1] = _less_rows(tableau[m + 1], new[1, basis], tableau[: m + 1])
-    return _Start(tableau, basis, base.nonbasic.copy())
+    return tableau, basis, base.nonbasic.copy()
 
 
 def _less_rows(target: np.ndarray, coefs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -231,27 +222,25 @@ def solve_batch(
     if bases is None:
         bases = [None] * len(problems)
     outcomes = [_start(problem, base) for problem, base in zip(problems, bases)]
-    ready = [i for i, start in enumerate(outcomes) if isinstance(start, _Start)]
-    starts = [outcomes[i] for i in ready]
-    m = np.array([start.basis.size for start in starts], dtype=int)
-    n = np.array([start.nonbasic.size for start in starts], dtype=int)
-    caps = 10 * (m + n) if max_iterations is None else np.full(len(starts), max_iterations, dtype=int)
+    ready = [i for i, start in enumerate(outcomes) if not isinstance(start, Exception)]
+    m = np.array([outcomes[i][1].size for i in ready], dtype=int)  # rows: the basic variables
+    n = np.array([outcomes[i][2].size for i in ready], dtype=int)  # columns: the nonbasic ones
+    caps = 10 * (m + n) if max_iterations is None else np.full(len(ready), max_iterations, dtype=int)
     # at least one row and column, so that no reduction is over nothing
     rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
     top, left = rows - m, cols - n  # each LP's first row and column: its padding in front, rhs and cost last
-    tableau = np.zeros((len(starts), cols + 1, rows + 1))  # column-major: [lp, column, row]
-    basis = np.full((len(starts), rows), _NONE)
-    nonbasic = np.full((len(starts), cols), _NONE)
-    for b, start in enumerate(starts):
-        tableau[b, left[b] :, top[b] :] = start.tableau.T
-        basis[b, top[b] :] = start.basis
-        nonbasic[b, left[b] :] = start.nonbasic
-    ends: list = [None] * len(starts)
-    iterations = _run_simplex(tableau, basis, nonbasic, caps, ends)
+    tableau = np.zeros((len(ready), cols + 1, rows + 1))  # column-major: [lp, column, row]
+    basis = np.full((len(ready), rows), _NONE)
+    nonbasic = np.full((len(ready), cols), _NONE)
+    for b, (own_tableau, own_basis, own_nonbasic) in enumerate(outcomes[i] for i in ready):
+        tableau[b, left[b] :, top[b] :] = own_tableau.T
+        basis[b, top[b] :] = own_basis
+        nonbasic[b, left[b] :] = own_nonbasic
+    ends = _run_simplex(tableau, basis, nonbasic, caps)
     for b, (i, end) in enumerate(zip(ready, ends)):
-        if end is None:  # optimal
+        if not isinstance(end, Exception):  # optimal after `end` pivots
             own = tableau[b, left[b] :, top[b] :].T.copy()  # the LP's own corner, row-major again
-            end = _optimal(problems[i], own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), int(iterations[b]))
+            end = _optimal(problems[i], own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), end)
         outcomes[i] = end
     return outcomes
 
@@ -279,21 +268,21 @@ def chunks(items: Iterable, shape: Callable) -> Iterator[list]:
         yield run
 
 
-def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
-    """Minimize the cost row of every LP, in place.
+def _run_simplex(tableau, basis, nonbasic, caps) -> list:
+    """Minimize the cost row of every LP, in place, and return each LP's end.
 
-    Each step ends, in one place, the LPs at their iteration cap (checked
-    first, as a cap of 0 allows no step), optimal or unbounded, and writes
-    into `ends` the exception of each but the optimal ones.  Every
-    live LP pivots once per step, so one step count gives the pivots of
-    each, which are returned.  The cost rows sit in `cost`, one contiguous
-    (LPs, columns) array, until the loop writes them back at the end.
+    An LP's end is its pivot count if it ended optimal, else the
+    SimplexIterationError of its iteration cap (checked first, as a cap of
+    0 allows no step) or ValueError("LP unbounded"); each step ends, in one
+    place, the LPs that reach one.  Every live LP pivots once per step, so
+    the step count is each one's pivot count.  The cost rows sit in `cost`,
+    one contiguous (LPs, columns) array, until the loop writes them back.
     """
     np.empty(min(WARM_BLOCK_TABLEAUS * tableau.size, 2**21))  # freed untouched; see the module docstring
     m, n = basis.shape[1], nonbasic.shape[1]
     cost = tableau[:, :, m].copy()
-    iterations = np.zeros(len(ends), dtype=int)
-    live = np.arange(len(ends))
+    ends: list = [None] * len(caps)
+    live = np.arange(len(caps))
     step = 0
     while live.size:
         # Bland: the improving column of the smallest variable index
@@ -304,9 +293,11 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
         capped, optimal = caps[live] <= step, candidates.min(1) == _NONE
         done = capped | optimal | ~positive.any(1)
         if done.any():
-            for b in live[capped | (done & ~optimal)]:  # capped or unbounded
-                ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations") if caps[b] <= step else ValueError("LP unbounded")
-            iterations[live[done]] = step
+            for b, opt in zip(live[done].tolist(), optimal[done].tolist()):
+                if caps[b] <= step:
+                    ends[b] = SimplexIterationError(f"simplex exceeded {caps[b]} iterations")
+                else:
+                    ends[b] = step if opt else ValueError("LP unbounded")
             live, entering, col, positive = live[~done], entering[~done], col[~done], positive[~done]
             if not live.size:
                 break
@@ -319,7 +310,7 @@ def _run_simplex(tableau, basis, nonbasic, caps, ends) -> np.ndarray:
         basis[live, leaving], nonbasic[live, entering] = nonbasic[live, entering], basis[live, leaving]
         step += 1
     tableau[:, :, m] = cost
-    return iterations
+    return ends
 
 
 def _pivot(tableau: np.ndarray, cost: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:

@@ -542,6 +542,32 @@ class TestPlotCommand:
         assert capsys.readouterr().err.startswith(f"error: {compare_dir}: results unreadable: ")
         assert not list(compare_dir.glob("*.svg"))
 
+    def test_results_file_that_cannot_be_read_exits_2_writing_nothing(self, run_dir, capsys, monkeypatch):
+        summary = run_dir / "summary.json"
+        read_text = Path.read_text
+
+        def refused(path, *args, **kwargs):
+            if path == summary:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refused)
+        before = sorted(run_dir.iterdir())
+        assert main(["plot", str(run_dir), "timeseries"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir}: results unreadable: PermissionError(13, 'Permission denied')")
+        assert sorted(run_dir.iterdir()) == before
+
+    def test_embedded_scenario_with_an_unknown_key_exits_2_writing_nothing(self, run_dir, tmp_path, capsys):
+        summary = run_dir / "summary.json"
+        doc = json.loads(summary.read_text())
+        doc["scenario"]["extra"] = 1
+        summary.write_text(json.dumps(doc))
+        out = tmp_path / "charts"
+        assert main(["plot", str(run_dir), "timeseries", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: embedded scenario unreadable: toy3: unknown key 'extra'\n"
+        assert not out.exists()
+
     def test_deterministic_bytes(self, compare_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -571,6 +597,14 @@ class TestUnusableOut:
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith(f"error: {blocker}: ")
+
+    def test_run_out_naming_a_file_exits_2_writing_nothing(self, tmp_path, capsys):
+        # in this process, where the tests above run the command in a child
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["run", "toy3", "--out", str(blocker)]) == 2
+        assert capsys.readouterr().err == f"error: {blocker}: File exists\n"
+        assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
 
 
 # sha256 of every file the commands below write: any change to an output byte

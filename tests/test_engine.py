@@ -471,18 +471,25 @@ class TestWorkerProcesses:
         assert solved[0][1] == str(os.getpid())
         assert len({pid for _, pid in solved}) == 4
 
-    def test_worker_that_dies_without_a_result_raises(self, monkeypatch):
+    # an exception that _solve_arms does not catch is printed as uncaught and exits 1
+    @pytest.mark.parametrize("death, code", [("exits 7", 7), ("raises KeyboardInterrupt", 1)])
+    def test_worker_that_dies_without_a_result_raises(self, monkeypatch, capfd, death, code):
         parent = os.getpid()
         solve_slots = engine._solve_slots
 
         def dies_in_worker(scenario, isl_enabled, slots):
             if os.getpid() != parent:
-                os._exit(7)
+                if death == "exits 7":
+                    os._exit(7)
+                raise KeyboardInterrupt
             return solve_slots(scenario, isl_enabled, slots)
 
         monkeypatch.setattr(engine, "_solve_slots", dies_in_worker)
-        with pytest.raises(RuntimeError, match="worker for slots 2-3 exited with code 7"):
+        with pytest.raises(RuntimeError, match=f"worker for slots 2-3 exited with code {code}") as exc:
             self.run_on(2, monkeypatch, bundled_scenario("toy2"))
+        assert str(exc.value) == f"worker for slots 2-3 exited with code {code} and no result"
+        assert exc.value.arm == "no-ISL"
+        assert ("KeyboardInterrupt" in capfd.readouterr().err) == (death != "exits 7")
 
     @pytest.mark.parametrize("worker", ["succeeds", "raises", "exits 7", "is killed"])
     def test_workers_leave_no_descriptor_or_child_behind(self, monkeypatch, worker):

@@ -111,6 +111,22 @@ class TestStrictness:
                 ),
                 "scenario.rain_events[0].start: not a valid ISO-8601 timestamp",
             ),
+            (
+                lambda d: d.update(
+                    rain_events=[
+                        {"station_id": "a", "start": "2026-01-01T01:00:00Z", "end": "2026-01-01T01:00:00Z", "rain_class": "heavy"}
+                    ]
+                ),
+                "scenario.rain_events[0]: rain event end must be after start",
+            ),
+            (
+                lambda d: d.update(
+                    rain_events=[
+                        {"station_id": "a", "start": "2026-01-01T00:00:00Z", "end": "2026-01-01T01:00:00Z", "rain_rate_mm_h": 3000}
+                    ]
+                ),
+                "scenario.rain_events[0]: rain_rate_mm_h must be in [0, 2000]",
+            ),
         ],
     )
     def test_entry_errors_name_their_path_once(self, mutate, message):
@@ -244,6 +260,9 @@ class TestLoading:
             ("time", "slot_s", float("nan")),
             ("time", "duration_s", float("inf")),
             ("rain_model", "rain_height_km", float("nan")),
+            # integers too large for a float
+            pytest.param("time", "duration_s", 10**400, id="time-duration_s-10**400"),
+            pytest.param("constellation", "altitude_km", 10**400, id="constellation-altitude_km-10**400"),
         ],
     )
     def test_non_finite_numbers_exit_2_with_path(self, tmp_path, capsys, section, key, value):
