@@ -119,8 +119,7 @@ class RainEvent:
     def __post_init__(self):
         if self.end <= self.start:
             raise ValueError("rain event end must be after start")
-        if not 0.0 <= self.rain_rate_mm_h <= MAX_RAIN_RATE_MM_H:
-            raise ValueError(f"rain_rate_mm_h must be in [0, {MAX_RAIN_RATE_MM_H:g}]")
+        _check_ranges(self, rain_rate_mm_h=(0.0, MAX_RAIN_RATE_MM_H))
 
     def active_at(self, time: datetime) -> bool:
         return self.start <= time < self.end

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -43,17 +42,6 @@ FRACTION_FLOOR = 1e-12
 def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _load_scenario_arg(arg: str) -> Scenario:
-    path = Path(arg)
-    if path.exists():
-        return load_scenario(path)
-    name = arg[:-5] if arg.endswith(".json") else arg
-    ref = resources.files("meoflow") / "scenarios" / f"{name}.json"
-    if ref.is_file():
-        return parse_scenario(json.loads(ref.read_text()), name=name)
-    raise ScenarioError(f"{arg}: no such scenario file or bundled scenario")
 
 
 def _series(arms: dict, degenerate_slots) -> dict:
@@ -117,7 +105,7 @@ def _write(out: Path, texts) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in texts:
-            (out / name).write_text(text, newline="")
+            (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         return _fail(f"{exc.filename or out}: {exc.strerror or exc}")
     return EXIT_OK
@@ -133,7 +121,7 @@ def _solve_and_write(args, document, files) -> int:
     text differs between the two fails the run before anything is written.
     """
     try:
-        scenario = _load_scenario_arg(args.scenario)  # in this `try`: a ScenarioError is a ValueError
+        scenario = load_scenario(args.scenario)  # in this `try`: a ScenarioError is a ValueError
         arms = [False, True] if args.command == "compare" else [scenario.isl_enabled and not args.no_isl]
         results = run_arms(scenario, arms)
         doc = document(*results)
@@ -214,7 +202,7 @@ def cmd_compare(args) -> int:
 
 def _read_json(path: Path):
     """The document in `path`, None if there is no such file; raises OSError or, on bad JSON, ValueError."""
-    return json.loads(path.read_text()) if path.is_file() else None
+    return json.loads(path.read_text(encoding="utf-8")) if path.is_file() else None
 
 
 def _rain_windows(scenario: Scenario):

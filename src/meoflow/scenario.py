@@ -97,6 +97,8 @@ def _string(data, key, path, default=_REQUIRED):
     value = _get(data, key, path, default)
     if not isinstance(value, str) or not value:
         raise ScenarioError(f"{path}.{key}: expected a non-empty string")
+    if any("\ud800" <= c <= "\udfff" for c in value):  # a JSON "\ud800" escape; no output file can hold it
+        raise ScenarioError(f"{path}.{key}: holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 
@@ -297,13 +299,20 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: "str | Path") -> Scenario:
-    path = Path(path)
+    """The scenario in the UTF-8 file `path` or, if there is none, the bundled
+    scenario that `path` names, with or without `.json` (e.g. `"o3b_rain"`)."""
+    file = Path(path)
+    if not file.exists():
+        bundled = Path(__file__).with_name("scenarios")
+        file = bundled / f"{str(path).removesuffix('.json')}.json"
+        if file.parent != bundled or not file.is_file():
+            raise ScenarioError(f"{path}: no such scenario file or bundled scenario")
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        text = file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{file}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
-    return parse_scenario(data, name=path.stem)
+        raise ScenarioError(f"{file}: invalid JSON ({exc})") from None
+    return parse_scenario(data, name=file.stem)

@@ -577,6 +577,14 @@ class TestPlotCommand:
             assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+def meoflow_child(args, **env):
+    """`python -m meoflow.cli *args` in a child process, with `env` added to this one's environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(meoflow.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "meoflow.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestUnusableOut:
     @pytest.mark.parametrize("command", ["run", "compare", "plot"])
     def test_out_naming_a_file_exits_2_without_traceback(self, tmp_path, command):
@@ -586,14 +594,7 @@ class TestUnusableOut:
         if command == "plot":
             assert main(["run", "toy3", "--out", str(tmp_path / "run")]) == 0
             args = [command, str(tmp_path / "run"), "timeseries"]
-        env = dict(os.environ, PYTHONPATH=str(Path(meoflow.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-m", "meoflow.cli", *args, "--out", str(blocker)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        out = meoflow_child([*args, "--out", str(blocker)])
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith(f"error: {blocker}: ")
@@ -605,6 +606,46 @@ class TestUnusableOut:
         assert main(["run", "toy3", "--out", str(blocker)]) == 2
         assert capsys.readouterr().err == f"error: {blocker}: File exists\n"
         assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+
+
+class TestSameBytesInAnyEnvironment:
+    def test_non_ascii_station_ids_under_an_ascii_locale(self, tmp_path):
+        # files are read and written as UTF-8, whatever the locale's encoding
+        doc = bundled("toy3")
+        for entry in doc["ground_stations"] + doc["rain_events"]:
+            entry["station_id"] += "-Göteborg"
+        scenario = tmp_path / "toy3.json"
+        scenario.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        for args in (["run", str(scenario)], ["plot", str(tmp_path / "c"), "timeseries"]):
+            out = meoflow_child([*args, "--out", str(tmp_path / "c")], **ascii_locale)
+            assert (out.returncode, out.stderr) == (0, "")
+        assert main(["run", str(scenario), "--out", str(tmp_path / "here")]) == 0
+        assert main(["plot", str(tmp_path / "here"), "timeseries"]) == 0
+        here = sorted(f.name for f in (tmp_path / "here").iterdir())
+        assert sorted(f.name for f in (tmp_path / "c").iterdir()) == here
+        for name in here:
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        assert "equator0-Göteborg" in (tmp_path / "c" / "results.csv").read_text(encoding="utf-8")
+        assert "equator0-Göteborg" in (tmp_path / "c" / "timeseries_sat0.svg").read_text(encoding="utf-8")
+
+    def test_numpy_simd_dispatch_does_not_change_output_bytes(self, tmp_path):
+        # np.arcsin's SIMD loops differ from libm on about 1,000 o3b_rain
+        # elevations; the outputs must not depend on which loop numpy picks
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        if not present:
+            pytest.skip("numpy dispatches to no SIMD feature on this CPU")
+        plain = meoflow_child(["compare", "o3b_rain", "--out", str(tmp_path / "plain")], NPY_DISABLE_CPU_FEATURES="")
+        scalar = meoflow_child(
+            ["compare", "o3b_rain", "--out", str(tmp_path / "scalar")], NPY_DISABLE_CPU_FEATURES=",".join(present)
+        )
+        assert (plain.returncode, plain.stderr) == (scalar.returncode, scalar.stderr) == (0, "")
+        for name in ("compare.json", "compare.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "scalar" / name).read_bytes()
 
 
 # sha256 of every file the commands below write: any change to an output byte

@@ -127,6 +127,10 @@ class TestStrictness:
                 ),
                 "scenario.rain_events[0]: rain_rate_mm_h must be in [0, 2000]",
             ),
+            (
+                lambda d: d["ground_stations"][0].update(station_id="gs\ud800"),
+                "scenario.ground_stations[0].station_id: holds a lone surrogate, which UTF-8 cannot encode",
+            ),
         ],
     )
     def test_entry_errors_name_their_path_once(self, mutate, message):
@@ -247,6 +251,30 @@ class TestLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("name", ["o3b_rain", "o3b_rain.json"])
+    def test_bundled_name(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)  # no file of that name here
+        s = load_scenario(name)
+        assert s.name == "o3b_rain" and s.raw == bundled("o3b_rain")
+
+    @pytest.mark.parametrize("name", ["absent", "sub/o3b_rain", "../scenarios/o3b_rain", "{tmp}/tiny"])
+    def test_neither_a_file_nor_a_bundled_name(self, tmp_path, monkeypatch, name):
+        # only a bare name is looked up among the bundled scenarios, and
+        # `.json` is added to nothing else: {tmp}/tiny.json exists
+        (tmp_path / "tiny.json").write_text(json.dumps(base()))
+        monkeypatch.chdir(tmp_path)
+        name = name.format(tmp=tmp_path)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(name)
+        assert str(exc.value) == f"{name}: no such scenario file or bundled scenario"
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_text(json.dumps(base()).replace('"a"', '"Göteborg"'), encoding="latin-1")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(p)
+        assert str(exc.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xf6")
 
     def test_bundled_scenarios_parse(self):
         for name in ("o3b_clear", "o3b_rain", "toy2", "toy3"):
