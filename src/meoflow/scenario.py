@@ -299,10 +299,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: "str | Path") -> Scenario:
-    """The scenario in the UTF-8 file `path` or, if there is none, the bundled
-    scenario that `path` names, with or without `.json` (e.g. `"o3b_rain"`)."""
+    """The scenario in the UTF-8 file `path` or, if there is none (a directory is
+    none), the bundled scenario that `path` names, with or without `.json`."""
     file = Path(path)
-    if not file.exists():
+    if not file.exists() or file.is_dir():
         bundled = Path(__file__).with_name("scenarios")
         file = bundled / f"{str(path).removesuffix('.json')}.json"
         if file.parent != bundled or not file.is_file():

@@ -6,7 +6,6 @@ import os
 import signal
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -432,7 +431,7 @@ class TestPlotCommand:
 
     def test_every_chart_is_well_formed_xml_with_markup_in_a_station_id(self, tmp_path):
         # the rained station's id reaches the rain window's <title> as text
-        text = (resources.files("meoflow") / "scenarios" / "toy3.json").read_text()
+        text = json.dumps(bundled("toy3"))
         scenario = tmp_path / "toy3.json"
         scenario.write_text(text.replace('"equator0"', json.dumps("A&B <1>")))
         assert main(["compare", str(scenario), "--out", str(tmp_path)]) == 0
@@ -713,7 +712,7 @@ def test_command_outputs_are_byte_pinned(tmp_path, tmp_path_factory):
         codes[f"{sc}_compare"] = main(["compare", sc, "--out", str(tmp_path / f"{sc}_compare")])
     # o3b_rain under lp-fractional, switched as the benchmark switches it: the
     # largest allocations.json and the only one whose relay fractions are not 0 or 1
-    text = (resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text()
+    text = json.dumps(bundled("o3b_rain"))
     assert text.count('"serving_gs": "best-capacity"') == 1
     fractional = tmp_path_factory.mktemp("scenario") / "o3b_rain.json"
     fractional.write_text(text.replace('"serving_gs": "best-capacity"', '"serving_gs": "lp-fractional"'))

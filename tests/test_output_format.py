@@ -11,7 +11,6 @@ import csv
 import json
 import math
 from datetime import timedelta, timezone
-from importlib import resources
 from types import SimpleNamespace
 from unittest import mock
 from xml.etree import ElementTree
@@ -25,7 +24,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from meoflow import cli, engine, svgplot  # noqa: E402
 from meoflow.cli import FRACTION_FLOOR  # noqa: E402
 from meoflow.engine import RunResult  # noqa: E402
-from meoflow.scenario import parse_scenario  # noqa: E402
+from meoflow.scenario import load_scenario, parse_scenario  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=100,
@@ -174,9 +173,9 @@ def test_compare_csv_is_what_csv_writer_writes(tmp_path, arms):
 
 def test_decode_stores_plain_floats():
     # numpy scalars in w and v cost a worker 2.5-5x more to pickle its results
-    text = (resources.files("meoflow") / "scenarios" / "o3b_rain.json").read_text()
-    text = text.replace('"serving_gs": "best-capacity"', '"serving_gs": "lp-fractional"')
-    sc = parse_scenario(json.loads(text), name="o3b_rain")
+    data = load_scenario("o3b_rain").raw
+    data["policies"]["serving_gs"] = "lp-fractional"
+    sc = parse_scenario(data, name="o3b_rain")
     allocations = engine._solve_slots(sc, True, range(24))
     relayed = [f for a in allocations for (s, t, _), f in a.w.items() if s != t]
     assert relayed and any(0.0 < f < 1.0 for f in relayed)

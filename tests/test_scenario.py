@@ -1,9 +1,13 @@
 """Scenario parsing: defaults, strictness, path-qualified errors."""
 import json
+import os
+import threading
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+from meoflow import scenario
 from meoflow.cli import main
 from meoflow.scenario import MAX_SLOT_COUNT, Scenario, ScenarioError, load_scenario, parse_scenario
 from test_slot_range import bundled
@@ -253,10 +257,31 @@ class TestLoading:
             load_scenario(tmp_path / "absent.json")
 
     @pytest.mark.parametrize("name", ["o3b_rain", "o3b_rain.json"])
-    def test_bundled_name(self, tmp_path, monkeypatch, name):
-        monkeypatch.chdir(tmp_path)  # no file of that name here
+    @pytest.mark.parametrize("cwd_holds", ["nothing", "a directory"])
+    def test_bundled_name(self, tmp_path, monkeypatch, name, cwd_holds):
+        # only a file of that name comes first: a directory left by `--out o3b_rain` does not
+        monkeypatch.chdir(tmp_path)
+        if cwd_holds == "a directory":
+            (tmp_path / name).mkdir()
         s = load_scenario(name)
-        assert s.name == "o3b_rain" and s.raw == bundled("o3b_rain")
+        assert s.name == "o3b_rain"
+        assert s.raw == json.loads((Path(scenario.__file__).with_name("scenarios") / "o3b_rain.json").read_bytes())
+
+    def test_file_that_is_a_pipe(self, tmp_path):
+        # `meoflow run <(…)` hands over a pipe, which exists but is no regular file
+        fifo = tmp_path / "o3b_rain"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(json.dumps(base()),), daemon=True)
+        writer.start()
+        try:
+            s = load_scenario(fifo)
+        finally:
+            # if the loader never opened it, a reader held open until the writer ends lets its open return
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK) if writer.is_alive() else None
+            writer.join()
+            if reader is not None:
+                os.close(reader)
+        assert s.name == "o3b_rain" and s.raw == base()
 
     @pytest.mark.parametrize("name", ["absent", "sub/o3b_rain", "../scenarios/o3b_rain", "{tmp}/tiny"])
     def test_neither_a_file_nor_a_bundled_name(self, tmp_path, monkeypatch, name):

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from meoflow import allocation, engine, simplex
 from meoflow.allocation import build_problem
 from meoflow.channel import fl_capacity_bps, isl_capacity_bps
 from meoflow.geometry import range_geometry, ring_neighbors, slot_geometry
-from meoflow.scenario import parse_scenario
+from meoflow.scenario import load_scenario, parse_scenario
 from meoflow.topology import POLICIES, build_slot_graph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,7 +32,7 @@ _spec.loader.exec_module(perfbench_scenarios)
 
 def bundled(name):
     """The bundled scenario `name`'s JSON as a dict: the tests' one loader of a bundled scenario to parse."""
-    return json.loads((resources.files("meoflow") / "scenarios" / f"{name}.json").read_text())
+    return load_scenario(name).raw
 
 
 def toy3_physical_isl():
