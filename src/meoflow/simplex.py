@@ -32,19 +32,21 @@ the same values.
 `solve_batch` solves many LPs together, which is how the allocator solves
 a block of slots: the per-call cost of numpy, not arithmetic, is most of a
 pivot at these sizes, so each call of a step works on every LP that has
-not yet ended.  Each LP is set up first, cold or continued, as its
-(tableau, basis, nonbasic) or the ValueError that refuses it; the batch
-pads the tableaus into one (B, N+1, M+1) array, column-major so that each
-tableau column is one contiguous array row.  Padding sits before each
-LP's rows and columns, so its rhs column and cost row sit on the last
-index.  Zero padding never improves or leaves, and Bland's rule goes by
-variable, not position, so every LP walks the same pivots to the same
-bits in any batch.  Every LP set up takes this path; one whose start has
-no improving column (every ISL-arm stage-2 LP of o3b_rain) ends at the
-first step.  While the pivots run, the cost rows sit in one contiguous
-(LPs, columns) array: Bland's test reads them and every pivot rewrites
-them whole, and the column-major tableau strides them.  `solve` is the
-one-LP case, and `chunks` splits a stream of LPs into bounded batches.
+not yet ended.  The batch is one padded (B, N+1, M+1) array, column-major
+so that each tableau column is one contiguous array row.  Each LP is set
+up in its slot, a cold one from its A, b and -c and a continued one from
+`_continue`'s tableau; one refused at set-up gets its ValueError and no
+slot.  Padding sits before each LP's rows and columns, so its rhs column
+and cost row sit on the last index.  Zero padding never improves or
+leaves, and Bland's rule goes by variable, not position, so every LP
+walks the same pivots to the same bits in any batch.  Every LP set up
+takes this path; one whose start has no improving column (every ISL-arm
+stage-2 LP of o3b_rain) ends at the first step.  While the pivots run,
+the cost rows sit in one contiguous (LPs, columns) array: Bland's test
+reads them and every pivot rewrites them whole, and the column-major
+tableau strides them.  One scatter of the rhs column over the basis then
+reads out every LP's basic solution.  `solve` is the one-LP case, and
+`chunks` splits a stream of LPs into bounded batches.
 
 Before a batch's first pivot, `_run_simplex` allocates and frees an
 untouched block of WARM_BLOCK_TABLEAUS batch tableaus, 16 MiB at most (glibc
@@ -132,24 +134,12 @@ class LpSolution:
     nonbasic: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def _start(problem: LpProblem, base: Optional[LpSolution]):
-    """One LP set up for `solve_batch` as (tableau, basis, nonbasic), or the ValueError that refuses it."""
-    m, n = problem.matrix.shape
-    if base is None:
-        if (problem.rhs < 0.0).any():
-            return ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
-        # [A | b; -c | 0]: row i's slack is variable n + i and starts basic; x starts nonbasic
-        tableau = np.zeros((m + 1, n + 1))
-        tableau[:m, :n], tableau[:m, n], tableau[m, :n] = problem.matrix, problem.rhs, -problem.objective
-        return tableau, np.arange(n, n + m), np.arange(n)
-    return _continue(problem, base)
-
-
 def _continue(problem: LpProblem, base: LpSolution):
     """Set up `problem` to continue from `base`'s optimal tableau.
 
     `problem` must be the LP that `base` solved with one more row
-    appended last, of either rhs sign, and any objective.  The new row is
+    appended last, of either rhs sign, and any objective; a problem of
+    another height is refused.  The new row is
     eliminated against the basis and its slack enters it; if the base
     optimum satisfies the new row, that basis is feasible and the simplex
     runs on from it under the new objective, priced out over the basis
@@ -159,6 +149,8 @@ def _continue(problem: LpProblem, base: LpSolution):
     n = problem.n_variables
     if base.tableau is None or base.values.shape != (n,):
         return ValueError("the base must be an optimal solution over the same variables")
+    if problem.rhs.size != base.tableau.shape[0]:
+        return ValueError("a continued problem must be its base's LP with one row appended")
     b = float(problem.rhs[-1])
     m, width = base.tableau.shape[0] - 1, base.tableau.shape[1]
     # the new row and the new cost over every variable: the base's and the new row's slack
@@ -221,10 +213,14 @@ def solve_batch(
     """
     if bases is None:
         bases = [None] * len(problems)
-    outcomes = [_start(problem, base) for problem, base in zip(problems, bases)]
+    # a continued LP's (tableau, basis, nonbasic), a cold one's None, or the ValueError that refuses either
+    outcomes = [None if base is None else _continue(problem, base) for problem, base in zip(problems, bases)]
+    for i, problem in enumerate(problems):
+        if outcomes[i] is None and (problem.rhs < 0.0).any():
+            outcomes[i] = ValueError("a cold solve needs every rhs >= 0, so that x = 0 is feasible")
     ready = [i for i, start in enumerate(outcomes) if not isinstance(start, Exception)]
-    m = np.array([outcomes[i][1].size for i in ready], dtype=int)  # rows: the basic variables
-    n = np.array([outcomes[i][2].size for i in ready], dtype=int)  # columns: the nonbasic ones
+    m = np.array([problems[i].rhs.size for i in ready], dtype=int)  # rows: the basic variables
+    n = np.array([problems[i].n_variables for i in ready], dtype=int)  # columns: the nonbasic ones
     caps = 10 * (m + n) if max_iterations is None else np.full(len(ready), max_iterations, dtype=int)
     # at least one row and column, so that no reduction is over nothing
     rows, cols = max(1, m.max(initial=0)), max(1, n.max(initial=0))
@@ -232,15 +228,25 @@ def solve_batch(
     tableau = np.zeros((len(ready), cols + 1, rows + 1))  # column-major: [lp, column, row]
     basis = np.full((len(ready), rows), _NONE)
     nonbasic = np.full((len(ready), cols), _NONE)
-    for b, (own_tableau, own_basis, own_nonbasic) in enumerate(outcomes[i] for i in ready):
-        tableau[b, left[b] :, top[b] :] = own_tableau.T
-        basis[b, top[b] :] = own_basis
-        nonbasic[b, left[b] :] = own_nonbasic
+    for b, i in enumerate(ready):
+        own, problem = tableau[b, left[b] :, top[b] :], problems[i]
+        if outcomes[i] is None:
+            # [A | b; -c | 0]: row r's slack is variable n + r and starts basic; x starts nonbasic
+            own[:-1, :-1], own[-1, :-1], own[:-1, -1] = problem.matrix.T, problem.rhs, -problem.objective
+            basis[b, top[b] :], nonbasic[b, left[b] :] = np.arange(n[b], n[b] + m[b]), np.arange(n[b])
+        else:
+            start, basis[b, top[b] :], nonbasic[b, left[b] :] = outcomes[i]
+            own[...] = start.T
     ends = _run_simplex(tableau, basis, nonbasic, caps)
+    # every LP's basic solution: variable basis[r] takes row r's rhs, and a padding row's lands past every variable
+    y = np.zeros((len(ready), rows + cols + 1))
+    np.put_along_axis(y, np.minimum(basis, rows + cols), tableau[:, -1, :-1], axis=1)
     for b, (i, end) in enumerate(zip(ready, ends)):
-        if not isinstance(end, Exception):  # optimal after `end` pivots
-            own = tableau[b, left[b] :, top[b] :].T.copy()  # the LP's own corner, row-major again
-            end = _optimal(problems[i], own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy(), end)
+        if not isinstance(end, Exception):  # optimal after `end` pivots: audit x, keep the LP's corner row-major
+            x, own = y[b, : n[b]].copy(), tableau[b, left[b] :, top[b] :].T.copy()
+            end = _check_residuals(problems[i], x) or LpSolution(
+                float(problems[i].objective @ x), x, end, own, basis[b, top[b] :].copy(), nonbasic[b, left[b] :].copy()
+            )
         outcomes[i] = end
     return outcomes
 
@@ -336,15 +342,6 @@ def _pivot(tableau: np.ndarray, cost: np.ndarray, lps: np.ndarray, rows: np.ndar
     cost[lps] -= cost_factors[:, None] * pivot_rows
     lp, col = pivot_rows.nonzero()
     tableau[lps[lp], col, :-1] -= factors[lp] * pivot_rows[lp, col, None]
-
-
-def _optimal(problem: LpProblem, tableau, basis, nonbasic, iterations: int):
-    """Read the basic solution, audit it and keep the tableau to continue
-    from: the LpSolution, or the SimplexIterationError of a failed audit."""
-    y = np.zeros(basis.shape[0] + nonbasic.shape[0])
-    y[basis] = tableau[:-1, -1]
-    x = y[: problem.n_variables]
-    return _check_residuals(problem, x) or LpSolution(float(problem.objective @ x), x, iterations, tableau, basis, nonbasic)
 
 
 def _check_residuals(problem: LpProblem, x: np.ndarray) -> Optional[SimplexIterationError]:

@@ -216,6 +216,29 @@ class TestContinueFromBase:
         with pytest.raises(ValueError, match="cuts off"):
             solve(q, base=solve(p))
 
+    # the base maximizes x0 + x1 with x0 <= 3 and x1 <= 3, at (3, 3); a
+    # continued problem must be that LP with exactly one row appended
+    @pytest.mark.parametrize(
+        "rows,rhs",
+        [
+            ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [3.0, 3.0, 1.0, 10.0]),  # two rows, the first cuts off
+            ([[1.0, 0.0], [0.0, 1.0]], [3.0, 3.0]),  # no row appended
+            ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]], [3.0, 3.0, 10.0, 5.0]),  # two rows, both met
+        ],
+        ids=["two_rows_first_cuts_off", "no_row", "two_rows_both_met"],
+    )
+    def test_problem_that_is_not_the_base_with_one_row_appended_is_refused(self, rows, rhs):
+        base = solve(LpProblem(np.ones(2), np.eye(2), np.array([3.0, 3.0])))
+        assert base.values.tolist() == [3.0, 3.0]
+        bad = LpProblem(np.ones(2), rows, np.array(rhs))
+        with pytest.raises(ValueError, match="must be its base's LP with one row appended"):
+            solve(bad, base=base)
+        # in a batch, the refusal is that LP's alone
+        good = LpProblem(np.ones(2), [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.array([3.0, 3.0, 10.0]))
+        refused, solved = simplex.solve_batch([bad, good], bases=[base, base])
+        assert isinstance(refused, ValueError)
+        assert_same_outcome(solved, solve(good, base=base))
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("violation,accepted", [(FEAS_TOL / 2, True), (2 * FEAS_TOL, False)])
     def test_feas_tol_bounds_how_far_the_base_optimum_may_violate_the_row(self, sign, violation, accepted):
