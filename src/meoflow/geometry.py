@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Sequence
 
 import numpy as np
@@ -44,17 +43,14 @@ class ConstellationSpec:
     Attributes:
         satellite_count: number of satellites K (>= 2).
         altitude_km: shell altitude above the spherical Earth.
-        phase_offsets_deg: per-satellite in-plane phase at the epoch,
-            strictly increasing once normalized to [0, 360).
-        epoch: reference time; satellite 0 with phase 0 sits at
-            longitude 0 on the shell at this instant.
+        phase_offsets_deg: per-satellite in-plane phase at t = 0, the
+            scenario start, strictly increasing once normalized to [0, 360).
         inclination_deg: ring plane tilt; 0 is equatorial.
     """
 
     satellite_count: int
     altitude_km: float
     phase_offsets_deg: tuple[float, ...]
-    epoch: datetime
     inclination_deg: float = 0.0
 
     def __post_init__(self):
@@ -116,17 +112,17 @@ class GroundStationSpec:
         return geodetic_to_ecef(self.latitude_deg, self.longitude_deg, self.altitude_m)
 
 
-def propagate(spec: ConstellationSpec, time: "datetime | float | np.ndarray") -> np.ndarray:
+def propagate(spec: ConstellationSpec, time: "float | np.ndarray") -> np.ndarray:
     """Satellite ECEF positions in km: (K, 3) at one time, (N, K, 3) at N times.
 
-    Each satellite sits at in-plane angle phase_k + n*(t - epoch) on the
-    circular shell; the ascending node is pinned to the +x axis so phase 0
-    at the epoch means longitude 0.  `time` is a datetime, plain seconds
-    since the epoch (floats dodge the microsecond quantization of datetime
-    arithmetic), or a 1-D array of such seconds.
+    `time` is seconds since the scenario start, a float or a 1-D array.
+    Each satellite sits at in-plane angle phase_k + n*t on the circular
+    shell; the ascending node is pinned to the +x axis, so at t = 0
+    satellite 0 with phase 0 sits at longitude 0.  Phases are taken modulo
+    360 first, as the spec's check reads them.
     """
-    dt = (time - spec.epoch).total_seconds() if isinstance(time, datetime) else np.asarray(time, dtype=float)
-    u = np.radians(np.asarray(spec.phase_offsets_deg, dtype=float)) + spec.angular_rate_rad_s * np.expand_dims(dt, -1)
+    phases = np.radians(np.asarray(spec.phase_offsets_deg, dtype=float) % 360.0)
+    u = phases + spec.angular_rate_rad_s * np.expand_dims(np.asarray(time, dtype=float), -1)
     inc = math.radians(spec.inclination_deg)
     r = spec.orbit_radius_km
     sin_u = np.sin(u)
@@ -175,7 +171,7 @@ class SlotGeometry:
 def range_geometry(
     spec: ConstellationSpec, stations: Sequence[GroundStationSpec], times_s: Sequence[float]
 ) -> tuple[np.ndarray, ...]:
-    """The geometry of N instants (seconds since the epoch) at once.
+    """The geometry of N instants (seconds since the scenario start) at once.
 
     Returns, each with a leading slot axis except the stations:
     sat_positions_km (N, K, 3), gs_positions_km (I, 3), distances_fl_km,
@@ -197,12 +193,11 @@ def range_geometry(
 def slot_geometry(
     spec: ConstellationSpec,
     stations: Sequence[GroundStationSpec],
-    time: "datetime | float",
+    time: float,
     slot_index: int = 0,
 ) -> SlotGeometry:
-    """Evaluate the full satellite/station geometry at one instant."""
-    seconds = (time - spec.epoch).total_seconds() if isinstance(time, datetime) else float(time)
-    sats, gs, *per_slot = range_geometry(spec, stations, [seconds])
+    """Evaluate the full satellite/station geometry at `time`, seconds since the scenario start."""
+    sats, gs, *per_slot = range_geometry(spec, stations, [time])
     return SlotGeometry(slot_index, sats[0], gs, *(a[0] for a in per_slot))
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -106,9 +107,12 @@ def _datetime(data, key, path):
     value = _get(data, key, path)
     if not isinstance(value, str):
         raise ScenarioError(f"{path}.{key}: expected an ISO-8601 timestamp")
-    text = value[:-1] + "+00:00" if value.endswith("Z") else value
     try:
-        parsed = datetime.fromisoformat(text)
+        # what fromisoformat reads on every supported Python (3.11 reads far more): YYYY-MM-DD,
+        # optionally then T or a space and HH[:MM[:SS[.fff[fff]]]], which may end in Z or ±HH:MM
+        if not re.fullmatch(r"\d{4}-\d\d-\d\d([T ]\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?(Z|[+-]\d\d:\d\d)?)?", value, re.ASCII):
+            raise ValueError(value)
+        parsed = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
     except ValueError:
         raise ScenarioError(f"{path}.{key}: not a valid ISO-8601 timestamp") from None
     if parsed.tzinfo is None:
@@ -233,7 +237,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"{cpath}.phase_offsets_deg: expected a list of numbers")
     else:
         phases = tuple(_finite(p, f"{cpath}.phase_offsets_deg[{i}]") for i, p in enumerate(phases))
-    constellation = _build(cpath, ConstellationSpec, count, altitude_km, phases, start, inclination)
+    constellation = _build(cpath, ConstellationSpec, count, altitude_km, phases, inclination)
 
     gpath = f"{name}.ground_stations"
     gsec = _get(root, "ground_stations", name)

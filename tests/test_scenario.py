@@ -56,6 +56,38 @@ class TestDefaults:
         d["time"]["start"] = "2026-01-01T00:00:00"
         assert parse_scenario(d).start == datetime(2026, 1, 1, tzinfo=timezone.utc)
 
+    @pytest.mark.parametrize(
+        "stamp, expected",
+        [
+            ("2026-01-01T00:00:00.000Z", datetime(2026, 1, 1, tzinfo=timezone.utc)),
+            ("2026-01-01 00:00:00.000250+00:00", datetime(2026, 1, 1, 0, 0, 0, 250, tzinfo=timezone.utc)),
+            ("2026-01-01T05:00-05:00", datetime(2026, 1, 1, 10, tzinfo=timezone.utc)),
+            ("2026-01-01T00", datetime(2026, 1, 1, tzinfo=timezone.utc)),
+            ("2026-01-01", datetime(2026, 1, 1, tzinfo=timezone.utc)),
+        ],
+    )
+    def test_the_timestamp_grammar_of_every_supported_python_parses(self, stamp, expected):
+        d = base()
+        d["time"]["start"] = stamp
+        assert parse_scenario(d).start == expected
+
+    # forms that Python 3.11's fromisoformat reads and 3.10's refuses
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2026-W01-4T00:00:00Z",
+            "20260101T000000Z",
+            "2026-01-01T00:00:00,5Z",
+            "2026-01-01T00:00:00.5Z",
+            "2026-01-01T0000Z",
+        ],
+    )
+    def test_a_timestamp_outside_that_grammar_is_refused(self, stamp):
+        d = base()
+        d["time"]["start"] = stamp
+        with pytest.raises(ScenarioError, match=r"^scenario\.time\.start: not a valid ISO-8601 timestamp$"):
+            parse_scenario(d)
+
     def test_slot_midpoints(self):
         s = parse_scenario(base())
         assert s.slot_midpoint_s(0) == 150.0

@@ -1,6 +1,4 @@
 """Slot graph construction and serving-station policy."""
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,13 @@ from meoflow.geometry import ConstellationSpec, GroundStationSpec, ring_neighbor
 from meoflow.topology import POLICY_BEST_CAPACITY, POLICY_LP_FRACTIONAL, build_slot_graph
 from test_allocation import make_graph
 
-EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 FL = FeederLinkParams()
 ISL = IslParams(fixed_capacity_override_bps=600e6)
 RAIN = RainModelParams(rain_height_km=2.0)
 
 
 def o3b_setup():
-    spec = ConstellationSpec(6, 8062.0, tuple(60.0 * i for i in range(6)), EPOCH)
+    spec = ConstellationSpec(6, 8062.0, tuple(60.0 * i for i in range(6)))
     stations = [
         GroundStationSpec("dubbo", -32.24, 148.60, 275.0),
         GroundStationSpec("merredin", -31.48, 118.28, 315.0),
@@ -33,13 +30,13 @@ def o3b_setup():
 class TestBuild:
     def test_capacity_only_on_visible_edges(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         g = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_LP_FRACTIONAL)
         assert np.all((g.fl_capacity_bps > 0) == geom.visible)
 
     def test_capacity_values_match_channel(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         g = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_LP_FRACTIONAL)
         for k in range(6):
             for i in range(8):
@@ -57,7 +54,7 @@ class TestBuild:
 
     def test_ring_isl_edges_only(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         g = build_slot_graph(geom, FL, ISL, RAIN)
         for k in range(6):
             for l in range(6):
@@ -68,13 +65,13 @@ class TestBuild:
 
     def test_isl_disabled_zeroes_matrix(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         g = build_slot_graph(geom, FL, ISL, RAIN, isl_enabled=False)
         assert np.all(g.isl_capacity_bps == 0.0)
 
     def test_rain_strictly_lowers_the_rained_column(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         clear = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_LP_FRACTIONAL)
         sant = stations.index(next(s for s in stations if s.station_id == "santiago"))
         rates = [0.0] * 8
@@ -112,7 +109,7 @@ class TestServingPolicy:
 
     def test_masking_keeps_exactly_one_edge_per_served_satellite(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         g = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_BEST_CAPACITY)
         for k in range(6):
             row = g.fl_capacity_bps[k]
@@ -122,7 +119,7 @@ class TestServingPolicy:
 
     def test_lp_fractional_keeps_all_edges_and_no_serving(self):
         spec, stations = o3b_setup()
-        geom = slot_geometry(spec, stations, EPOCH)
+        geom = slot_geometry(spec, stations, 0.0)
         masked = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_BEST_CAPACITY)
         free = build_slot_graph(geom, FL, ISL, RAIN, policy=POLICY_LP_FRACTIONAL)
         assert all(s is None for s in free.serving_gs)
